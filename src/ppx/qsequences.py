@@ -105,31 +105,22 @@ def cap_expq_series(order: int) -> TruncatedSeries:
 
 
 @functools.cache
-def _e_q(n: int) -> RatFunc:
+def _e_q_family(base: IntPoly, n: int) -> RatFunc:
+    # The n-th factor of the expansion whose log has coefficients
+    # base^(n-1)/(n [n]): base 1-q gives e_n(q), base q-1 gives E_n(q).
     if n < 1:
         raise ValueError("index must be >= 1")
     total = RF_ZERO
     for d in divisors(n):
         if d == 1:
             continue
-        term = (_e_q(n // d) ** d) / d
+        term = (_e_q_family(base, n // d) ** d) / d
         total = total + term if d % 2 == 0 else total - term
-    tail = RatFunc(IntPoly((1, -1)) ** (n - 1), qint(n) * n)
-    return total + tail
+    return total + RatFunc(base ** (n - 1), qint(n) * n)
 
 
-@functools.cache
-def _cap_e_q(n: int) -> RatFunc:
-    if n < 1:
-        raise ValueError("index must be >= 1")
-    total = RF_ZERO
-    for d in divisors(n):
-        if d == 1:
-            continue
-        term = (_cap_e_q(n // d) ** d) / d
-        total = total + term if d % 2 == 0 else total - term
-    tail = RatFunc(IntPoly((-1, 1)) ** (n - 1), qint(n) * n)
-    return total + tail
+_e_q = functools.partial(_e_q_family, IntPoly((1, -1)))
+_cap_e_q = functools.partial(_e_q_family, IntPoly((-1, 1)))
 
 
 @functools.cache

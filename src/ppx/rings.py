@@ -10,10 +10,17 @@ Value types:
   polynomials, powers of q),
 * :class:`ModInt` is a residue modulo a fixed integer.
 
-Everything is immutable and exact; no floating point anywhere.  The ring
-singletons at the bottom (``ZZ``, ``QQ``, ``ZX``, ``QFUNC``) bundle the few
-ring facts (zero, one, integer embedding, unit inversion, exact division by
-an integer) that the generic series and matrix code needs; a
+Everything is immutable and exact; no floating point anywhere.  The
+polynomial gcd behind every :class:`RatFunc` normalisation is the heuristic
+gcd GCDHEU of Char, Geddes and Gonnet: evaluate at an integer
+xi >= 2 min(|a|, |b|) + 2, take the integer gcd, read a candidate back from
+its xi-adic digits and keep it only if it divides both inputs exactly; the
+primitive pseudo-remainder sequence is the fallback when the heuristic gives
+up.
+
+The ring singletons at the bottom (``ZZ``, ``QQ``, ``ZX``, ``QFUNC``) bundle
+the few ring facts (zero, one, integer embedding, unit inversion, exact
+division by an integer) that the generic series and matrix code needs; a
 :class:`QuotientRing` instance plays the same role for its own elements.
 """
 
@@ -198,9 +205,13 @@ class IntPoly:
         return IntPoly(quo)
 
     def _prem(self, other: "IntPoly") -> "IntPoly":
-        # Pseudo-remainder: repeatedly scale by the divisor's leading
-        # coefficient so that elimination stays in Z[q].  Only the primitive
-        # part of the result is meaningful to callers.
+        """Pseudo-remainder of self by other, the step of the primitive PRS
+        that :func:`poly_gcd` falls back to when GCDHEU gives up.
+
+        Repeatedly scales by the divisor's leading coefficient so that
+        elimination stays in Z[q]; only the primitive part of the result is
+        meaningful to callers.
+        """
         r = self
         db = other.degree
         lb = other.lead
@@ -209,7 +220,7 @@ class IntPoly:
         return r
 
     def gcd(self, other) -> "IntPoly":
-        """Primitive gcd with positive leading coefficient (primitive PRS)."""
+        """Primitive gcd with positive leading coefficient; see :func:`poly_gcd`."""
         return poly_gcd(self, other)
 
     # -- evaluation ---------------------------------------------------------
@@ -270,8 +281,15 @@ Q = IntPoly((0, 1))
 def poly_gcd(a, b) -> IntPoly:
     """Primitive gcd of two integer polynomials, positive leading coefficient.
 
-    Uses the primitive pseudo-remainder sequence, so all intermediate values
-    stay in Z[q].  The result divides both inputs exactly.
+    The kernel is the heuristic gcd GCDHEU (Char, Geddes and Gonnet, 1989)
+    on the primitive parts a, b.  For an integer xi >= 2 min(|a|, |b|) + 2,
+    where |.| is the largest coefficient magnitude, the primitive part G of
+    the polynomial whose symmetric xi-adic digits are gcd(a(xi), b(xi)) is
+    the gcd as soon as G divides both a and b; that exact division is the
+    check every answer passes.  When it fails, xi grows and the evaluation is
+    repeated, a fixed number of times, after which the primitive
+    pseudo-remainder sequence (:func:`_prs_gcd`) decides.  The result
+    divides both inputs exactly.
 
     >>> poly_gcd(IntPoly((1, 1)), IntPoly((1, 0, -1)))
     IntPoly([1, 1])
@@ -287,6 +305,43 @@ def poly_gcd(a, b) -> IntPoly:
         return a
     if a.degree == 0 or b.degree == 0:
         return P_ONE
+    g = _heu_gcd(a, b)
+    return g if g is not None else _prs_gcd(a, b)
+
+
+_HEU_GCD_TRIES = 6
+
+
+def _heu_gcd(a: IntPoly, b: IntPoly):
+    # GCDHEU on primitive a, b of positive degree; None when every xi fails.
+    # The margin above the bound 2 min(|a|, |b|) + 2 leaves room for a small
+    # spurious integer factor s of gcd(a(xi), b(xi)): while s times the gcd's
+    # coefficients stays below xi/2 the digits spell s times the gcd, whose
+    # primitive part is the gcd.  xi grows as in SymPy's dup_zz_heu_gcd.
+    xi = 2 * min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs))) + 29
+    for _ in range(_HEU_GCD_TRIES):
+        h = math.gcd(a(xi), b(xi))
+        digits = []
+        while h:
+            d = h % xi
+            if d > xi // 2:
+                d -= xi
+            digits.append(d)
+            h = (h - d) // xi
+        g = IntPoly(digits).primitive_positive()
+        if g.degree == 0:
+            return P_ONE
+        try:
+            a.divexact(g)
+            b.divexact(g)
+            return g
+        except InexactDivisionError:
+            xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _prs_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    # Primitive pseudo-remainder sequence on primitive a, b.
     if a.degree < b.degree:
         a, b = b, a
     while not b.is_zero:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ppx import products
+from ppx import products, qsequences, rings
 from ppx.qsequences import (
     GOLDEN_CAP_E_Q,
     GOLDEN_E_Q,
@@ -34,7 +34,7 @@ from ppx.qsequences import (
     transcription_discrepancies,
     u_q_seq,
 )
-from ppx.rings import IntPoly, P_ONE, P_ZERO, Q, RatFunc
+from ppx.rings import ConsistencyError, IntPoly, P_ONE, P_ZERO, Q, RatFunc
 from ppx.sequences import c_seq, e_seq, r_seq, u_seq
 
 
@@ -241,3 +241,38 @@ class TestQOracle:
         assert list(expansion.factors) == e_q_seq(10)
         cap_expansion = products.expand(cap_expq_series(10))
         assert list(cap_expansion.factors) == cap_e_q_seq(10)
+
+
+@pytest.fixture
+def fresh_q_caches():
+    """Empty the q-sequence caches before and after the test, so that a
+    patched ring kernel is really exercised and leaves no value behind."""
+
+    def clear():
+        for value in vars(qsequences).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+    clear()
+    yield clear
+    clear()
+
+
+class TestGcdKernelFaults:
+    def test_prs_fallback_alone(self, monkeypatch, fresh_q_caches):
+        expected = c_q_seq(12)
+        fresh_q_caches()
+        monkeypatch.setattr(rings, "_heu_gcd", lambda a, b: None)
+        for j in range(1, 31):
+            for n in range(1, 31):
+                assert rings.poly_gcd(qint(j), qint(n)) == qint(math.gcd(j, n))
+        assert check_q_oracle(8).passed
+        assert c_q_seq(12) == expected
+
+    def test_unit_gcd_is_caught(self, monkeypatch, fresh_q_caches):
+        # A gcd that is not greatest leaves fractions unreduced; the
+        # integrality checks of the q-sequences must notice.
+        for module in (rings, qsequences):
+            monkeypatch.setattr(module, "poly_gcd", lambda a, b: P_ONE)
+        with pytest.raises(ConsistencyError):
+            c_q_seq(6)

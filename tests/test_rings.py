@@ -17,6 +17,8 @@ from ppx.rings import (
     Q,
     QuotientRing,
     RatFunc,
+    _heu_gcd,
+    _prs_gcd,
     cyclotomic,
     poly_gcd,
     quotient_reduce,
@@ -25,6 +27,11 @@ from ppx.rings import (
 
 small_polys = st.builds(IntPoly, st.lists(st.integers(-9, 9), max_size=6))
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero)
+# Coefficients up to 10^6 and degree up to 15: products of two reach about
+# 10^13 and degree 30, well beyond the small polynomials above.
+wide_polys = st.builds(
+    IntPoly, st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=16)
+).filter(lambda p: not p.is_zero)
 
 
 class TestIntPoly:
@@ -112,6 +119,23 @@ class TestPolyGcd:
         b.divexact(g)
         assert g.lead > 0
         assert g.content == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(nonzero_polys, nonzero_polys, st.one_of(nonzero_polys, wide_polys))
+    def test_planted_factor_divides_gcd(self, a, b, c):
+        poly_gcd(a * c, b * c).divexact(c.primitive_positive())
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(nonzero_polys, wide_polys), wide_polys, wide_polys)
+    def test_matches_prs_reference(self, a, b, c):
+        a, b = (a * c).primitive_positive(), (b * c).primitive_positive()
+        assert poly_gcd(a, b) == _prs_gcd(a, b)
+
+    def test_heuristic_answers_qint_oracle(self):
+        # The fast path itself, not the fallback, settles these.
+        for j in range(2, 31):
+            for n in range(2, 31):
+                assert _heu_gcd(qint(j), qint(n)) == qint(math.gcd(j, n))
 
 
 class TestCyclotomic:
