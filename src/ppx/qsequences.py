@@ -73,6 +73,7 @@ def qfact(n: int) -> IntPoly:
     return qfact(n - 1) * qint(n)
 
 
+@functools.cache
 def qbinom(n: int, k: int) -> IntPoly:
     """Gaussian binomial [n]!/([k]![n-k]!), always an exact quotient."""
     if not 0 <= k <= n:

@@ -1,9 +1,13 @@
 """Pascal matrices, factorizations, and root-of-unity specializations."""
 
+import collections
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ppx import cli, qsequences, sequences
 from ppx.pascal import (
     SquareMatrix,
     check_carlitz,
@@ -259,3 +263,172 @@ class TestSquareMatrix:
     def test_json_shape(self):
         m = q_pascal(2)
         assert m.to_json_obj() == [[["1"], []], [["1"], ["1"]]]
+
+
+# ---------------------------------------------------------------------------
+# The sparse product against a dense schoolbook reference
+
+
+def dense_product(a, b):
+    """Schoolbook reference: every entry sums all n products, zero pairs
+    included."""
+    ring, n = a.ring, a.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = ring.zero
+            for l in range(n):
+                acc = acc + a.entry(i, l) * b.entry(l, j)
+            row.append(acc)
+        rows.append(row)
+    return SquareMatrix(ring, rows)
+
+
+PRODUCT_RINGS = (ZZ, ZX, QuotientRing(cyclotomic(2)), QuotientRing(cyclotomic(5)),
+                 QuotientRing(cyclotomic(12)))
+
+
+def ring_elements(ring):
+    ints = st.integers(-20, 20)
+    if ring is ZZ:
+        return ints
+    polys = st.lists(ints, max_size=6).map(IntPoly)
+    return polys if ring is ZX else polys.map(ring.reduce)
+
+
+@st.composite
+def square_matrices(draw, ring, n):
+    """From all-zero through one band and a Pascal-factor shape (diagonal
+    plus one band) to a random pattern and full; bands above the diagonal
+    make non-triangular matrices."""
+    shape = draw(st.sampled_from(("zero", "band", "factor", "pattern", "full")))
+    d = draw(st.integers(1 - n, n - 1))
+    pattern = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    keep = {
+        "zero": lambda i, j: False,
+        "band": lambda i, j: i - j == d,
+        "factor": lambda i, j: i == j or i - j == d,
+        "pattern": lambda i, j: pattern[i * n + j],
+        "full": lambda i, j: True,
+    }[shape]
+    nonzero = ring_elements(ring).filter(lambda e: e != ring.zero)
+    return SquareMatrix(
+        ring, [[draw(nonzero) if keep(i, j) else ring.zero for j in range(n)] for i in range(n)]
+    )
+
+
+@st.composite
+def matrix_pairs(draw):
+    ring = draw(st.sampled_from(PRODUCT_RINGS))
+    n = draw(st.integers(1, 12))
+    return draw(square_matrices(ring, n)), draw(square_matrices(ring, n))
+
+
+class Counted:
+    """A ring element that counts every product and sum taken with it."""
+
+    __slots__ = ("value", "log")
+
+    def __init__(self, value, log):
+        self.value, self.log = value, log
+
+    def __mul__(self, other):
+        self.log["mul"] += 1
+        return Counted(self.value * other.value, self.log)
+
+    def __add__(self, other):
+        self.log["add"] += 1
+        return Counted(self.value + other.value, self.log)
+
+    def __eq__(self, other):
+        return self.value == other.value
+
+
+class CountingRing:
+    def __init__(self, ring):
+        self.log = collections.Counter()
+        self.zero = Counted(ring.zero, self.log)
+
+    def wrap(self, matrix):
+        return matrix.map_entries(lambda e: Counted(e, self.log), self)
+
+
+class TestSparseProduct:
+    @settings(max_examples=120, deadline=None)
+    @given(matrix_pairs())
+    def test_matches_dense_reference(self, pair):
+        a, b = pair
+        product = a * b
+        assert product == dense_product(a, b)
+        assert {type(e) for row in product.rows for e in row} == {type(a.ring.zero)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrix_pairs())
+    def test_one_ring_product_per_nonzero_pair(self, pair):
+        a, b = pair
+        zero, n = a.ring.zero, a.n
+        pairs = sum(
+            1
+            for i in range(n) for l in range(n) for j in range(n)
+            if a.entry(i, l) != zero and b.entry(l, j) != zero
+        )
+        ring = CountingRing(a.ring)
+        product = ring.wrap(a) * ring.wrap(b)
+        assert ring.log == collections.Counter({"mul": pairs, "add": pairs})
+        assert product.map_entries(lambda e: e.value, a.ring) == a * b
+
+
+# ---------------------------------------------------------------------------
+# Fault injection: the matrix suites notice a wrong product
+
+
+def _clear_sequence_caches():
+    for module in (sequences, qsequences):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+@pytest.fixture
+def dropped_term(monkeypatch):
+    """SquareMatrix.__mul__ loses the last nonzero term of the bottom-left
+    entry of every product; the caches are empty before and after."""
+    original = SquareMatrix.__mul__
+
+    def mul(self, other):
+        product = original(self, other)
+        i, j, zero = self.n - 1, 0, self.ring.zero
+        terms = [self.entry(i, l) * other.entry(l, j) for l in range(self.n)
+                 if self.entry(i, l) != zero and other.entry(l, j) != zero]
+        if not terms:
+            return product
+        rows = [list(row) for row in product.rows]
+        rows[i][j] = rows[i][j] - terms[-1]
+        return SquareMatrix(self.ring, rows)
+
+    _clear_sequence_caches()
+    monkeypatch.setattr(SquareMatrix, "__mul__", mul)
+    yield
+    monkeypatch.undo()
+    _clear_sequence_caches()
+
+
+class TestMatrixSuitesCanFail:
+    def test_factorizations_raise(self, dropped_term):
+        with pytest.raises(ConsistencyError):
+            factor_pascal(8)
+        with pytest.raises(ConsistencyError):
+            factor_q_pascal(6)
+
+    def test_verify_exits_one(self, dropped_term, capsys):
+        assert cli.main(["verify", "pascal", "--max-n", "6"]) == 1
+        assert cli.main(["verify", "qpascal", "--max-n", "5"]) == 1
+        assert "consistency violation" in capsys.readouterr().err
+
+    def test_pascal_m_reports_fail(self, dropped_term, capsys):
+        assert cli.main(["verify", "pascal-m", "--max-n", "6"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL m1-reduction" in out
+        assert "FAIL m-fold-identities" in out
+        assert "status: fail" in out
