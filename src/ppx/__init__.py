@@ -18,22 +18,19 @@ from .rings import (
     ConsistencyError,
     InexactDivisionError,
     IntPoly,
-    ModInt,
     QuotientElem,
     QuotientRing,
     RatFunc,
     cyclotomic,
     poly_gcd,
-    quotient_reduce,
 )
-from .sequences import a_seq, c_seq, e_seq, exp_table, gcd_u_r, r_seq, u_seq
+from .sequences import a_seq, c_seq, e_seq, r_seq, u_seq
 from .series import TruncatedSeries
 from .qsequences import (
     c_q_seq,
     cap_e_q_seq,
     e_q_seq,
     qbinom,
-    qexp_table,
     qfact,
     qint,
     r_q_seq,
@@ -55,49 +52,3 @@ from .pascal import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConsistencyError",
-    "InexactDivisionError",
-    "IntPoly",
-    "ModInt",
-    "ProductExpansion",
-    "QuotientElem",
-    "QuotientRing",
-    "RatFunc",
-    "SquareMatrix",
-    "TruncatedSeries",
-    "a_seq",
-    "c_q_seq",
-    "c_seq",
-    "cap_e_q_seq",
-    "contract",
-    "cyclotomic",
-    "e_q_seq",
-    "e_seq",
-    "expand",
-    "exp_table",
-    "factor_pascal",
-    "factor_pascal_m",
-    "factor_q_pascal",
-    "gcd_u_r",
-    "h_matrix",
-    "h_m_nk",
-    "h_nk",
-    "pascal_m",
-    "pascal_matrix",
-    "poly_gcd",
-    "q_h",
-    "q_h_nk",
-    "q_pascal",
-    "qbinom",
-    "qexp_table",
-    "qfact",
-    "qint",
-    "quotient_reduce",
-    "r_q_seq",
-    "r_seq",
-    "u_q_seq",
-    "u_seq",
-    "__version__",
-]

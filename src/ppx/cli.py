@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 
 from . import pascal, qsequences, sequences
 from .report import Report, render_reports_json
@@ -81,130 +82,78 @@ def cmd_seq(args) -> int:
 # verify
 
 
-def _merge(name: str, reports) -> Report:
-    merged = Report(name)
-    for rep in reports:
-        merged.checks.extend(rep.checks)
-    return merged
+@dataclass(frozen=True)
+class Suite:
+    """One ``ppx verify`` suite: every check runs once per parameter set and
+    all their checks are merged, in order, into one report named after the
+    suite.
 
+    ``max_n`` is the default ``--max-n`` (None for a suite that takes no
+    size), ``flag`` the option the suite sweeps (``m`` or ``p``) and
+    ``sweep`` its default values; ``together`` passes the whole sweep to one
+    call.  ``pairs`` are the default (n, m) pairs of eq26/eq28; ``--m``
+    replaces them with one pair whose n defaults to max(3m, 6).
+    """
 
-def _suite_roundtrip(args):
-    n = args.max_n if args.max_n is not None else 14
-    return [_merge("roundtrip",
-                   [sequences.check_oracle_roundtrip(n), qsequences.check_q_oracle(n)])]
-
-
-def _suite_kolberg(args):
-    return [sequences.check_kolberg(args.max_n if args.max_n is not None else 64)]
-
-
-def _suite_borwein_lou(args):
-    return [sequences.check_borwein_lou(args.max_n if args.max_n is not None else 64)]
-
-
-def _suite_divisibility(args):
-    return [sequences.check_divisibility(args.max_n if args.max_n is not None else 64)]
-
-
-def _suite_closed_forms(args):
-    return [sequences.check_closed_forms(args.max_n if args.max_n is not None else 64)]
-
-
-def _suite_thm41(args):
-    return [qsequences.check_golden_q_lists()]
-
-
-def _suite_thm42(args):
-    return [qsequences.check_integrality(args.max_n if args.max_n is not None else 14)]
-
-
-def _suite_thm43(args):
-    n = args.max_n if args.max_n is not None else 12
-    ms = [args.m] if args.m is not None else [2, 3]
-    return [_merge("thm43", [pascal.check_cyclotomic_specialization(n, m) for m in ms])]
-
-
-def _suite_cor44(args):
-    n = args.max_n if args.max_n is not None else 20
-    ps = [args.p] if args.p is not None else [2, 3, 5]
-    return [_merge("cor44", [pascal.check_carlitz(p, n) for p in ps])]
-
-
-def _suite_thm45(args):
-    return [qsequences.check_mod_q2(args.max_n if args.max_n is not None else 32)]
-
-
-def _suite_eq18(args):
-    return [qsequences.check_reciprocal_identity(args.max_n if args.max_n is not None else 10)]
-
-
-def _suite_eq21(args):
-    return [qsequences.check_log_coeffs(args.max_n if args.max_n is not None else 12)]
-
-
-DEFAULT_ROOT_OF_UNITY_PAIRS = ((6, 2), (8, 2), (9, 3))
-
-
-def _root_pairs(args):
-    if args.m is not None:
-        n = args.max_n if args.max_n is not None else max(args.m * 3, 6)
-        return [(n, args.m)]
-    return list(DEFAULT_ROOT_OF_UNITY_PAIRS)
-
-
-def _suite_eq26(args):
-    return [_merge("eq26", [pascal.check_root_of_unity_factorization(n, m)
-                            for n, m in _root_pairs(args)])]
-
-
-def _suite_eq28(args):
-    return [_merge("eq28", [pascal.check_truncated_exp_product(n, m)
-                            for n, m in _root_pairs(args)])]
-
-
-def _suite_pascal(args):
-    return [pascal.check_pascal(args.max_n if args.max_n is not None else 12)]
-
-
-def _suite_qpascal(args):
-    return [pascal.check_q_pascal(args.max_n if args.max_n is not None else 12)]
-
-
-def _suite_pascal_m(args):
-    n = args.max_n if args.max_n is not None else 12
-    ms = (args.m,) if args.m is not None else (2, 3)
-    return [pascal.check_pascal_m(n, ms)]
+    checks: tuple
+    max_n: int | None = None
+    flag: str | None = None
+    sweep: tuple = ()
+    together: bool = False
+    pairs: tuple = ()
 
 
 SUITES = {
-    "roundtrip": _suite_roundtrip,
-    "kolberg": _suite_kolberg,
-    "borwein-lou": _suite_borwein_lou,
-    "divisibility": _suite_divisibility,
-    "closed-forms": _suite_closed_forms,
-    "thm41": _suite_thm41,
-    "thm42": _suite_thm42,
-    "thm43": _suite_thm43,
-    "cor44": _suite_cor44,
-    "thm45": _suite_thm45,
-    "eq18": _suite_eq18,
-    "eq21": _suite_eq21,
-    "eq26": _suite_eq26,
-    "eq28": _suite_eq28,
-    "pascal": _suite_pascal,
-    "qpascal": _suite_qpascal,
-    "pascal-m": _suite_pascal_m,
+    "roundtrip": Suite((sequences.check_oracle_roundtrip, qsequences.check_q_oracle), 14),
+    "kolberg": Suite((sequences.check_kolberg,), 64),
+    "borwein-lou": Suite((sequences.check_borwein_lou,), 64),
+    "divisibility": Suite((sequences.check_divisibility,), 64),
+    "closed-forms": Suite((sequences.check_closed_forms,), 64),
+    "thm41": Suite((lambda n: qsequences.check_golden_q_lists(),)),
+    "thm42": Suite((qsequences.check_integrality,), 14),
+    "thm43": Suite((pascal.check_cyclotomic_specialization,), 12, "m", (2, 3)),
+    "cor44": Suite((lambda n, p: pascal.check_carlitz(p, n),), 20, "p", (2, 3, 5)),
+    "thm45": Suite((qsequences.check_mod_q2,), 32),
+    "eq18": Suite((qsequences.check_reciprocal_identity,), 10),
+    "eq21": Suite((qsequences.check_log_coeffs,), 12),
+    "eq26": Suite((pascal.check_root_of_unity_factorization,), pairs=((6, 2), (8, 2), (9, 3))),
+    "eq28": Suite((pascal.check_truncated_exp_product,), pairs=((6, 2), (8, 2), (9, 3))),
+    "pascal": Suite((pascal.check_pascal,), 12),
+    "qpascal": Suite((pascal.check_q_pascal,), 12),
+    "pascal-m": Suite((pascal.check_pascal_m,), 12, "m", (2, 3), together=True),
 }
+
+
+def _parameter_sets(suite: Suite, args) -> list:
+    if suite.pairs:
+        if args.m is None:
+            return list(suite.pairs)
+        return [(args.max_n if args.max_n is not None else max(args.m * 3, 6), args.m)]
+    n = args.max_n if args.max_n is not None else suite.max_n
+    if suite.flag is None:
+        return [(n,)]
+    given = getattr(args, suite.flag)
+    values = suite.sweep if given is None else (given,)
+    return [(n, values)] if suite.together else [(n, v) for v in values]
+
+
+def run_suite(name: str, args) -> Report:
+    """Run the suite with the parameters in args (None means its default)."""
+    suite = SUITES[name]
+    merged = Report(name)
+    for params in _parameter_sets(suite, args):
+        for check in suite.checks:
+            merged.checks.extend(check(*params).checks)
+    return merged
 
 
 def cmd_verify(args) -> int:
     if args.suite == "all":
-        defaults = argparse.Namespace(max_n=None, m=None, p=None)
-        reports = []
-        for token in SUITES:
-            reports.extend(SUITES[token](defaults))
+        if (args.max_n, args.m, args.p) != (None, None, None):
+            raise UsageError("--max-n, --m and --p apply to a single suite, not to 'all'")
+        reports = [run_suite(name, args) for name in SUITES]
     else:
-        reports = SUITES[args.suite](args)
+        reports = [run_suite(args.suite, args)]
     if args.format == "json":
         print(render_reports_json(reports))
     else:

@@ -37,9 +37,6 @@ class Report:
     def status(self) -> str:
         return "pass" if self.passed else "fail"
 
-    def failures(self) -> list:
-        return [c for c in self.checks if not c.passed]
-
     def to_json_obj(self) -> dict:
         return {
             "report": self.suite,

@@ -7,8 +7,7 @@ Value types:
 * :class:`RatFunc` is a reduced quotient of two :class:`IntPoly`,
 * :class:`QuotientRing` / :class:`QuotientElem` give arithmetic in
   Z[q]/(m(q)) for a modulus with leading coefficient +-1 (cyclotomic
-  polynomials, powers of q),
-* :class:`ModInt` is a residue modulo a fixed integer.
+  polynomials, powers of q).
 
 Everything is immutable and exact; no floating point anywhere.  The
 polynomial gcd behind every :class:`RatFunc` normalisation is the heuristic
@@ -21,7 +20,9 @@ up.
 The ring singletons at the bottom (``ZZ``, ``QQ``, ``ZX``, ``QFUNC``) bundle
 the few ring facts (zero, one, integer embedding, unit inversion, exact
 division by an integer) that the generic series and matrix code needs; a
-:class:`QuotientRing` instance plays the same role for its own elements.
+:class:`QuotientRing` instance plays the same role for its own elements,
+except that it offers no unit inversion (the only units inverted in a
+quotient ring are those mod q^2, by ``ppx.qsequences.mod_q2_inverse``).
 """
 
 from __future__ import annotations
@@ -218,10 +219,6 @@ class IntPoly:
         while not r.is_zero and r.degree >= db:
             r = r * lb - other.shifted(r.degree - db) * r.lead
         return r
-
-    def gcd(self, other) -> "IntPoly":
-        """Primitive gcd with positive leading coefficient; see :func:`poly_gcd`."""
-        return poly_gcd(self, other)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -607,66 +604,6 @@ RF_ONE = RatFunc._raw(P_ONE, P_ONE)
 # Quotient rings Z[q]/(m)
 
 
-def _frac_coeffs(p: IntPoly) -> list:
-    return [Fraction(c) for c in p.coeffs]
-
-
-def _fp_trim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_divmod(a: list, b: list):
-    # Division over Q[q] on plain coefficient lists.
-    r = list(a)
-    quo = [Fraction(0)] * max(len(r) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    while len(r) >= len(b):
-        t = r[-1] * inv_lead
-        k = len(r) - len(b)
-        quo[k] = t
-        for i, bc in enumerate(b):
-            r[i + k] -= t * bc
-        r.pop()
-        _fp_trim(r)
-        if not r:
-            break
-    return quo, r
-
-
-def _fp_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ac in enumerate(a):
-        if ac == 0:
-            continue
-        for j, bc in enumerate(b):
-            out[i + j] += ac * bc
-    return _fp_trim(out)
-
-
-def _fp_sub(a: list, b: list) -> list:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _fp_trim(out)
-
-
-def _fp_half_xgcd(a: list, b: list):
-    # Returns (g, s) with s*a = g (mod b), g the last nonzero remainder.
-    r0, r1 = _fp_trim(list(a)), _fp_trim(list(b))
-    s0, s1 = [Fraction(1)], []
-    while r1:
-        q, r = _fp_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1))
-    return r0, s0
-
-
 class QuotientRing:
     """Arithmetic in Z[q]/(m(q)) for a modulus with leading coefficient +-1.
 
@@ -725,33 +662,6 @@ class QuotientRing:
             for i, mc in enumerate(m.coeffs):
                 rem[i + k] -= t * mc
         return QuotientElem(self, IntPoly(rem[:dm]))
-
-    def inv(self, a: "QuotientElem") -> "QuotientElem":
-        """Multiplicative inverse in Z[q]/(m), when it exists.
-
-        Found over Q[q] by the extended Euclidean algorithm; the candidate
-        must come out with integer coefficients to be an inverse here.
-        """
-        if a.ring != self:
-            raise ValueError("element belongs to a different quotient ring")
-        if a.rep.is_zero:
-            raise ZeroDivisionError("zero is not invertible")
-        g, s = _fp_half_xgcd(_frac_coeffs(a.rep), _frac_coeffs(self.modulus))
-        if len(g) != 1:
-            raise ValueError(f"{a.rep} is not invertible modulo {self.modulus}")
-        scale = g[0]
-        coeffs = []
-        for c in s:
-            v = c / scale
-            if v.denominator != 1:
-                raise ValueError(
-                    f"{a.rep} has no inverse with integer coefficients modulo {self.modulus}"
-                )
-            coeffs.append(v.numerator)
-        inv = self.reduce(IntPoly(coeffs))
-        if (inv * a).rep != P_ONE:
-            raise ConsistencyError("inverse verification failed")
-        return inv
 
     def div_int(self, a: "QuotientElem", n: int) -> "QuotientElem":
         if a.ring != self:
@@ -814,7 +724,7 @@ class QuotientElem:
 
     def __pow__(self, k: int):
         if k < 0:
-            raise ValueError("use QuotientRing.inv for inverses")
+            raise ValueError("negative power in a quotient ring")
         result = self.ring.one
         base = self
         while k:
@@ -838,80 +748,6 @@ class QuotientElem:
 
     def __str__(self):
         return str(self.rep)
-
-
-def quotient_reduce(f, modulus) -> QuotientElem:
-    """Reduce an integer polynomial modulo a unit-leading-coefficient modulus.
-
-    >>> str(quotient_reduce(IntPoly((1, 3)), IntPoly((1, 1))))
-    '-2'
-    """
-    return QuotientRing(modulus).reduce(f)
-
-
-# ---------------------------------------------------------------------------
-# Residues modulo an integer
-
-
-class ModInt:
-    """Residue modulo a fixed integer p >= 2."""
-
-    __slots__ = ("residue", "modulus")
-
-    def __init__(self, value: int, modulus: int):
-        if modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        self.residue = value % modulus
-        self.modulus = modulus
-
-    def _coerce(self, other):
-        if isinstance(other, ModInt):
-            if other.modulus != self.modulus:
-                raise ValueError("mixing different moduli")
-            return other
-        if isinstance(other, int):
-            return ModInt(other, self.modulus)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return ModInt(self.residue + other.residue, self.modulus)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ModInt(-self.residue, self.modulus)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return ModInt(self.residue - other.residue, self.modulus)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return ModInt(self.residue * other.residue, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.residue == other.residue
-
-    def __hash__(self):
-        return hash(("ModInt", self.residue, self.modulus))
-
-    def __repr__(self):
-        return f"ModInt({self.residue}, {self.modulus})"
-
-    def __str__(self):
-        return str(self.residue)
 
 
 # ---------------------------------------------------------------------------
@@ -1039,6 +875,4 @@ def serialize(value):
                 "den": [str(c) for c in value.den.coeffs]}
     if isinstance(value, QuotientElem):
         return [str(c) for c in value.rep.coeffs]
-    if isinstance(value, ModInt):
-        return str(value.residue)
     raise TypeError(f"cannot serialize {value!r}")

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import products
@@ -207,34 +206,6 @@ def r_seq(n_max: int) -> list:
     return [_r(n) for n in range(1, n_max + 1)]
 
 
-def gcd_u_r(n: int) -> int:
-    """gcd(u_n, |r_n|); the two need not be coprime (n = 12 gives 3)."""
-    return math.gcd(_u(n), abs(_r(n)))
-
-
-@dataclass(frozen=True)
-class ExpTable:
-    """All five sequences up to a common bound, 0-indexed by n-1."""
-
-    n_max: int
-    e: tuple
-    c: tuple
-    a: tuple
-    u: tuple
-    r: tuple
-
-
-def exp_table(n_max: int) -> ExpTable:
-    return ExpTable(
-        n_max,
-        tuple(e_seq(n_max)),
-        tuple(c_seq(n_max)),
-        tuple(a_seq(n_max)),
-        tuple(u_seq(n_max)),
-        tuple(r_seq(n_max)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Verification suites
 
@@ -332,14 +303,15 @@ def check_oracle_roundtrip(n_max: int) -> Report:
     for n in range(1, n_max + 1):
         rep.add("e-oracle", {"n": n}, expansion.factor(n) == _e(n),
                 str(_e(n)), str(expansion.factor(n)))
-    rep.add("exp-roundtrip", {"N": n_max}, products.contract(expansion) == f,
-            "contract(expand(exp)) == exp", "as expected" if products.contract(expansion) == f else "mismatch")
+    ok = products.contract(expansion) == f
+    rep.add("exp-roundtrip", {"N": n_max}, ok,
+            "contract(expand(exp)) == exp", "as expected" if ok else "mismatch")
     g = f.negate_argument()
     neg_expansion = products.expand(g)
     for n in range(1, n_max + 1):
         rep.add("a-oracle", {"n": n}, neg_expansion.factor(n) == _a(n),
                 str(_a(n)), str(neg_expansion.factor(n)))
-    rep.add("exp-neg-roundtrip", {"N": n_max}, products.contract(neg_expansion) == g,
-            "contract(expand(exp(-x))) == exp(-x)",
-            "as expected" if products.contract(neg_expansion) == g else "mismatch")
+    ok = products.contract(neg_expansion) == g
+    rep.add("exp-neg-roundtrip", {"N": n_max}, ok,
+            "contract(expand(exp(-x))) == exp(-x)", "as expected" if ok else "mismatch")
     return rep

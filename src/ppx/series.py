@@ -36,11 +36,6 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, n: int):
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient index {n} outside truncation order {self.order}")
-        return self.coeffs[n]
-
     def _require_compatible(self, other: "TruncatedSeries"):
         if not isinstance(other, TruncatedSeries):
             raise TypeError("expected a TruncatedSeries")

@@ -108,7 +108,7 @@ class TestVerify:
     def test_failing_report_exits_one(self, capsys, monkeypatch):
         failing = Report("fabricated")
         failing.add("always-fails", {}, False, "1", "0")
-        monkeypatch.setitem(cli.SUITES, "fabricated", lambda args: [failing])
+        monkeypatch.setitem(cli.SUITES, "fabricated", cli.Suite((lambda n: failing,)))
         code, out, _ = run(capsys, "verify", "fabricated")
         assert code == 1
         assert "FAIL always-fails" in out

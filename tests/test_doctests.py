@@ -1,22 +1,17 @@
 """Keep the docstring examples honest."""
 
 import doctest
+import importlib
+import pkgutil
 
-import ppx.products
-import ppx.rings
-import ppx.series
+import pytest
 
+import ppx
 
-def test_rings_doctests():
-    failures, _ = doctest.testmod(ppx.rings)
-    assert failures == 0
-
-
-def test_series_doctests():
-    failures, _ = doctest.testmod(ppx.series)
-    assert failures == 0
+MODULES = ["ppx"] + [f"ppx.{m.name}" for m in pkgutil.iter_modules(ppx.__path__)]
 
 
-def test_products_doctests():
-    failures, _ = doctest.testmod(ppx.products)
+@pytest.mark.parametrize("name", MODULES)
+def test_doctests(name):
+    failures, _ = doctest.testmod(importlib.import_module(name))
     assert failures == 0

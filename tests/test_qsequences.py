@@ -26,7 +26,6 @@ from ppx.qsequences import (
     mod_q2_expansion,
     mod_q2_ring,
     qbinom,
-    qexp_table,
     qfact,
     qint,
     r_p_closed_form,
@@ -80,6 +79,12 @@ class TestGoldenLists:
     def test_no_transcription_discrepancies(self):
         assert transcription_discrepancies() == []
 
+    def test_transcription_discrepancy_reported(self, monkeypatch):
+        wrong = RatFunc(P_ONE, qint(6))
+        monkeypatch.setattr(qsequences, "GOLDEN_E_Q", GOLDEN_E_Q[:5] + (wrong,) + GOLDEN_E_Q[6:])
+        assert transcription_discrepancies() == [("e", 6, str(wrong), str(GOLDEN_E_Q[5]))]
+        assert check_golden_q_lists().passed
+
     def test_report(self):
         assert check_golden_q_lists().passed
 
@@ -126,11 +131,10 @@ class TestCq:
 
 class TestDegenerations:
     def test_q_to_one_all_sequences(self):
-        table = qexp_table(14)
-        assert [f(1) for f in table.e] == e_seq(14)
-        assert [p(1) for p in table.u] == u_seq(14)
-        assert [p(1) for p in table.r] == r_seq(14)
-        assert [p(1) for p in table.c] == c_seq(14)
+        assert [f(1) for f in e_q_seq(14)] == e_seq(14)
+        assert [p(1) for p in u_q_seq(14)] == u_seq(14)
+        assert [p(1) for p in r_q_seq(14)] == r_seq(14)
+        assert [p(1) for p in c_q_seq(14)] == c_seq(14)
 
     def test_q_to_zero_dyadic(self):
         for n, f in enumerate(e_q_seq(16), start=1):

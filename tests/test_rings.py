@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppx.qsequences import qint
+from ppx.qsequences import mod_q2_inverse, mod_q2_ring, qint
 from ppx.rings import (
+    ConsistencyError,
     InexactDivisionError,
     IntPoly,
-    ModInt,
     P_ONE,
     P_ZERO,
     Q,
@@ -21,7 +21,6 @@ from ppx.rings import (
     _prs_gcd,
     cyclotomic,
     poly_gcd,
-    quotient_reduce,
     serialize,
 )
 
@@ -203,10 +202,10 @@ class TestRatFunc:
 
 class TestQuotientRing:
     def test_reduce_examples(self):
-        phi2 = cyclotomic(2)
-        assert quotient_reduce(IntPoly((0, -1, -1)), phi2).rep == P_ZERO
-        assert quotient_reduce(IntPoly((0, 0, 0, 1)), IntPoly((0, 0, 1))).rep == P_ZERO
-        assert quotient_reduce(IntPoly((1, 3)), phi2).rep == IntPoly((-2,))
+        phi2 = QuotientRing(cyclotomic(2))
+        assert phi2.reduce(IntPoly((0, -1, -1))).rep == P_ZERO
+        assert QuotientRing(IntPoly((0, 0, 1))).reduce(IntPoly((0, 0, 0, 1))).rep == P_ZERO
+        assert phi2.reduce(IntPoly((1, 3))).rep == IntPoly((-2,))
 
     def test_modulus_validation(self):
         with pytest.raises(ValueError):
@@ -221,34 +220,18 @@ class TestQuotientRing:
         assert a + ring.reduce(IntPoly((0, 0, 1))) == ring.from_int(-1)
 
     def test_inverse_mod_q2(self):
-        ring = QuotientRing(IntPoly((0, 0, 1)))
+        ring = mod_q2_ring()
         a = ring.reduce(IntPoly((1, 3)))
-        assert ring.inv(a) == ring.reduce(IntPoly((1, -3)))
-        with pytest.raises(ValueError):
-            ring.inv(ring.reduce(IntPoly((2, 1))))
-
-    def test_inverse_mod_cyclotomic(self):
-        ring = QuotientRing(cyclotomic(3))
-        a = ring.reduce(IntPoly((1, 1)))        # 1 + q
-        assert ring.inv(a) == ring.reduce(IntPoly((0, -1)))  # -q
+        assert mod_q2_inverse(a) == ring.reduce(IntPoly((1, -3)))
+        assert mod_q2_inverse(ring.reduce(IntPoly((-1, 2)))) == ring.reduce(IntPoly((-1, -2)))
+        with pytest.raises(ConsistencyError):
+            mod_q2_inverse(ring.reduce(IntPoly((2, 1))))
 
     def test_mixing_rings_raises(self):
         r1 = QuotientRing(cyclotomic(2))
         r2 = QuotientRing(cyclotomic(3))
         with pytest.raises(ValueError):
             r1.one + r2.one
-
-
-class TestModInt:
-    def test_ops(self):
-        assert ModInt(130, 3) == ModInt(1, 3)
-        assert ModInt(-24, 3) == 0
-        assert ModInt(2, 5) * ModInt(3, 5) == ModInt(1, 5)
-        assert ModInt(2, 5) + 4 == ModInt(1, 5)
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(ValueError):
-            ModInt(1, 3) + ModInt(1, 5)
 
 
 class TestSerialize:
@@ -260,4 +243,3 @@ class TestSerialize:
         assert serialize(RatFunc(Q, IntPoly((1, 1)))) == {"num": ["0", "1"], "den": ["1", "1"]}
         ring = QuotientRing(IntPoly((0, 0, 1)))
         assert serialize(ring.reduce(IntPoly((1, -4)))) == ["1", "-4"]
-        assert serialize(ModInt(7, 5)) == "2"

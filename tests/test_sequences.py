@@ -18,8 +18,6 @@ from ppx.sequences import (
     e_seq,
     euler_phi,
     exp_series,
-    exp_table,
-    gcd_u_r,
     is_prime,
     primes_up_to,
     r_seq,
@@ -149,12 +147,6 @@ class TestCrossIdentities:
         for value in c_seq(64) + r_seq(64):
             assert isinstance(value, int)
 
-    def test_gcd_u_r(self):
-        assert gcd_u_r(12) == 3
-        assert gcd_u_r(4) == 1  # gcd(8, 3)
-        for p in (3, 5, 7, 11):
-            assert gcd_u_r(p) == 1
-
 
 class TestOracle:
     def test_e_matches_expansion_to_24(self):
@@ -165,6 +157,6 @@ class TestOracle:
         assert check_oracle_roundtrip(14).passed
 
     def test_table_bundle(self):
-        table = exp_table(8)
-        assert table.c == (1, 1, -2, 9, -24, 130, -720, 8505)
-        assert table.n_max == 8
+        table = [seq(8) for seq in (e_seq, c_seq, a_seq, u_seq, r_seq)]
+        assert tuple(table[1]) == (1, 1, -2, 9, -24, 130, -720, 8505)
+        assert all(len(values) == 8 for values in table)
