@@ -124,6 +124,14 @@ SUITES = {
 }
 
 
+def _read_options(suite: Suite, args) -> set:
+    # The verify options that this suite's parameter sets are built from.
+    if suite.pairs:
+        return {"m", "max_n"} if args.m is not None else {"m"}
+    read = {suite.flag} if suite.flag else set()
+    return read | {"max_n"} if suite.max_n is not None else read
+
+
 def _parameter_sets(suite: Suite, args) -> list:
     if suite.pairs:
         if args.m is None:
@@ -138,8 +146,16 @@ def _parameter_sets(suite: Suite, args) -> list:
 
 
 def run_suite(name: str, args) -> Report:
-    """Run the suite with the parameters in args (None means its default)."""
+    """Run the suite with the parameters in args (None means its default);
+    an option the suite would not read is a usage error."""
     suite = SUITES[name]
+    read = _read_options(suite, args)
+    unread = [opt for opt in ("max_n", "m", "p") if getattr(args, opt) is not None
+              and opt not in read]
+    if unread:
+        flags = " and ".join("--" + opt.replace("_", "-") for opt in unread)
+        hint = " (it takes --max-n only with --m)" if suite.pairs and "max_n" in unread else ""
+        raise UsageError(f"suite {name!r} does not take {flags}{hint}")
     merged = Report(name)
     for params in _parameter_sets(suite, args):
         for check in suite.checks:

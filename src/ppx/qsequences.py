@@ -64,11 +64,20 @@ def qint(n: int) -> IntPoly:
 
 @functools.cache
 def qfact(n: int) -> IntPoly:
-    """[n]! = [1][2]...[n]; [0]! = 1."""
+    """[n]! = [1][2]...[n]; [0]! = 1.
+
+    Iterative: the cache always holds [0]!, ..., [m]! for some m (each entry
+    is stored after the one below it), so its size is the first missing
+    index.  The missing ones below n are filled bottom-up, each by one
+    product with the cached entry below it, and no call recurses deeper
+    than two levels.
+    """
     if n < 0:
         raise ValueError("q-factorial of a negative index")
     if n == 0:
         return P_ONE
+    for k in range(qfact.cache_info().currsize, n):
+        qfact(k)
     return qfact(n - 1) * qint(n)
 
 

@@ -15,7 +15,16 @@ gcd GCDHEU of Char, Geddes and Gonnet: evaluate at an integer
 xi >= 2 min(|a|, |b|) + 2, take the integer gcd, read a candidate back from
 its xi-adic digits and keep it only if it divides both inputs exactly; the
 primitive pseudo-remainder sequence is the fallback when the heuristic gives
-up.
+up.  The exact quotients of that check are the cofactors that reduce the
+fraction, so each is computed once.
+
+``IntPoly`` products and exact quotients of operands with at least 8
+coefficients use Kronecker substitution (Kronecker 1882; see Harvey, JSC
+2009): evaluate at q = 2^k, with k a whole number of bytes wide enough that
+every coefficient of the result is one balanced base-2^k digit, do one C
+big-integer multiply or ``divmod``, and read the digits back.  A quotient is
+accepted only when a bound on its digits proves it exact; otherwise, and for
+small operands, the schoolbook loops decide.
 
 The ring singletons at the bottom (``ZZ``, ``QQ``, ``ZX``, ``QFUNC``) bundle
 the few ring facts (zero, one, integer embedding, unit inversion, exact
@@ -55,6 +64,38 @@ def _as_poly(value) -> "IntPoly":
     if isinstance(value, int):
         return IntPoly((value,))
     raise TypeError(f"cannot interpret {value!r} as an integer polynomial")
+
+
+# Kronecker substitution: a polynomial with coefficients below 2^(8w-1) in
+# magnitude is packed into the integer it takes at q = 2^(8w), one w-byte
+# slot per coefficient.  Adding 2^(8w-1) to every coefficient makes each slot
+# a non-negative byte string, so one ``to_bytes``/``from_bytes`` pass packs
+# and unpacks; the same offset, summed over the slots, is taken off again.
+_KRONECKER_MIN_LEN = 8
+
+
+def _bits(coeffs) -> int:
+    # Bit length of the largest coefficient magnitude.
+    return max(map(int.bit_length, coeffs))
+
+
+def _slot_offset(n: int, w: int) -> int:
+    # Sum of 2^(8w-1) * 2^(8wi) over the n slots i.
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+
+
+def _pack(coeffs, w: int) -> int:
+    half = 1 << (8 * w - 1)
+    data = b"".join((c + half).to_bytes(w, "little") for c in coeffs)
+    return int.from_bytes(data, "little") - _slot_offset(len(coeffs), w)
+
+
+def _unpack(value: int, n: int, w: int) -> list:
+    # The n balanced base-2^(8w) digits of value, in [-2^(8w-1), 2^(8w-1)),
+    # lowest first; OverflowError if value has no such expansion.
+    half = 1 << (8 * w - 1)
+    data = (value + _slot_offset(n, w)).to_bytes(n * w, "little")
+    return [int.from_bytes(data[i:i + w], "little") - half for i in range(0, n * w, w)]
 
 
 class IntPoly:
@@ -146,6 +187,22 @@ class IntPoly:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other):
+        """Product in Z[q].
+
+        When both factors have at least ``_KRONECKER_MIN_LEN`` coefficients
+        the kernel is Kronecker substitution: both are evaluated at q = 2^k,
+        the two integers are multiplied once (CPython's C big-integer
+        product) and the result is read back as balanced base-2^k digits.
+        The slot width k is bits|a| + bits|b| + bitlen(min(len a, len b)) + 1
+        rounded up to whole bytes, where bits|.| is the bit length of the
+        largest coefficient magnitude; every product coefficient is below
+        min(len a, len b) * 2^(bits|a| + bits|b|) <= 2^(k-1) in magnitude, so
+        each one is exactly one balanced digit.  Smaller factors use the
+        schoolbook loop.
+
+        >>> IntPoly((1,) * 8) * IntPoly((1, -1) + (0,) * 6 + (5,))
+        IntPoly([1, 0, 0, 0, 0, 0, 0, 0, 4, 5, 5, 5, 5, 5, 5, 5])
+        """
         if isinstance(other, int):
             if other == 0:
                 return P_ZERO
@@ -153,12 +210,19 @@ class IntPoly:
         other = _as_poly(other)
         if self.is_zero or other.is_zero:
             return P_ZERO
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
+        a, b = self.coeffs, other.coeffs
+        n = min(len(a), len(b))
+        if n >= _KRONECKER_MIN_LEN:
+            w = (_bits(a) + _bits(b) + n.bit_length() + 8) // 8
+            pa = _pack(a, w)
+            pb = pa if b is a else _pack(b, w)
+            return IntPoly(_unpack(pa * pb, len(a) + len(b) - 1, w))
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            for j, y in enumerate(b):
+                out[i + j] += x * y
         return IntPoly(out)
 
     __rmul__ = __mul__
@@ -179,7 +243,24 @@ class IntPoly:
 
     def divexact(self, other) -> "IntPoly":
         """Exact division over Z; raises :class:`InexactDivisionError` if the
-        quotient does not exist with integer coefficients."""
+        quotient does not exist with integer coefficients.
+
+        When the divisor b and the quotient both have at least
+        ``_KRONECKER_MIN_LEN`` coefficients the kernel is Kronecker
+        substitution: a and b are evaluated at q = 2^k, where k is bits|a| +
+        bits|b| + bitlen(len b) + 1 rounded up to whole bytes (bits|.| as in
+        :meth:`__mul__`), and divided once with ``divmod``.  A
+        nonzero remainder proves b does not divide a, since b | a in Z[q]
+        implies b(2^k) | a(2^k).  Otherwise the quotient is read back as
+        balanced base-2^k digits q and accepted only if bits|q| + bits|b| +
+        bitlen(len b) < k: then every coefficient of q * b is below 2^(k-1)
+        in magnitude, so q * b and a are two balanced digit expansions of the
+        same integer, and by uniqueness q * b = a coefficient by coefficient.
+        In every other case the schoolbook long division decides.
+
+        >>> (IntPoly((1,) * 8) ** 2).divexact(IntPoly((1,) * 8))
+        IntPoly([1, 1, 1, 1, 1, 1, 1, 1])
+        """
         other = _as_poly(other)
         if other.is_zero:
             raise ZeroDivisionError("exact division by the zero polynomial")
@@ -188,8 +269,21 @@ class IntPoly:
         da, db = self.degree, other.degree
         if da < db:
             raise InexactDivisionError(f"({self}) is not divisible by ({other})")
+        a, b = self.coeffs, other.coeffs
+        if min(db, da - db) + 1 >= _KRONECKER_MIN_LEN:
+            bits_b = _bits(b)
+            w = (_bits(a) + bits_b + len(b).bit_length() + 8) // 8
+            quo, leftover = divmod(_pack(a, w), _pack(b, w))
+            if leftover:
+                raise InexactDivisionError(f"({self}) is not divisible by ({other})")
+            try:
+                digits = _unpack(quo, da - db + 1, w)
+            except OverflowError:  # the quotient needs more digits
+                digits = None
+            if digits is not None and _bits(digits) + bits_b + len(b).bit_length() < 8 * w:
+                return IntPoly(digits)
         lb = other.lead
-        rem = list(self.coeffs)
+        rem = list(a)
         quo = [0] * (da - db + 1)
         for k in range(da - db, -1, -1):
             c = rem[db + k]
@@ -199,7 +293,7 @@ class IntPoly:
             if leftover:
                 raise InexactDivisionError(f"({self}) is not divisible by ({other})")
             quo[k] = t
-            for i, bc in enumerate(other.coeffs):
+            for i, bc in enumerate(b):
                 rem[i + k] -= t * bc
         if any(rem):
             raise InexactDivisionError(f"({self}) is not divisible by ({other})")
@@ -300,17 +394,26 @@ def poly_gcd(a, b) -> IntPoly:
         return b
     if b.is_zero:
         return a
+    return _primitive_gcd(a, b)[0]
+
+
+def _primitive_gcd(a: IntPoly, b: IntPoly) -> tuple:
+    # (g, a/g, b/g) for primitive a, b with positive leading coefficients.
     if a.degree == 0 or b.degree == 0:
-        return P_ONE
-    g = _heu_gcd(a, b)
-    return g if g is not None else _prs_gcd(a, b)
+        return P_ONE, a, b
+    found = _heu_gcd(a, b)
+    if found is not None:
+        return found
+    g = _prs_gcd(a, b)
+    return g, a.divexact(g), b.divexact(g)
 
 
 _HEU_GCD_TRIES = 6
 
 
 def _heu_gcd(a: IntPoly, b: IntPoly):
-    # GCDHEU on primitive a, b of positive degree; None when every xi fails.
+    # GCDHEU on primitive a, b of positive degree: (g, a/g, b/g), where the
+    # two exact quotients are the check; None when every xi fails.
     # The margin above the bound 2 min(|a|, |b|) + 2 leaves room for a small
     # spurious integer factor s of gcd(a(xi), b(xi)): while s times the gcd's
     # coefficients stays below xi/2 the digits spell s times the gcd, whose
@@ -327,11 +430,9 @@ def _heu_gcd(a: IntPoly, b: IntPoly):
             h = (h - d) // xi
         g = IntPoly(digits).primitive_positive()
         if g.degree == 0:
-            return P_ONE
+            return P_ONE, a, b
         try:
-            a.divexact(g)
-            b.divexact(g)
-            return g
+            return g, a.divexact(g), b.divexact(g)
         except InexactDivisionError:
             xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
@@ -349,15 +450,23 @@ def _prs_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     return a
 
 
-def _gcd_full(a: IntPoly, b: IntPoly) -> IntPoly:
-    # gcd in Z[q] including integer content; used to reduce fractions.
-    if a.is_zero:
-        return b.primitive_positive() * abs(b.content)
-    if b.is_zero:
-        return a.primitive_positive() * abs(a.content)
-    c = math.gcd(a.content, b.content)
-    g = poly_gcd(a, b)
-    return g * c if c != 1 else g
+def _gcd_cofactors(a: IntPoly, b: IntPoly) -> tuple:
+    # (g, a/g, b/g) for nonzero a, b, where g is their gcd in Z[q] including
+    # the integer content, with a positive leading coefficient.  The
+    # quotients are those the gcd kernel checked its answer with, scaled by
+    # the signed content that primitive parts leave out; used to reduce
+    # fractions.
+    ca, cb = a.content, b.content
+    c = math.gcd(ca, cb)
+    g, fa, fb = _primitive_gcd(a.primitive_positive(), b.primitive_positive())
+    return (g * c if c != 1 else g), _scaled(fa, a, ca // c), _scaled(fb, b, cb // c)
+
+
+def _scaled(f: IntPoly, sign_of: IntPoly, k: int) -> IntPoly:
+    # f times k, negated when sign_of has a negative leading coefficient.
+    if sign_of.lead < 0:
+        k = -k
+    return f if k == 1 else IntPoly(tuple(k * x for x in f.coeffs))
 
 
 @functools.cache
@@ -404,10 +513,7 @@ class RatFunc:
             self.num = P_ZERO
             self.den = P_ONE
             return
-        g = _gcd_full(num, den)
-        if g != P_ONE:
-            num = num.divexact(g)
-            den = den.divexact(g)
+        _, num, den = _gcd_cofactors(num, den)
         if den.lead < 0:
             num, den = -num, -den
         self.num = num
@@ -467,21 +573,17 @@ class RatFunc:
             return other
         if other.is_zero:
             return self
-        g = _gcd_full(self.den, other.den)
+        g, da, db = _gcd_cofactors(self.den, other.den)
+        num = self.num * db + other.num * da
         if g == P_ONE:
-            num = self.num * other.den + other.num * self.den
-            den = self.den * other.den
-            return RatFunc(num, den)
-        db = other.den.divexact(g)
-        num = self.num * db + other.num * self.den.divexact(g)
+            return RatFunc(num, self.den * db)
         if num.is_zero:
             return RF_ZERO
         den = self.den * db
         # Any remaining common factor of num and den divides g.
-        h = _gcd_full(num, g)
+        h, num_h, _ = _gcd_cofactors(num, g)
         if h != P_ONE:
-            num = num.divexact(h)
-            den = den.divexact(h)
+            num, den = num_h, den.divexact(h)
         return RatFunc._from_coprime(num, den)
 
     __radd__ = __add__
@@ -506,12 +608,8 @@ class RatFunc:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return RF_ZERO
-        g1 = _gcd_full(self.num, other.den)
-        g2 = _gcd_full(other.num, self.den)
-        n1 = self.num.divexact(g1) if g1 != P_ONE else self.num
-        d2 = other.den.divexact(g1) if g1 != P_ONE else other.den
-        n2 = other.num.divexact(g2) if g2 != P_ONE else other.num
-        d1 = self.den.divexact(g2) if g2 != P_ONE else self.den
+        _, n1, d2 = _gcd_cofactors(self.num, other.den)
+        _, n2, d1 = _gcd_cofactors(other.num, self.den)
         return RatFunc._from_coprime(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__

@@ -123,6 +123,25 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "eq26", "--m", "2", "--max-n", "6")
         assert code == 0
 
+    @pytest.mark.parametrize("argv, flags", [
+        (("kolberg", "--m", "3"), "--m"),
+        (("kolberg", "--p", "5"), "--p"),
+        (("kolberg", "--max-n", "9", "--m", "3", "--p", "5"), "--m and --p"),
+        (("thm41", "--max-n", "7"), "--max-n"),
+        (("thm43", "--p", "3"), "--p"),
+        (("cor44", "--m", "2"), "--m"),
+        (("pascal-m", "--p", "2"), "--p"),
+        (("eq26", "--max-n", "7"), "--max-n"),
+        (("eq28", "--max-n", "7"), "--max-n"),
+        (("eq26", "--m", "3", "--p", "2"), "--p"),
+    ])
+    def test_unread_option_rejected(self, capsys, argv, flags):
+        # An option the suite would ignore is a usage error, not a silent
+        # run of the defaults.
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert f"suite {argv[0]!r} does not take {flags}" in err
+
 
 class TestPascal:
     def test_factor_golden(self, capsys):

@@ -1,6 +1,7 @@
 """q-analog sequences, their specializations, and identity suites."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,21 @@ class TestQBasics:
     def test_qfact(self):
         assert qfact(3) == IntPoly((1, 2, 2, 1))  # (1+q)(1+q+q^2)
         assert qfact(0) == P_ONE
+
+    def test_cold_qfact_does_not_recurse(self, fresh_q_caches):
+        # A cold [64]! used to take one frame per index; filled bottom-up it
+        # needs a few, so 30 frames above the caller's depth are plenty.
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 30)
+        try:
+            value = qfact(64)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert value(1) == math.factorial(64)
+        assert value == qfact(63) * qint(64)
 
     def test_qbinom_example(self):
         # oracle: exact division [4]!/([2]![2]!) done longhand
@@ -275,8 +291,8 @@ class TestGcdKernelFaults:
 
     def test_unit_gcd_is_caught(self, monkeypatch, fresh_q_caches):
         # A gcd that is not greatest leaves fractions unreduced; the
-        # integrality checks of the q-sequences must notice.
-        for module in (rings, qsequences):
-            monkeypatch.setattr(module, "poly_gcd", lambda a, b: P_ONE)
-        with pytest.raises(ConsistencyError):
+        # integrality checks of the q-sequences must notice.  The patched
+        # kernel is behind both poly_gcd and RatFunc normalisation.
+        monkeypatch.setattr(rings, "_primitive_gcd", lambda a, b: (P_ONE, a, b))
+        with pytest.raises(ConsistencyError, match="not a polynomial"):
             c_q_seq(6)

@@ -83,6 +83,130 @@ class TestIntPoly:
         assert u6(1) == 72
 
 
+def schoolbook_mul(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Reference product: the quadratic loop the Kronecker kernel replaced."""
+    if a.is_zero or b.is_zero:
+        return P_ZERO
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return IntPoly(out)
+
+
+def schoolbook_divexact(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Reference exact division: long division from the top coefficient."""
+    if a.is_zero:
+        return P_ZERO
+    db = b.degree
+    rem, quo = list(a.coeffs), [0] * max(a.degree - db + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        t, leftover = divmod(rem[db + k], b.lead)
+        if leftover:
+            raise InexactDivisionError("leading coefficient does not divide")
+        quo[k] = t
+        for i, c in enumerate(b.coeffs):
+            rem[i + k] -= t * c
+    if any(rem):
+        raise InexactDivisionError("nonzero remainder")
+    return IntPoly(quo)
+
+
+# Lengths 1..24 straddle the Kronecker threshold of 8 coefficients; small
+# coefficients give interior zeros, large ones reach about 10^60.
+kron_coeffs = st.one_of(st.integers(-3, 3), st.integers(-10**60, 10**60))
+kron_polys = st.builds(
+    IntPoly, st.lists(kron_coeffs, min_size=1, max_size=24)
+).filter(lambda p: not p.is_zero)
+
+
+class TestKroneckerKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(kron_polys, kron_polys)
+    def test_mul_matches_schoolbook(self, a, b):
+        expected = schoolbook_mul(a, b)
+        assert a * b == expected
+        assert b * a == expected
+
+    @pytest.mark.parametrize("n", [8, 9, 15, 16, 31, 33])
+    def test_mul_extreme_coefficients(self, n):
+        # Every coefficient at 2^t - 1 (or alternating in sign) puts the
+        # middle product coefficient near n 4^t, the top of the slot bound,
+        # for every residue of the slot width mod 8.
+        for t in range(1, 70):
+            m = 2 ** t - 1
+            for a in (IntPoly((m,) * n), IntPoly((m, -m) * n)):
+                assert a * a == schoolbook_mul(a, a)
+                b = IntPoly((-m,) * (n + 1))
+                assert a * b == schoolbook_mul(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kron_polys, kron_polys)
+    def test_divexact_of_product(self, q, b):
+        assert schoolbook_mul(q, b).divexact(b) == q
+
+    @settings(max_examples=200, deadline=None)
+    @given(kron_polys, kron_polys, kron_polys)
+    def test_inexact_division_raises(self, q, b, r):
+        # A nonzero remainder of degree below b's makes q b + r indivisible.
+        r = IntPoly(r.coeffs[: b.degree])
+        a = schoolbook_mul(q, b) + r
+        if r.is_zero:
+            assert a.divexact(b) == q
+        else:
+            with pytest.raises(InexactDivisionError):
+                a.divexact(b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kron_polys, kron_polys)
+    def test_divexact_matches_reference(self, a, b):
+        try:
+            expected = schoolbook_divexact(a, b)
+        except InexactDivisionError:
+            with pytest.raises(InexactDivisionError):
+                a.divexact(b)
+        else:
+            assert a.divexact(b) == expected
+
+    def test_quotient_wider_than_slot_falls_back(self):
+        # a = prod_{j<7} (1 + q^(3^j)) has 0/1 coefficients and is divisible
+        # by b = (1+q)^7, whose quotient has 24-bit coefficients.  The slot
+        # for a and b is 1 + 6 + bitlen(8) + 1 = 12 bits, rounded up to 16,
+        # so the quotient's digits overflow it: the digit-width check must
+        # reject them and the long division must answer.
+        a = P_ONE
+        for j in range(7):
+            a = schoolbook_mul(a, IntPoly.monomial(1, 3 ** j) + 1)
+        b = IntPoly((1, 1)) ** 7
+        expected = schoolbook_divexact(a, b)
+        assert max(map(abs, expected.coeffs)) >= 2 ** 15
+        assert a.divexact(b) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(kron_polys, kron_polys, kron_polys, kron_polys,
+           st.integers(-6, 6).filter(bool))
+    def test_cofactors_give_plain_normalisation(self, x, y, g, h, c):
+        # Planted common factors g (and an integer c) exercise the cofactors
+        # that the gcd kernel hands to RatFunc; the reference divides by the
+        # full gcd with the schoolbook loop, as normalisation did before.
+        def plain(num, den):
+            full = poly_gcd(num, den) * math.gcd(num.content, den.content)
+            num, den = schoolbook_divexact(num, full), schoolbook_divexact(den, full)
+            return (-num, -den) if den.lead < 0 else (num, den)
+
+        num, den = schoolbook_mul(x, g) * c, schoolbook_mul(y, g)
+        f = RatFunc(num, den)
+        assert (f.num, f.den) == plain(num, den)
+        k = RatFunc(schoolbook_mul(h, g), schoolbook_mul(y, h) * c)
+        total = f + k
+        assert (total.num, total.den) == plain(
+            schoolbook_mul(f.num, k.den) + schoolbook_mul(k.num, f.den),
+            schoolbook_mul(f.den, k.den))
+        product = f * k
+        assert (product.num, product.den) == plain(
+            schoolbook_mul(f.num, k.num), schoolbook_mul(f.den, k.den))
+
+
 class TestPolyGcd:
     def test_qint_example(self):
         # gcd([4], [6]) = [2]; oracle: gcd(q^j - 1, q^n - 1) = q^gcd(j,n) - 1
@@ -134,7 +258,9 @@ class TestPolyGcd:
         # The fast path itself, not the fallback, settles these.
         for j in range(2, 31):
             for n in range(2, 31):
-                assert _heu_gcd(qint(j), qint(n)) == qint(math.gcd(j, n))
+                g, cof_j, cof_n = _heu_gcd(qint(j), qint(n))
+                assert g == qint(math.gcd(j, n))
+                assert (g * cof_j, g * cof_n) == (qint(j), qint(n))
 
 
 class TestCyclotomic:
