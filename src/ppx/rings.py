@@ -18,13 +18,14 @@ primitive pseudo-remainder sequence is the fallback when the heuristic gives
 up.  The exact quotients of that check are the cofactors that reduce the
 fraction, so each is computed once.
 
-``IntPoly`` products and exact quotients of operands with at least 8
-coefficients use Kronecker substitution (Kronecker 1882; see Harvey, JSC
-2009): evaluate at q = 2^k, with k a whole number of bytes wide enough that
-every coefficient of the result is one balanced base-2^k digit, do one C
-big-integer multiply or ``divmod``, and read the digits back.  A quotient is
-accepted only when a bound on its digits proves it exact; otherwise, and for
-small operands, the schoolbook loops decide.
+``IntPoly`` products and exact quotients use Kronecker substitution
+(Kronecker 1882; see Harvey, JSC 2009) when the two lengths m, n that set
+the schoolbook cost (the factors; the divisor and the quotient) have
+m n >= 8 (m + n): evaluate at q = 2^k, with k a whole number of bytes wide
+enough that every coefficient of the result is one balanced base-2^k digit,
+do one C big-integer multiply or ``divmod``, and read the digits back.  A
+quotient is accepted only when a bound on its digits proves it exact;
+otherwise, and for smaller operands, the schoolbook loops decide.
 
 The ring singletons at the bottom (``ZZ``, ``QQ``, ``ZX``, ``QFUNC``) bundle
 the few ring facts (zero, one, integer embedding, unit inversion, exact
@@ -71,7 +72,23 @@ def _as_poly(value) -> "IntPoly":
 # slot per coefficient.  Adding 2^(8w-1) to every coefficient makes each slot
 # a non-negative byte string, so one ``to_bytes``/``from_bytes`` pass packs
 # and unpacks; the same offset, summed over the slots, is taken off again.
-_KRONECKER_MIN_LEN = 8
+#
+# Packing and unpacking cost about as much per coefficient as _PACK_COST
+# schoolbook coefficient products, so the kernel is used when lengths m, n
+# with m n schoolbook products have m n >= _PACK_COST (m + n): from 16 x 16
+# up for equal lengths, never with a factor of 8 or fewer coefficients.
+# Timed call by call on the operands of the perfbench workloads, this rule
+# costs at most 5% more than picking the faster kernel for every call.
+_PACK_COST = 8
+
+
+def _pack_pays(m: int, n: int) -> bool:
+    return m * n >= _PACK_COST * (m + n)
+
+
+def _slot_bytes(bits_a: int, bits_b: int, count: int) -> int:
+    # The fewest bytes w with bits_a + bits_b + bitlen(count) < 8w.
+    return (bits_a + bits_b + count.bit_length() + 8) // 8
 
 
 def _bits(coeffs) -> int:
@@ -189,19 +206,19 @@ class IntPoly:
     def __mul__(self, other):
         """Product in Z[q].
 
-        When both factors have at least ``_KRONECKER_MIN_LEN`` coefficients
-        the kernel is Kronecker substitution: both are evaluated at q = 2^k,
-        the two integers are multiplied once (CPython's C big-integer
-        product) and the result is read back as balanced base-2^k digits.
-        The slot width k is bits|a| + bits|b| + bitlen(min(len a, len b)) + 1
-        rounded up to whole bytes, where bits|.| is the bit length of the
-        largest coefficient magnitude; every product coefficient is below
-        min(len a, len b) * 2^(bits|a| + bits|b|) <= 2^(k-1) in magnitude, so
-        each one is exactly one balanced digit.  Smaller factors use the
-        schoolbook loop.
+        When the lengths m, n of the factors have m n >= 8 (m + n) the
+        kernel is Kronecker substitution: both are evaluated at q = 2^k, the
+        two integers are multiplied once (CPython's C big-integer product)
+        and the result is read back as balanced base-2^k digits.  The slot
+        width k is bits|a| + bits|b| + bitlen(min(m, n)) + 1 rounded up to
+        whole bytes, where bits|.| is the bit length of the largest
+        coefficient magnitude; every product coefficient is below
+        min(m, n) * 2^(bits|a| + bits|b|) <= 2^(k-1) in magnitude, so each
+        one is exactly one balanced digit.  Smaller factors, for which
+        packing costs more than it saves, use the schoolbook loop.
 
-        >>> IntPoly((1,) * 8) * IntPoly((1, -1) + (0,) * 6 + (5,))
-        IntPoly([1, 0, 0, 0, 0, 0, 0, 0, 4, 5, 5, 5, 5, 5, 5, 5])
+        >>> str(IntPoly((1, -1) * 8) * IntPoly((1,) * 16))
+        '1+q^2+q^4+q^6+q^8+q^10+q^12+q^14-q^16-q^18-q^20-q^22-q^24-q^26-q^28-q^30'
         """
         if isinstance(other, int):
             if other == 0:
@@ -211,9 +228,8 @@ class IntPoly:
         if self.is_zero or other.is_zero:
             return P_ZERO
         a, b = self.coeffs, other.coeffs
-        n = min(len(a), len(b))
-        if n >= _KRONECKER_MIN_LEN:
-            w = (_bits(a) + _bits(b) + n.bit_length() + 8) // 8
+        if _pack_pays(len(a), len(b)):
+            w = _slot_bytes(_bits(a), _bits(b), min(len(a), len(b)))
             pa = _pack(a, w)
             pb = pa if b is a else _pack(b, w)
             return IntPoly(_unpack(pa * pb, len(a) + len(b) - 1, w))
@@ -245,21 +261,25 @@ class IntPoly:
         """Exact division over Z; raises :class:`InexactDivisionError` if the
         quotient does not exist with integer coefficients.
 
-        When the divisor b and the quotient both have at least
-        ``_KRONECKER_MIN_LEN`` coefficients the kernel is Kronecker
-        substitution: a and b are evaluated at q = 2^k, where k is bits|a| +
-        bits|b| + bitlen(len b) + 1 rounded up to whole bytes (bits|.| as in
-        :meth:`__mul__`), and divided once with ``divmod``.  A
-        nonzero remainder proves b does not divide a, since b | a in Z[q]
-        implies b(2^k) | a(2^k).  Otherwise the quotient is read back as
-        balanced base-2^k digits q and accepted only if bits|q| + bits|b| +
-        bitlen(len b) < k: then every coefficient of q * b is below 2^(k-1)
-        in magnitude, so q * b and a are two balanced digit expansions of the
-        same integer, and by uniqueness q * b = a coefficient by coefficient.
-        In every other case the schoolbook long division decides.
+        When the lengths of the divisor b and of the quotient pass the size
+        test of :meth:`__mul__` the kernel is Kronecker substitution: a and
+        b are evaluated at q = 2^k, where k is bits|a| + bits|b| +
+        bitlen(len b) + 1 rounded up to whole bytes (bits|.| as in
+        :meth:`__mul__`), and divided once with ``divmod``.  A nonzero
+        remainder proves b does not divide a, since b | a in Z[q] implies
+        b(2^k) | a(2^k).  Otherwise the quotient is read back as balanced
+        base-2^k digits q and accepted only if bits|q| + bits|b| +
+        bitlen(len b) <= k.  Then q * b = a: both take the value a(2^k) at
+        2^k, so where they first differ their coefficients would differ by
+        a nonzero multiple of 2^k, yet there |(q b)_j| + |a_j| < 2^k.  If
+        the bound holds with equality, |(q b)_j| < 2^k - 2^(bits|q| +
+        bits|b|) and, by the choice of k, |a_j| < 2^(bits|q| - 1);
+        otherwise |(q b)_j| < 2^(k-1) and |a_j| < 2^(k-2).  One bit looser
+        and the check would accept wrong quotients.  In every other case the
+        schoolbook long division decides.
 
-        >>> (IntPoly((1,) * 8) ** 2).divexact(IntPoly((1,) * 8))
-        IntPoly([1, 1, 1, 1, 1, 1, 1, 1])
+        >>> (IntPoly((1,) * 16) ** 2).divexact(IntPoly((1,) * 16)) == IntPoly((1,) * 16)
+        True
         """
         other = _as_poly(other)
         if other.is_zero:
@@ -270,9 +290,9 @@ class IntPoly:
         if da < db:
             raise InexactDivisionError(f"({self}) is not divisible by ({other})")
         a, b = self.coeffs, other.coeffs
-        if min(db, da - db) + 1 >= _KRONECKER_MIN_LEN:
+        if _pack_pays(len(b), da - db + 1):
             bits_b = _bits(b)
-            w = (_bits(a) + bits_b + len(b).bit_length() + 8) // 8
+            w = _slot_bytes(_bits(a), bits_b, len(b))
             quo, leftover = divmod(_pack(a, w), _pack(b, w))
             if leftover:
                 raise InexactDivisionError(f"({self}) is not divisible by ({other})")
@@ -280,7 +300,7 @@ class IntPoly:
                 digits = _unpack(quo, da - db + 1, w)
             except OverflowError:  # the quotient needs more digits
                 digits = None
-            if digits is not None and _bits(digits) + bits_b + len(b).bit_length() < 8 * w:
+            if digits is not None and _bits(digits) + bits_b + len(b).bit_length() <= 8 * w:
                 return IntPoly(digits)
         lb = other.lead
         rem = list(a)
@@ -394,7 +414,10 @@ def poly_gcd(a, b) -> IntPoly:
         return b
     if b.is_zero:
         return a
-    return _primitive_gcd(a, b)[0]
+    if a.degree == 0 or b.degree == 0:
+        return P_ONE
+    found = _heu_gcd(a, b)
+    return found[0] if found is not None else _prs_gcd(a, b)
 
 
 def _primitive_gcd(a: IntPoly, b: IntPoly) -> tuple:

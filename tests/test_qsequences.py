@@ -292,7 +292,7 @@ class TestGcdKernelFaults:
     def test_unit_gcd_is_caught(self, monkeypatch, fresh_q_caches):
         # A gcd that is not greatest leaves fractions unreduced; the
         # integrality checks of the q-sequences must notice.  The patched
-        # kernel is behind both poly_gcd and RatFunc normalisation.
+        # kernel is the one behind RatFunc normalisation.
         monkeypatch.setattr(rings, "_primitive_gcd", lambda a, b: (P_ONE, a, b))
         with pytest.raises(ConsistencyError, match="not a polynomial"):
             c_q_seq(6)

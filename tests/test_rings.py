@@ -17,8 +17,10 @@ from ppx.rings import (
     Q,
     QuotientRing,
     RatFunc,
+    _bits,
     _heu_gcd,
     _prs_gcd,
+    _slot_bytes,
     cyclotomic,
     poly_gcd,
     serialize,
@@ -112,11 +114,12 @@ def schoolbook_divexact(a: IntPoly, b: IntPoly) -> IntPoly:
     return IntPoly(quo)
 
 
-# Lengths 1..24 straddle the Kronecker threshold of 8 coefficients; small
-# coefficients give interior zeros, large ones reach about 10^60.
+# Lengths 1..40 straddle the Kronecker size test m n >= 8 (m + n), which
+# first passes at 9 x 72 and 16 x 16; small coefficients give interior
+# zeros, large ones reach about 10^60.
 kron_coeffs = st.one_of(st.integers(-3, 3), st.integers(-10**60, 10**60))
 kron_polys = st.builds(
-    IntPoly, st.lists(kron_coeffs, min_size=1, max_size=24)
+    IntPoly, st.lists(kron_coeffs, min_size=1, max_size=40)
 ).filter(lambda p: not p.is_zero)
 
 
@@ -128,7 +131,7 @@ class TestKroneckerKernels:
         assert a * b == expected
         assert b * a == expected
 
-    @pytest.mark.parametrize("n", [8, 9, 15, 16, 31, 33])
+    @pytest.mark.parametrize("n", [16, 17, 24, 31, 32, 33])
     def test_mul_extreme_coefficients(self, n):
         # Every coefficient at 2^t - 1 (or alternating in sign) puts the
         # middle product coefficient near n 4^t, the top of the slot bound,
@@ -169,18 +172,45 @@ class TestKroneckerKernels:
             assert a.divexact(b) == expected
 
     def test_quotient_wider_than_slot_falls_back(self):
-        # a = prod_{j<7} (1 + q^(3^j)) has 0/1 coefficients and is divisible
-        # by b = (1+q)^7, whose quotient has 24-bit coefficients.  The slot
-        # for a and b is 1 + 6 + bitlen(8) + 1 = 12 bits, rounded up to 16,
+        # a = prod_{j<8} (1 + q^(3^j)) has 0/1 coefficients and is divisible
+        # by b = (1+q)^8, whose quotient has 34-bit coefficients.  The slot
+        # for a and b is 1 + 7 + bitlen(9) + 1 = 13 bits, rounded up to 16,
         # so the quotient's digits overflow it: the digit-width check must
         # reject them and the long division must answer.
         a = P_ONE
-        for j in range(7):
+        for j in range(8):
             a = schoolbook_mul(a, IntPoly.monomial(1, 3 ** j) + 1)
-        b = IntPoly((1, 1)) ** 7
+        b = IntPoly((1, 1)) ** 8
         expected = schoolbook_divexact(a, b)
         assert max(map(abs, expected.coeffs)) >= 2 ** 15
         assert a.divexact(b) == expected
+
+    def test_quotient_width_check_is_tight(self):
+        # q b is -2^16 q^31 plus small terms, so at 2^16 it takes the value
+        # of the polynomial a of its balanced base-2^16 digits, which are all
+        # small: a(2^16) = q(2^16) b(2^16), yet b does not divide a.  a and b
+        # pack into 2-byte slots, the divmod leaves no remainder and gives
+        # back q, whose digits miss the width bound by exactly one bit; a
+        # check one bit looser would return q.
+        b = IntPoly((-3, 3, -3, -3, 3, -3, -3, -3, 3, -3, -3, -3, 3, 3, 3))
+        q = IntPoly((
+            124, 46, 72, -122, -73, -174, 60, -35, 119, -177, 19, -150, 367,
+            310, 877, 236, -132, -1862, -1692, -1277, 1540, 1647, 1760, -645,
+            1000, 645, 1760, -1647, 1540, 1277, -1692, 1862, -132, -236, 877,
+            -310, 367, 150, 19, 177, 119, 35, 60, 174, -73, 122, 72, -46, 124))
+        value, digits = schoolbook_mul(q, b)(2 ** 16), []
+        while value:
+            digits.append((value + 2 ** 15) % 2 ** 16 - 2 ** 15)
+            value = (value - digits[-1]) >> 16
+        a = IntPoly(digits)
+        w = _slot_bytes(_bits(a.coeffs), _bits(b.coeffs), len(b.coeffs))
+        assert w == 2
+        assert a(2 ** 16) % b(2 ** 16) == 0
+        assert _bits(q.coeffs) + _bits(b.coeffs) + len(b.coeffs).bit_length() == 8 * w + 1
+        with pytest.raises(InexactDivisionError):
+            schoolbook_divexact(a, b)
+        with pytest.raises(InexactDivisionError):
+            a.divexact(b)
 
     @settings(max_examples=150, deadline=None)
     @given(kron_polys, kron_polys, kron_polys, kron_polys,
