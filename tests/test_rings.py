@@ -191,7 +191,8 @@ class TestKroneckerKernels:
         # small: a(2^16) = q(2^16) b(2^16), yet b does not divide a.  a and b
         # pack into 2-byte slots, the divmod leaves no remainder and gives
         # back q, whose digits miss the width bound by exactly one bit; a
-        # check one bit looser would return q.
+        # check one bit looser would return q.  (q is -2^16 times the
+        # two-sided inverse of b, rounded and cut where it falls below 64.)
         b = IntPoly((-3, 3, -3, -3, 3, -3, -3, -3, 3, -3, -3, -3, 3, 3, 3))
         q = IntPoly((
             124, 46, 72, -122, -73, -174, 60, -35, 119, -177, 19, -150, 367,
