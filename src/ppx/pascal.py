@@ -10,7 +10,10 @@ coefficients c_k that govern exp(x) factor the matrix,
 and the factors can be recovered greedily from the matrix alone: after k-1
 factors the (k,0) entry of the partial product forces c_k = 1 - g_{k-1}(k,0).
 That recovery is deliberately independent of the sequence recursion, so the
-agreement of the two is a genuine cross-check.
+agreement of the two is a genuine cross-check.  Each factor is the identity
+plus one band, so it is applied by a unit-band step, not a matrix product.
+All these matrices are lower triangular, so the leading n x n block of the
+N x N factorization is the n x n one: the suites factor once, at n_max.
 
 An m-fold variant uses entries C(floor(i/m), k) at (i, i-mk) ("doubled"
 Pascal triangle for m = 2, OEIS A178112), and a q-variant replaces binomials
@@ -22,6 +25,8 @@ one and yields the congruences c_n = 0 resp. c_{pm} = c_m mod p.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 from . import qsequences, sequences
@@ -108,8 +113,9 @@ class SquareMatrix:
         return SquareMatrix(self.ring, out)
 
     def scale(self, c) -> "SquareMatrix":
-        """Multiply every entry by the ring element c."""
-        return SquareMatrix(self.ring, [[e * c for e in row] for row in self.rows])
+        """Multiply every nonzero entry by the ring element c."""
+        zero = self.ring.zero
+        return self.map_entries(lambda e: e if e == zero else e * c, self.ring)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -197,15 +203,36 @@ def exp_nilpotent(matrix: SquareMatrix) -> SquareMatrix:
     return total
 
 
+def _unit_band_step(matrix: SquareMatrix, generator: SquareMatrix, shift: int, c) -> SquareMatrix:
+    """matrix * (I + c G) for a generator G that is zero off the band i - j = shift
+    (ConsistencyError otherwise).  Column j of I + c G is e_j + c g_i e_i, g_i the band
+    entry at (i, j = i - shift), so a row of the product is the row plus row[i] (c g_i)
+    at j: the dense product's other terms all have a zero factor, and here every ring
+    product has two nonzero ones.  The sums read the row as it was, never an updated entry."""
+    matrix._require_compatible(generator)
+    zero = matrix.ring.zero
+    band = [(i, j, g) for i, row in enumerate(generator.rows) for j, g in enumerate(row)
+            if g != zero]
+    if any(i - j != shift for i, j, _ in band):
+        raise ConsistencyError(f"generator is nonzero off the band i - j = {shift}")
+    if c == zero:
+        return matrix
+    band = [(i, j, c * g) for i, j, g in band]
+    rows = [list(row) for row in matrix.rows]
+    for row, new in zip(matrix.rows, rows):
+        for i, j, cg in band:
+            if row[i] != zero:
+                new[j] = new[j] + row[i] * cg
+    return SquareMatrix(matrix.ring, rows)
+
+
 def _factor_greedily(ring, n: int, k_max: int, generator, step: int) -> tuple:
     """Greedy recovery: c_k = 1 - (step * k, 0) entry of the partial product,
     which then gets the factor I + c_k generator(k); k = 1..k_max."""
-    identity = SquareMatrix.identity(ring, n)
-    partial, cs = identity, []
+    partial, cs = SquareMatrix.identity(ring, n), []
     for k in range(1, k_max + 1):
-        c = ring.one - partial.entry(step * k, 0)
-        cs.append(c)
-        partial = partial * (identity + generator(k).scale(c))
+        cs.append(ring.one - partial.entry(step * k, 0))
+        partial = _unit_band_step(partial, generator(k), step * k, cs[-1])
     return partial, cs
 
 
@@ -257,16 +284,14 @@ def pascal_m(n: int, m: int) -> SquareMatrix:
             raise ConsistencyError(f"H^({m})_({n},{k - 1}) H_1 != {k} H_({n},{k})")
         if _div_scalar_exact(generator ** k, math.factorial(k)) != powers[k]:
             raise ConsistencyError(f"H^k/k! mismatch for m={m}, n={n}, k={k}")
-    total = SquareMatrix.identity(ZZ, n)
-    for k in range(1, k_max + 1):
-        total = total + powers[k]
+    total = functools.reduce(SquareMatrix.__add__, powers)
     if total != exp_nilpotent(generator):
         raise ConsistencyError(f"sum of divided powers != exp(H) for m={m}, n={n}")
     if k_max >= 1:
         cs = sequences.c_seq(k_max)
         product = SquareMatrix.identity(ZZ, n)
         for k in range(1, k_max + 1):
-            product = product * (SquareMatrix.identity(ZZ, n) + powers[k].scale(cs[k - 1]))
+            product = _unit_band_step(product, powers[k], m * k, cs[k - 1])
         if product != total:
             raise ConsistencyError(f"factored product != P^({m})_{n}")
     return total
@@ -341,31 +366,30 @@ def check_pascal(n_max: int) -> Report:
     if n_max < 2:
         raise ValueError("need n >= 2")
     rep = Report("pascal")
-    recovered = {}
+    partial, cs = _factor_greedily(ZZ, n_max, n_max - 1, lambda k: h_nk(n_max, k), 1)
     for n in range(2, n_max + 1):
         h = h_matrix(n)
-        ok = all(
-            _div_scalar_exact(h ** k, math.factorial(k)) == h_nk(n, k)
-            for k in range(n)
-        )
+        powers = list(itertools.accumulate([h] * n, SquareMatrix.__mul__,
+                                           initial=SquareMatrix.identity(ZZ, n)))
+        ok = all(_div_scalar_exact(powers[k], math.factorial(k)) == h_nk(n, k) for k in range(n))
         rep.add("divided-powers", {"n": n}, ok, "H^k/k! == H_(n,k) for k < n",
                 "as expected" if ok else "mismatch")
-        ok = (h ** n).is_zero
+        ok = powers[n].is_zero
         rep.add("nilpotency", {"n": n}, ok, "H^n == 0", "zero" if ok else "nonzero")
-        total = SquareMatrix.identity(ZZ, n)
-        for k in range(1, n):
-            total = total + h_nk(n, k)
+        total = functools.reduce(SquareMatrix.__add__, [h_nk(n, k) for k in range(n)])
         p = pascal_matrix(n)
         rep.add("sum-of-divided-powers", {"n": n}, total == p, "P_n",
                 "as expected" if total == p else "mismatch")
         expd = exp_nilpotent(h)
         rep.add("matrix-exponential", {"n": n}, expd == p, "P_n",
                 "as expected" if expd == p else "mismatch")
-        cs = recovered[n] = factor_pascal(n)
+        if tuple(row[:n] for row in partial.rows[:n]) != p.rows:
+            raise ConsistencyError(f"recovered factors do not multiply to P_{n}")
         expected = sequences.c_seq(n - 1)
-        rep.add("factor-recovery", {"n": n}, cs == expected,
-                ", ".join(map(str, expected)), ", ".join(map(str, cs)))
-    prefix_ok = all(recovered[n] == recovered[n + 1][: n - 1] for n in range(2, n_max))
+        rep.add("factor-recovery", {"n": n}, cs[: n - 1] == expected,
+                ", ".join(map(str, expected)), ", ".join(map(str, cs[: n - 1])))
+    prefix_ok = n_max == 2 or _factor_greedily(
+        ZZ, n_max - 1, n_max - 2, lambda k: h_nk(n_max - 1, k), 1)[1] == cs[:-1]
     rep.add("factor-prefix-stability", {"n_max": n_max}, prefix_ok,
             "factors independent of matrix size", "as expected" if prefix_ok else "mismatch")
     return rep
@@ -399,16 +423,16 @@ def check_q_pascal(n_max: int) -> Report:
     if n_max < 2:
         raise ValueError("need n >= 2")
     rep = Report("qpascal")
+    partial, cs = _factor_greedily(ZX, n_max, n_max - 1, lambda k: q_h_nk(n_max, k), 1)
     for n in range(2, n_max + 1):
-        h = q_h(n)
-        ok = all((h ** k) == q_h_nk(n, k).scale(qfact(k)) for k in range(n))
+        powers = list(itertools.accumulate([q_h(n)] * n, SquareMatrix.__mul__,
+                                           initial=SquareMatrix.identity(ZX, n)))
+        ok = all(powers[k] == q_h_nk(n, k).scale(qfact(k)) for k in range(n))
         rep.add("q-divided-powers", {"n": n}, ok, "H^k(q) == [k]! H_(n,k)(q) for k < n",
                 "as expected" if ok else "mismatch")
-        ok = (h ** n).is_zero
+        ok = powers[n].is_zero
         rep.add("q-nilpotency", {"n": n}, ok, "H(q)^n == 0", "zero" if ok else "nonzero")
-        total = SquareMatrix.identity(ZX, n)
-        for k in range(1, n):
-            total = total + q_h_nk(n, k)
+        total = functools.reduce(SquareMatrix.__add__, [q_h_nk(n, k) for k in range(n)])
         p = q_pascal(n)
         rep.add("q-exp-identity", {"n": n}, total == p, "P_n(q)",
                 "as expected" if total == p else "mismatch")
@@ -416,10 +440,11 @@ def check_q_pascal(n_max: int) -> Report:
         classical = pascal_matrix(n)
         rep.add("q1-specialization", {"n": n}, at_one == classical, "P_n",
                 "as expected" if at_one == classical else "mismatch")
-        cs = factor_q_pascal(n)
+        if tuple(row[:n] for row in partial.rows[:n]) != p.rows:
+            raise ConsistencyError(f"recovered q-factors do not multiply to P_{n}(q)")
         expected = qsequences.c_q_seq(n - 1)
-        rep.add("q-factor-recovery", {"n": n}, cs == expected,
-                ", ".join(map(str, expected)), ", ".join(map(str, cs)))
+        rep.add("q-factor-recovery", {"n": n}, cs[: n - 1] == expected,
+                ", ".join(map(str, expected)), ", ".join(map(str, cs[: n - 1])))
     return rep
 
 
@@ -480,32 +505,27 @@ def solve_unit_lower(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
     a._require_compatible(b)
     ring = a.ring
     n = a.n
+    one, zero, x = ring.one, ring.zero, []
+    if any(a.entry(i, j) != (one if i == j else zero) for i in range(n) for j in range(i, n)):
+        raise ConsistencyError("matrix is not unit lower triangular")
     for i in range(n):
-        if a.entry(i, i) != ring.one:
-            raise ConsistencyError("matrix is not unit lower triangular")
-        for j in range(i + 1, n):
-            if a.entry(i, j) != ring.zero:
-                raise ConsistencyError("matrix is not unit lower triangular")
-    x = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = b.entry(i, j)
-            for l in range(i):
-                acc = acc - a.entry(i, l) * x[l][j]
-            x[i][j] = acc
+        acc = list(b.rows[i])
+        for a_il, x_l in zip(a.rows[i][:i], x):
+            if a_il != zero:
+                for j, e in enumerate(x_l):
+                    if e != zero:
+                        acc[j] = acc[j] - a_il * e
+        x.append(acc)
     return SquareMatrix(ring, x)
 
 
 def _truncated_exp_product(n: int, m: int, ring: QuotientRing) -> tuple:
     """The eq28 report, and the sum_{j<m} H_{n,j}(zeta_m) it checks."""
     powers = [_reduce_matrix(q_h_nk(n, j), ring) for j in range(m)]
-    total = powers[0]
-    for power in powers[1:]:
-        total = total + power
-    identity = SquareMatrix.identity(ring, n)
-    product = identity
+    total = functools.reduce(SquareMatrix.__add__, powers)
+    product = SquareMatrix.identity(ring, n)
     for j in range(1, m):
-        product = product * (identity + powers[j].scale(ring.reduce(qsequences._c_q(j))))
+        product = _unit_band_step(product, powers[j], j, ring.reduce(qsequences._c_q(j)))
     rep = Report("eq28")
     rep.add("sum-equals-product", {"n": n, "m": m}, total == product,
             "matrix identity", "as expected" if total == product else "mismatch")
@@ -559,8 +579,8 @@ def check_root_of_unity_factorization(n: int, m: int) -> Report:
     cs = sequences.c_seq(k_max) if k_max >= 1 else []
     product = SquareMatrix.identity(ring, n)
     for k in range(1, k_max + 1):
-        factor = _reduce_matrix(q_h_nk(n, k * m), ring).scale(ring.from_int(cs[k - 1]))
-        product = product * (SquareMatrix.identity(ring, n) + factor)
+        generator = _reduce_matrix(q_h_nk(n, k * m), ring)
+        product = _unit_band_step(product, generator, k * m, ring.from_int(cs[k - 1]))
     rep.add("quotient-factorization", {"n": n, "m": m}, quotient == product,
             "prod (I + c_k H_(n,km)(zeta_m))",
             "as expected" if quotient == product else "mismatch")

@@ -82,14 +82,24 @@ def qfact(n: int) -> IntPoly:
 
 
 @functools.cache
+def _q_pascal_row(n: int) -> tuple:
+    """[n, 0], ..., [n, n] by the q-Pascal rule [n, k] = [n-1, k-1] + q^k [n-1, k]
+    (Andrews, The Theory of Partitions, 1976, ch. 3): additions and shifts only.
+    Rows are filled bottom-up as in qfact, so no call recurses deeper than two levels."""
+    if n == 0:
+        return (P_ONE,)
+    for r in range(_q_pascal_row.cache_info().currsize, n):
+        _q_pascal_row(r)
+    above = _q_pascal_row(n - 1)
+    return (P_ONE, *(above[k - 1] + above[k].shifted(k) for k in range(1, n)), P_ONE)
+
+
+@functools.cache
 def qbinom(n: int, k: int) -> IntPoly:
-    """Gaussian binomial [n]!/([k]![n-k]!), always an exact quotient."""
+    """Gaussian binomial [n, k] = [n]!/([k]![n-k]!), from the q-Pascal triangle."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    try:
-        return qfact(n).divexact(qfact(k) * qfact(n - k))
-    except ArithmeticError as exc:  # cannot happen; guards the theorem
-        raise ConsistencyError(f"Gaussian binomial ({n},{k}) not exact") from exc
+    return _q_pascal_row(n)[k]
 
 
 # ---------------------------------------------------------------------------

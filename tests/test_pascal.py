@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppx import cli, qsequences, sequences
+from ppx import cli, pascal, qsequences, sequences
 from ppx.pascal import (
     SquareMatrix,
     check_carlitz,
@@ -300,15 +300,16 @@ def ring_elements(ring):
 @st.composite
 def square_matrices(draw, ring, n):
     """From all-zero through one band and a Pascal-factor shape (diagonal
-    plus one band) to a random pattern and full; bands above the diagonal
-    make non-triangular matrices."""
-    shape = draw(st.sampled_from(("zero", "band", "factor", "pattern", "full")))
+    plus one band) to lower triangular, a random pattern and full; bands
+    above the diagonal make non-triangular matrices."""
+    shape = draw(st.sampled_from(("zero", "band", "factor", "lower", "pattern", "full")))
     d = draw(st.integers(1 - n, n - 1))
     pattern = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
     keep = {
         "zero": lambda i, j: False,
         "band": lambda i, j: i - j == d,
         "factor": lambda i, j: i == j or i - j == d,
+        "lower": lambda i, j: i >= j,
         "pattern": lambda i, j: pattern[i * n + j],
         "full": lambda i, j: True,
     }[shape]
@@ -380,6 +381,85 @@ class TestSparseProduct:
 
 
 # ---------------------------------------------------------------------------
+# The unit-band step against the dense product with I + c G
+
+
+@st.composite
+def band_steps(draw):
+    """A left factor (any shape of square_matrices, lower triangular and
+    full among them), a generator on the band i - j = shift (zeros allowed)
+    and a scalar c (zero sometimes)."""
+    ring = draw(st.sampled_from(PRODUCT_RINGS))
+    n = draw(st.integers(1, 12))
+    shift = draw(st.integers(0, n - 1))
+    band = {i: draw(ring_elements(ring)) for i in range(shift, n)}
+    generator = SquareMatrix(
+        ring, [[band[i] if i - j == shift else ring.zero for j in range(n)] for i in range(n)]
+    )
+    c = draw(st.one_of(st.just(ring.zero), ring_elements(ring)))
+    return draw(square_matrices(ring, n)), generator, shift, c
+
+
+class TestUnitBandStep:
+    @settings(max_examples=150, deadline=None)
+    @given(band_steps())
+    def test_matches_dense_product(self, step):
+        matrix, generator, shift, c = step
+        identity = SquareMatrix.identity(matrix.ring, matrix.n)
+        expected = dense_product(matrix, identity + generator.scale(c))
+        assert pascal._unit_band_step(matrix, generator, shift, c) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(band_steps())
+    def test_one_ring_product_per_nonzero_pair(self, step):
+        # one product c g_i per nonzero band entry, then one per pair of a
+        # nonzero row entry and a nonzero band entry; nothing when c = 0
+        matrix, generator, shift, c = step
+        zero, n = matrix.ring.zero, matrix.n
+        band = [i for i in range(shift, n) if generator.entry(i, i - shift) != zero]
+        pairs = sum(1 for r in range(n) for i in band if matrix.entry(r, i) != zero)
+        ring = CountingRing(matrix.ring)
+        product = pascal._unit_band_step(ring.wrap(matrix), ring.wrap(generator), shift,
+                                         Counted(c, ring.log))
+        if c == zero:
+            assert ring.log == collections.Counter()
+        else:
+            assert ring.log == collections.Counter({"mul": len(band) + pairs, "add": pairs})
+        assert product.map_entries(lambda e: e.value, matrix.ring) == dense_product(
+            matrix, SquareMatrix.identity(matrix.ring, n) + generator.scale(c))
+
+    @settings(max_examples=60, deadline=None)
+    @given(band_steps(), st.data())
+    def test_rejects_entry_off_the_band(self, step, data):
+        matrix, generator, shift, c = step
+        n, ring = matrix.n, matrix.ring
+        cells = [(i, j) for i in range(n) for j in range(n) if i - j != shift]
+        if not cells:
+            return
+        i, j = data.draw(st.sampled_from(cells))
+        rows = [list(row) for row in generator.rows]
+        rows[i][j] = data.draw(ring_elements(ring).filter(lambda e: e != ring.zero))
+        with pytest.raises(ConsistencyError, match="off the band"):
+            pascal._unit_band_step(matrix, SquareMatrix(ring, rows), shift, c)
+
+    def test_scale_skips_zero_entries(self):
+        ring = CountingRing(ZX)
+        scaled = ring.wrap(q_h_nk(6, 2)).scale(Counted(qint(3), ring.log))
+        assert ring.log == collections.Counter({"mul": 4})
+        assert scaled.map_entries(lambda e: e.value, ZX) == q_h_nk(6, 2).map_entries(
+            lambda e: e * qint(3), ZX)
+
+    @settings(max_examples=40, deadline=None)
+    @given(matrix_pairs())
+    def test_solve_unit_lower_inverts_the_product(self, pair):
+        a, b = pair
+        n, ring = a.n, a.ring
+        unit = SquareMatrix(ring, [[ring.one if i == j else a.entry(i, j) if i > j
+                                    else ring.zero for j in range(n)] for i in range(n)])
+        assert solve_unit_lower(unit, dense_product(unit, b)) == b
+
+
+# ---------------------------------------------------------------------------
 # Fault injection: the matrix suites notice a wrong product
 
 
@@ -392,25 +472,64 @@ def _clear_sequence_caches():
 
 @pytest.fixture
 def dropped_term(monkeypatch):
-    """SquareMatrix.__mul__ loses the last nonzero term of the bottom-left
-    entry of every product; the caches are empty before and after."""
-    original = SquareMatrix.__mul__
+    """Every product loses the last nonzero term of its bottom-left entry:
+    SquareMatrix.__mul__, and the unit-band step that the factorizations
+    and factored products use, whose terms are those of the dense product
+    with I + c G.  The caches are empty before and after."""
+    original_mul, original_step = SquareMatrix.__mul__, pascal._unit_band_step
 
-    def mul(self, other):
-        product = original(self, other)
-        i, j, zero = self.n - 1, 0, self.ring.zero
-        terms = [self.entry(i, l) * other.entry(l, j) for l in range(self.n)
-                 if self.entry(i, l) != zero and other.entry(l, j) != zero]
+    def drop_last_term(product, a, b):
+        i, j, zero = a.n - 1, 0, a.ring.zero
+        terms = [a.entry(i, l) * b.entry(l, j) for l in range(a.n)
+                 if a.entry(i, l) != zero and b.entry(l, j) != zero]
         if not terms:
             return product
         rows = [list(row) for row in product.rows]
         rows[i][j] = rows[i][j] - terms[-1]
-        return SquareMatrix(self.ring, rows)
+        return SquareMatrix(a.ring, rows)
+
+    def mul(self, other):
+        return drop_last_term(original_mul(self, other), self, other)
+
+    def band_step(matrix, generator, shift, c):
+        factor = SquareMatrix.identity(matrix.ring, matrix.n) + generator.scale(c)
+        return drop_last_term(original_step(matrix, generator, shift, c), matrix, factor)
 
     _clear_sequence_caches()
     monkeypatch.setattr(SquareMatrix, "__mul__", mul)
+    monkeypatch.setattr(pascal, "_unit_band_step", band_step)
     yield
     monkeypatch.undo()
+    _clear_sequence_caches()
+
+
+@pytest.fixture
+def short_bottom_row(monkeypatch):
+    """The unit-band step skips its last term in the bottom row.  The
+    bottom-left fault above cannot reach the eq26/eq28 products: their
+    bottom-left entry gets no nonzero term at all."""
+    original = pascal._unit_band_step
+
+    def band_step(matrix, generator, shift, c):
+        product = original(matrix, generator, shift, c)
+        last, zero = matrix.n - 1, matrix.ring.zero
+        band = [i for i in range(shift, matrix.n)
+                if matrix.entry(last, i) != zero and generator.entry(i, i - shift) != zero]
+        if c == zero or not band:
+            return product
+        i = band[-1]
+        rows = [list(row) for row in product.rows]
+        term = matrix.entry(last, i) * (c * generator.entry(i, i - shift))
+        rows[last][i - shift] = rows[last][i - shift] - term
+        return SquareMatrix(matrix.ring, rows)
+
+    monkeypatch.setattr(pascal, "_unit_band_step", band_step)
+
+
+@pytest.fixture
+def fresh_caches():
+    _clear_sequence_caches()
+    yield
     _clear_sequence_caches()
 
 
@@ -432,3 +551,57 @@ class TestMatrixSuitesCanFail:
         assert "FAIL m1-reduction" in out
         assert "FAIL m-fold-identities" in out
         assert "status: fail" in out
+
+    def test_root_of_unity_suites_fail(self, short_bottom_row, capsys):
+        assert cli.main(["verify", "eq28"]) == 1
+        assert "FAIL sum-equals-product" in capsys.readouterr().out
+        assert cli.main(["verify", "eq26"]) == 1
+        assert "consistency violation" in capsys.readouterr().err
+
+    def test_wrong_c3_fails_factor_recovery(self, fresh_caches, monkeypatch, capsys):
+        original = sequences._c
+        monkeypatch.setattr(sequences, "_c", lambda n: original(n) + (n == 3))
+        assert cli.main(["verify", "pascal", "--max-n", "6"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL factor-recovery" in out
+        assert "status: fail" in out
+
+    def test_wrong_c3_q_fails_q_factor_recovery(self, fresh_caches, monkeypatch, capsys):
+        original = qsequences._c_q
+        monkeypatch.setattr(qsequences, "_c_q",
+                            lambda n: original(n) + IntPoly.monomial(1, 1) * (n == 3))
+        assert cli.main(["verify", "qpascal", "--max-n", "6"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL q-factor-recovery" in out
+        assert "status: fail" in out
+
+    def test_size_dependent_generator_fails_prefix_stability(self, monkeypatch, capsys):
+        # C(3, 1) wrong in H_(5,1) alone: factoring P_5 then recovers another
+        # c_3 than factoring P_6 does
+        original = pascal.h_nk
+
+        def planted(n, k):
+            matrix = original(n, k)
+            if (n, k) != (5, 1):
+                return matrix
+            rows = [list(row) for row in matrix.rows]
+            rows[3][2] += 1
+            return SquareMatrix(ZZ, rows)
+
+        monkeypatch.setattr(pascal, "h_nk", planted)
+        assert cli.main(["verify", "pascal", "--max-n", "6"]) == 1
+        assert "FAIL factor-prefix-stability" in capsys.readouterr().out
+
+    def test_wrong_gaussian_binomial_fails_qpascal(self, monkeypatch, capsys):
+        # [4, 2] sits at (4, 2) of both P_5(q) and H_(5,2)(q); with c_2 = 1
+        # the factorization of P_5(q) cannot tell, and q - q^2 vanishes at
+        # q = 1.  The q-divided powers, products of [i] entries, do tell.
+        def planted(n, k):
+            value = qbinom(n, k)
+            return value + IntPoly((0, 1, -1)) if (n, k) == (4, 2) else value
+
+        monkeypatch.setattr(pascal, "qbinom", planted)
+        assert cli.main(["verify", "qpascal", "--max-n", "5"]) == 1
+        out = capsys.readouterr().out
+        assert [line.split()[1] for line in out.splitlines() if "FAIL" in line] == [
+            "q-divided-powers"]

@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppx import products, qsequences, rings
 from ppx.qsequences import (
@@ -38,6 +40,18 @@ from ppx.rings import ConsistencyError, IntPoly, P_ONE, P_ZERO, Q, RatFunc
 from ppx.sequences import c_seq, e_seq, r_seq, u_seq
 
 
+def stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def quotient_qbinom(n: int, k: int) -> IntPoly:
+    """Reference Gaussian binomial: the exact quotient [n]!/([k]![n-k]!)."""
+    return qfact(n).divexact(qfact(k) * qfact(n - k))
+
+
 class TestQBasics:
     def test_qint(self):
         assert qint(3) == IntPoly((1, 1, 1))
@@ -51,11 +65,8 @@ class TestQBasics:
     def test_cold_qfact_does_not_recurse(self, fresh_q_caches):
         # A cold [64]! used to take one frame per index; filled bottom-up it
         # needs a few, so 30 frames above the caller's depth are plenty.
-        depth, frame = 0, sys._getframe()
-        while frame is not None:
-            depth, frame = depth + 1, frame.f_back
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 30)
+        sys.setrecursionlimit(stack_depth() + 30)
         try:
             value = qfact(64)
         finally:
@@ -69,13 +80,22 @@ class TestQBasics:
         assert explicit == IntPoly((1, 1, 2, 1, 1))
         assert qbinom(4, 2) == explicit
 
-    def test_qbinom_pascal_recurrence(self):
-        # oracle: [n k] = [n-1 k-1] + q^k [n-1 k]
-        for n in range(1, 11):
-            for k in range(n + 1):
-                lower_left = qbinom(n - 1, k - 1) if k >= 1 else P_ZERO
-                lower_right = qbinom(n - 1, k) if k <= n - 1 else P_ZERO
-                assert qbinom(n, k) == lower_left + IntPoly.monomial(1, k) * lower_right
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+    def test_qbinom_matches_quotient(self, nk):
+        # qbinom runs the q-Pascal rule; the reference divides q-factorials
+        assert qbinom(*nk) == quotient_qbinom(*nk)
+
+    def test_cold_qbinom_does_not_recurse(self, fresh_q_caches):
+        # Rows of the q-Pascal triangle are filled bottom-up, as in qfact.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 30)
+        try:
+            value = qbinom(64, 32)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert value(1) == math.comb(64, 32)
+        assert value == quotient_qbinom(64, 32)
 
     def test_qbinom_validation(self):
         with pytest.raises(ValueError):
