@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import pascal, qsequences, sequences
 from .report import Report, render_reports_json
-from .rings import ConsistencyError, serialize
+from .rings import ConsistencyError, InexactDivisionError, serialize
 
 INT_SEQ_CAP = 64
 Q_SEQ_CAP = 20
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConsistencyError as exc:
+    except (ConsistencyError, InexactDivisionError) as exc:  # inexact: a theory-exact division
         print(f"consistency violation: {exc}", file=sys.stderr)
         return 1
 

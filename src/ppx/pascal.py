@@ -152,8 +152,11 @@ class SquareMatrix:
 
 
 def _div_scalar_exact(matrix: SquareMatrix, d: int) -> SquareMatrix:
+    # Divides the nonzero entries only, as scale multiplies them.
+    zero = matrix.ring.zero
+
     def div(e):
-        return matrix.ring.div_int(e, d)
+        return e if e == zero else matrix.ring.div_int(e, d)
 
     try:
         return matrix.map_entries(div, matrix.ring)
@@ -279,10 +282,12 @@ def pascal_m(n: int, m: int) -> SquareMatrix:
     k_max = (n - 1) // m
     powers = [h_m_nk(n, m, k) for k in range(k_max + 1)]
     generator = powers[1] if k_max >= 1 else h_m_nk(n, m, 1)
+    generator_power = generator
     for k in range(2, k_max + 1):
         if powers[k - 1] * generator != powers[k].scale(k):
             raise ConsistencyError(f"H^({m})_({n},{k - 1}) H_1 != {k} H_({n},{k})")
-        if _div_scalar_exact(generator ** k, math.factorial(k)) != powers[k]:
+        generator_power = generator_power * generator
+        if _div_scalar_exact(generator_power, math.factorial(k)) != powers[k]:
             raise ConsistencyError(f"H^k/k! mismatch for m={m}, n={n}, k={k}")
     total = functools.reduce(SquareMatrix.__add__, powers)
     if total != exp_nilpotent(generator):

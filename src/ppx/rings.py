@@ -11,21 +11,23 @@ Value types:
 
 Everything is immutable and exact; no floating point anywhere.  The
 polynomial gcd behind every :class:`RatFunc` normalisation is the heuristic
-gcd GCDHEU of Char, Geddes and Gonnet: evaluate at an integer
-xi >= 2 min(|a|, |b|) + 2, take the integer gcd, read a candidate back from
-its xi-adic digits and keep it only if it divides both inputs exactly; the
-primitive pseudo-remainder sequence is the fallback when the heuristic gives
-up.  The exact quotients of that check are the cofactors that reduce the
-fraction, so each is computed once.
+gcd GCDHEU of Char, Geddes and Gonnet: evaluate at a power of two
+xi > 2 max(|a|, |b|), take the integer gcd, read a candidate back from its
+balanced xi-adic digits and keep it only if it divides both inputs exactly;
+the primitive pseudo-remainder sequence is the fallback when the heuristic
+gives up.  The exact quotients of that check are the cofactors that reduce
+the fraction, so each is computed once.
 
 ``IntPoly`` products and exact quotients use Kronecker substitution
 (Kronecker 1882; see Harvey, JSC 2009) when the two lengths m, n that set
 the schoolbook cost (the factors; the divisor and the quotient) have
-m n >= 8 (m + n): evaluate at q = 2^k, with k a whole number of bytes wide
+m n >= 4 (m + n): evaluate at q = 2^k, with k a whole number of bytes wide
 enough that every coefficient of the result is one balanced base-2^k digit,
-do one C big-integer multiply or ``divmod``, and read the digits back.  A
-quotient is accepted only when a bound on its digits proves it exact;
-otherwise, and for smaller operands, the schoolbook loops decide.
+do one C big-integer multiply or ``divmod``, and read the digits back.
+Slots of at most 8 bytes are rounded up to 1, 2, 4 or 8 bytes, the machine
+integers that ``array`` converts in one C call.  A quotient is accepted only
+when a bound on its digits proves it exact; otherwise, and for smaller
+operands, the schoolbook loops decide.
 
 The ring singletons at the bottom (``ZZ``, ``QQ``, ``ZX``, ``QFUNC``) bundle
 the few ring facts (zero, one, integer embedding, unit inversion, exact
@@ -39,6 +41,8 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
+from array import array
 from fractions import Fraction
 
 
@@ -69,17 +73,24 @@ def _as_poly(value) -> "IntPoly":
 
 # Kronecker substitution: a polynomial with coefficients below 2^(8w-1) in
 # magnitude is packed into the integer it takes at q = 2^(8w), one w-byte
-# slot per coefficient.  Adding 2^(8w-1) to every coefficient makes each slot
-# a non-negative byte string, so one ``to_bytes``/``from_bytes`` pass packs
-# and unpacks; the same offset, summed over the slots, is taken off again.
+# slot per coefficient.  The slots hold the coefficients in two's complement;
+# XOR with _slot_offset flips the sign bit of every slot, which adds 2^(8w-1)
+# to each, and the same offset, summed over the slots, is then taken off.
+# Slots of 1, 2, 4 or 8 bytes are machine integers, so ``array`` converts all
+# coefficients in one C call each way (in little-endian byte order, swapped
+# on big-endian hosts); wider slots take one ``to_bytes``/``from_bytes`` call
+# per coefficient.
 #
 # Packing and unpacking cost about as much per coefficient as _PACK_COST
 # schoolbook coefficient products, so the kernel is used when lengths m, n
-# with m n schoolbook products have m n >= _PACK_COST (m + n): from 16 x 16
-# up for equal lengths, never with a factor of 8 or fewer coefficients.
+# with m n schoolbook products have m n >= _PACK_COST (m + n): from 8 x 8
+# up for equal lengths, never with a factor of 4 or fewer coefficients.
 # Timed call by call on the operands of the perfbench workloads, this rule
-# costs at most 5% more than picking the faster kernel for every call.
-_PACK_COST = 8
+# costs at most 3% more than the best single constant and 7% more than
+# picking the faster kernel for every call.
+_PACK_COST = 4
+_WORD_CODES = {array(code).itemsize: code for code in "bhilq"}
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _pack_pays(m: int, n: int) -> bool:
@@ -87,8 +98,10 @@ def _pack_pays(m: int, n: int) -> bool:
 
 
 def _slot_bytes(bits_a: int, bits_b: int, count: int) -> int:
-    # The fewest bytes w with bits_a + bits_b + bitlen(count) < 8w.
-    return (bits_a + bits_b + count.bit_length() + 8) // 8
+    # The fewest bytes w with bits_a + bits_b + bitlen(count) < 8w, rounded
+    # up to a machine word width (1, 2, 4 or 8) when w <= 8.
+    w = (bits_a + bits_b + count.bit_length() + 8) // 8
+    return w if w > 8 else 1 << (w - 1).bit_length()
 
 
 def _bits(coeffs) -> int:
@@ -96,23 +109,36 @@ def _bits(coeffs) -> int:
     return max(map(int.bit_length, coeffs))
 
 
+@functools.lru_cache(maxsize=256)
 def _slot_offset(n: int, w: int) -> int:
     # Sum of 2^(8w-1) * 2^(8wi) over the n slots i.
     return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
 
 
 def _pack(coeffs, w: int) -> int:
-    half = 1 << (8 * w - 1)
-    data = b"".join((c + half).to_bytes(w, "little") for c in coeffs)
-    return int.from_bytes(data, "little") - _slot_offset(len(coeffs), w)
+    code = _WORD_CODES.get(w)
+    if code is None:
+        data = b"".join(c.to_bytes(w, "little", signed=True) for c in coeffs)
+    else:
+        data = array(code, coeffs)
+        if _BIG_ENDIAN:
+            data.byteswap()
+    offset = _slot_offset(len(coeffs), w)
+    return (int.from_bytes(data, "little") ^ offset) - offset
 
 
 def _unpack(value: int, n: int, w: int) -> list:
     # The n balanced base-2^(8w) digits of value, in [-2^(8w-1), 2^(8w-1)),
     # lowest first; OverflowError if value has no such expansion.
-    half = 1 << (8 * w - 1)
-    data = (value + _slot_offset(n, w)).to_bytes(n * w, "little")
-    return [int.from_bytes(data[i:i + w], "little") - half for i in range(0, n * w, w)]
+    offset = _slot_offset(n, w)
+    data = ((value + offset) ^ offset).to_bytes(n * w, "little")
+    code = _WORD_CODES.get(w)
+    if code is None:
+        return [int.from_bytes(data[i:i + w], "little", signed=True) for i in range(0, n * w, w)]
+    digits = array(code, data)
+    if _BIG_ENDIAN:
+        digits.byteswap()
+    return digits.tolist()
 
 
 class IntPoly:
@@ -161,7 +187,7 @@ class IntPoly:
     @property
     def content(self) -> int:
         """Non-negative gcd of the coefficients (0 for the zero polynomial)."""
-        return functools.reduce(math.gcd, self.coeffs, 0)
+        return math.gcd(*self.coeffs)
 
     def primitive_positive(self) -> "IntPoly":
         """Divide out the content and normalize the leading coefficient > 0."""
@@ -206,16 +232,19 @@ class IntPoly:
     def __mul__(self, other):
         """Product in Z[q].
 
-        When the lengths m, n of the factors have m n >= 8 (m + n) the
+        When the lengths m, n of the factors have m n >= 4 (m + n) the
         kernel is Kronecker substitution: both are evaluated at q = 2^k, the
         two integers are multiplied once (CPython's C big-integer product)
         and the result is read back as balanced base-2^k digits.  The slot
         width k is bits|a| + bits|b| + bitlen(min(m, n)) + 1 rounded up to
-        whole bytes, where bits|.| is the bit length of the largest
-        coefficient magnitude; every product coefficient is below
-        min(m, n) * 2^(bits|a| + bits|b|) <= 2^(k-1) in magnitude, so each
-        one is exactly one balanced digit.  Smaller factors, for which
-        packing costs more than it saves, use the schoolbook loop.
+        whole bytes, and up to 1, 2, 4 or 8 bytes when it fits in 8, where
+        bits|.| is the bit length of the largest coefficient magnitude;
+        every product coefficient is below min(m, n) * 2^(bits|a| + bits|b|)
+        <= 2^(k-1) in magnitude, so each one is exactly one balanced digit.
+        Word-sized slots are packed and unpacked through ``array`` in one
+        call each way, with the sign bit of every slot flipped by one XOR
+        (see :func:`_pack`).  Smaller factors, for which packing costs more
+        than it saves, use the schoolbook loop.
 
         >>> str(IntPoly((1, -1) * 8) * IntPoly((1,) * 16))
         '1+q^2+q^4+q^6+q^8+q^10+q^12+q^14-q^16-q^18-q^20-q^22-q^24-q^26-q^28-q^30'
@@ -264,8 +293,8 @@ class IntPoly:
         When the lengths of the divisor b and of the quotient pass the size
         test of :meth:`__mul__` the kernel is Kronecker substitution: a and
         b are evaluated at q = 2^k, where k is bits|a| + bits|b| +
-        bitlen(len b) + 1 rounded up to whole bytes (bits|.| as in
-        :meth:`__mul__`), and divided once with ``divmod``.  A nonzero
+        bitlen(len b) + 1 rounded up to whole bytes, and to a word width, as
+        in :meth:`__mul__`, and divided once with ``divmod``.  A nonzero
         remainder proves b does not divide a, since b | a in Z[q] implies
         b(2^k) | a(2^k).  Otherwise the quotient is read back as balanced
         base-2^k digits q and accepted only if bits|q| + bits|b| +
@@ -275,8 +304,10 @@ class IntPoly:
         the bound holds with equality, |(q b)_j| < 2^k - 2^(bits|q| +
         bits|b|) and, by the choice of k, |a_j| < 2^(bits|q| - 1);
         otherwise |(q b)_j| < 2^(k-1) and |a_j| < 2^(k-2).  One bit looser
-        and the check would accept wrong quotients.  In every other case the
-        schoolbook long division decides.
+        and the check would accept wrong quotients.  The argument only uses
+        bits|a| + bits|b| + bitlen(len b) < k, so it holds for any k at least
+        that wide, the rounded word widths included.  In every other case
+        the schoolbook long division decides.
 
         >>> (IntPoly((1,) * 16) ** 2).divexact(IntPoly((1,) * 16)) == IntPoly((1,) * 16)
         True
@@ -397,7 +428,10 @@ def poly_gcd(a, b) -> IntPoly:
     where |.| is the largest coefficient magnitude, the primitive part G of
     the polynomial whose symmetric xi-adic digits are gcd(a(xi), b(xi)) is
     the gcd as soon as G divides both a and b; that exact division is the
-    check every answer passes.  When it fails, xi grows and the evaluation is
+    check every answer passes.  Here xi is a power of two 2^(8w), above
+    2^8 max(|a|, |b|), so a(xi) and b(xi) are Kronecker packings (one word
+    slot per coefficient when w <= 8) and the digits of the integer gcd are
+    one unpacking.  When the check fails, xi grows and the evaluation is
     repeated, a fixed number of times, after which the primitive
     pseudo-remainder sequence (:func:`_prs_gcd`) decides.  The result
     divides both inputs exactly.
@@ -437,27 +471,25 @@ _HEU_GCD_TRIES = 6
 def _heu_gcd(a: IntPoly, b: IntPoly):
     # GCDHEU on primitive a, b of positive degree: (g, a/g, b/g), where the
     # two exact quotients are the check; None when every xi fails.
-    # The margin above the bound 2 min(|a|, |b|) + 2 leaves room for a small
-    # spurious integer factor s of gcd(a(xi), b(xi)): while s times the gcd's
-    # coefficients stays below xi/2 the digits spell s times the gcd, whose
-    # primitive part is the gcd.  xi grows as in SymPy's dup_zz_heu_gcd.
-    xi = 2 * min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs))) + 29
+    # xi = 2^(8w) with 8w > max(bits|a|, bits|b|) + 8, so a(xi) and
+    # b(xi) are one _pack each, and xi > 2 min(|a|, |b|) + 2 with room for a
+    # small spurious integer factor s of gcd(a(xi), b(xi)): while s times
+    # the gcd's coefficients stays below xi/2 its balanced digits spell s
+    # times the gcd, whose primitive part is the gcd.  The gcd has at most
+    # min(len a, len b) coefficients; a digit expansion that needs more is a
+    # failed candidate.  xi grows to about xi^(5/4), as in SymPy's
+    # dup_zz_heu_gcd.
+    n = min(len(a.coeffs), len(b.coeffs))
+    w = _slot_bytes(max(_bits(a.coeffs), _bits(b.coeffs)), 8, 0)
     for _ in range(_HEU_GCD_TRIES):
-        h = math.gcd(a(xi), b(xi))
-        digits = []
-        while h:
-            d = h % xi
-            if d > xi // 2:
-                d -= xi
-            digits.append(d)
-            h = (h - d) // xi
-        g = IntPoly(digits).primitive_positive()
-        if g.degree == 0:
-            return P_ONE, a, b
+        h = math.gcd(_pack(a.coeffs, w), _pack(b.coeffs, w))
         try:
+            g = IntPoly(_unpack(h, n, w)).primitive_positive()
+            if g.degree == 0:
+                return P_ONE, a, b
             return g, a.divexact(g), b.divexact(g)
-        except InexactDivisionError:
-            xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+        except (OverflowError, InexactDivisionError):  # a failed candidate
+            w = _slot_bytes(10 * w, 0, 0)
     return None
 
 

@@ -355,6 +355,45 @@ class CountingRing:
         return matrix.map_entries(lambda e: Counted(e, self.log), self)
 
 
+class DividingRing:
+    """A ring that counts its exact divisions by integers."""
+
+    def __init__(self, ring):
+        self.ring, self.zero, self.calls = ring, ring.zero, 0
+
+    def div_int(self, a, n):
+        self.calls += 1
+        return self.ring.div_int(a, n)
+
+
+class TestDivScalarExact:
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(PRODUCT_RINGS).flatmap(
+        lambda ring: st.integers(1, 8).flatmap(lambda n: square_matrices(ring, n))),
+        st.integers(-6, 6).filter(bool))
+    def test_one_div_int_per_nonzero_entry(self, matrix, d):
+        ring = DividingRing(matrix.ring)
+        scaled = SquareMatrix(ring, [[e * d for e in row] for row in matrix.rows])
+        assert pascal._div_scalar_exact(scaled, d).rows == matrix.rows
+        assert ring.calls == sum(e != matrix.ring.zero for row in matrix.rows for e in row)
+
+    def test_inexact_entry_is_a_consistency_error(self):
+        with pytest.raises(ConsistencyError, match="not divisible by 2"):
+            pascal._div_scalar_exact(h_matrix(4), 2)
+
+    def test_pascal_m_takes_one_product_per_power(self, monkeypatch):
+        # k = 2..k_max: H_(k-1) H_1 and H^k = H^(k-1) H_1; exp(H) one more
+        # product per nonzero power H^1..H^k_max.
+        calls = []
+        original = SquareMatrix.__mul__
+        monkeypatch.setattr(SquareMatrix, "__mul__",
+                            lambda a, b: calls.append(1) or original(a, b))
+        n, m = 13, 2
+        k_max = (n - 1) // m
+        pascal_m(n, m)
+        assert len(calls) == 2 * (k_max - 1) + k_max
+
+
 class TestSparseProduct:
     @settings(max_examples=120, deadline=None)
     @given(matrix_pairs())

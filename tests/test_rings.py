@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppx import cli, qsequences, rings, sequences
 from ppx.qsequences import mod_q2_inverse, mod_q2_ring, qint
 from ppx.rings import (
     ConsistencyError,
@@ -19,8 +20,11 @@ from ppx.rings import (
     RatFunc,
     _bits,
     _heu_gcd,
+    _pack,
+    _pack_pays,
     _prs_gcd,
     _slot_bytes,
+    _unpack,
     cyclotomic,
     poly_gcd,
     serialize,
@@ -114,8 +118,8 @@ def schoolbook_divexact(a: IntPoly, b: IntPoly) -> IntPoly:
     return IntPoly(quo)
 
 
-# Lengths 1..40 straddle the Kronecker size test m n >= 8 (m + n), which
-# first passes at 9 x 72 and 16 x 16; small coefficients give interior
+# Lengths 1..40 straddle the Kronecker size test m n >= 4 (m + n), which
+# first passes at 5 x 20 and 8 x 8; small coefficients give interior
 # zeros, large ones reach about 10^60.
 kron_coeffs = st.one_of(st.integers(-3, 3), st.integers(-10**60, 10**60))
 kron_polys = st.builds(
@@ -236,6 +240,211 @@ class TestKroneckerKernels:
         product = f * k
         assert (product.num, product.den) == plain(
             schoolbook_mul(f.num, k.num), schoolbook_mul(f.den, k.den))
+
+
+def _spread(coeffs, w):
+    """Reference packing: the value at q = 2^(8w)."""
+    return sum(c << (8 * w * i) for i, c in enumerate(coeffs))
+
+
+# Slot widths: the four machine-word widths, and wider ones that take the
+# per-coefficient path.
+SLOT_WIDTHS = (1, 2, 4, 8, 9, 16)
+
+
+def slot_coeffs(w):
+    half = 1 << (8 * w - 1)
+    return st.lists(st.one_of(st.integers(-half, half - 1), st.sampled_from((-half, half - 1))),
+                    min_size=1, max_size=20)
+
+
+def width_polys(bits):
+    """Nonzero polynomials of 1..24 coefficients below 2^bits in magnitude,
+    every other one at the bound, so that slot widths follow bits closely."""
+    top = 2 ** bits - 1
+    coeff = st.one_of(st.integers(-top, top), st.sampled_from((-top, top)))
+    return st.builds(IntPoly, st.lists(coeff, min_size=1, max_size=24)).filter(bool)
+
+
+# Coefficients of 25..36 bits put the product slot bits|a| + bits|b| +
+# bitlen(min(m, n)) + 1 on both sides of 64, the widest word slot.
+straddling_pairs = st.integers(25, 36).flatmap(
+    lambda bits: st.tuples(width_polys(bits), width_polys(bits)))
+
+
+class TestWordSlots:
+    def test_every_word_width_has_a_typecode(self):
+        assert sorted(rings._WORD_CODES) == [1, 2, 4, 8]
+
+    @pytest.mark.parametrize("w", SLOT_WIDTHS)
+    def test_extremes_round_trip(self, w):
+        half = 1 << (8 * w - 1)
+        lo, hi = -half, half - 1
+        for coeffs in ([lo], [hi], [lo, hi], [hi, lo], [lo] * 5, [hi] * 5,
+                       [hi, lo, 0, -1, 1, lo, hi], [0, 0, lo], [-1] * 3):
+            value = _pack(coeffs, w)
+            assert value == _spread(coeffs, w)
+            assert _unpack(value, len(coeffs), w) == coeffs
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(SLOT_WIDTHS).flatmap(lambda w: st.tuples(st.just(w), slot_coeffs(w))))
+    def test_round_trip_matches_reference(self, case):
+        w, coeffs = case
+        value = _pack(coeffs, w)
+        assert value == _spread(coeffs, w)
+        assert _unpack(value, len(coeffs), w) == coeffs
+        assert _unpack(value, len(coeffs) + 2, w) == coeffs + [0, 0]
+
+    @pytest.mark.parametrize("w", SLOT_WIDTHS)
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    def test_unpack_overflow(self, w, n):
+        # n balanced digits reach from -offset to 2^(8wn) - 1 - offset.
+        half = 1 << (8 * w - 1)
+        offset = _spread([half] * n, w)
+        assert _unpack(-offset, n, w) == [-half] * n
+        assert _unpack(2 ** (8 * w * n) - 1 - offset, n, w) == [half - 1] * n
+        with pytest.raises(OverflowError):
+            _unpack(-offset - 1, n, w)  # a negative value below the range
+        with pytest.raises(OverflowError):
+            _unpack(2 ** (8 * w * n) - offset, n, w)  # needs n + 1 digits
+
+    def test_slot_bytes_rounds_to_word_widths(self):
+        # (bits_a, bits_b, count) -> w: the fewest bytes above
+        # bits_a + bits_b + bitlen(count), then 1, 2, 4 or 8 up to 8 bytes.
+        cases = {(0, 0, 0): 1, (3, 3, 1): 1, (4, 3, 1): 2, (7, 7, 1): 2, (8, 7, 1): 4,
+                 (15, 15, 1): 4, (16, 15, 1): 8, (31, 31, 1): 8, (32, 31, 1): 9,
+                 (40, 40, 3): 11}
+        for args, w in cases.items():
+            assert _slot_bytes(*args) == w
+
+    @settings(max_examples=300, deadline=None)
+    @given(straddling_pairs)
+    def test_mul_across_the_widest_word(self, pair):
+        a, b = pair
+        expected = schoolbook_mul(a, b)
+        assert a * b == expected
+        assert b * a == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(straddling_pairs)
+    def test_divexact_across_the_widest_word(self, pair):
+        q, b = pair
+        a = schoolbook_mul(q, b)
+        assert a.divexact(b) == q
+        if b.degree >= 1:  # a remainder q^(deg b - 1) makes it inexact
+            with pytest.raises(InexactDivisionError):
+                (a + IntPoly.monomial(1, b.degree - 1)).divexact(b)
+
+    def test_straddling_shapes_reach_both_kernels_and_widths(self):
+        # The strategy above reaches packed and schoolbook products, with
+        # word slots and wider ones.
+        slots, kernels = set(), set()
+        for bits, m, n in ((25, 8, 8), (36, 8, 8), (25, 4, 24), (36, 24, 24)):
+            slots.add(_slot_bytes(bits, bits, min(m, n)) <= 8)
+            kernels.add(_pack_pays(m, n))
+        assert slots == kernels == {True, False}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(58, 68).flatmap(lambda bits: width_polys(bits).filter(
+        lambda p: p.degree >= 1)), width_polys(3), width_polys(3))
+    def test_heu_gcd_matches_prs_on_wide_planted_factors(self, c, x, y):
+        # Planted common factors c with coefficients of 58..68 bits: the
+        # evaluation point is 2^64 or a wider power of two.
+        a = schoolbook_mul(x, c).primitive_positive()
+        b = schoolbook_mul(y, c).primitive_positive()
+        if a.degree == 0 or b.degree == 0:
+            return
+        found = _heu_gcd(a, b)
+        assert found is not None
+        g, fa, fb = found
+        assert g == _prs_gcd(a, b)
+        assert (schoolbook_mul(g, fa), schoolbook_mul(g, fb)) == (a, b)
+
+    def test_heu_gcd_retries_after_a_spurious_factor(self, monkeypatch):
+        # a = 1 + q + q^2 and b = q + 2^32 + 1 are coprime, but at xi = 2^64
+        # (b has 33-bit coefficients, so 8w > 33 + 8 rounds w up to 8 bytes)
+        # b(xi) = 2^64 + 2^32 + 1 divides a(xi), since x^4 + x^2 + 1 =
+        # (x^2 + x + 1)(x^2 - x + 1) at x = 2^32: the candidate is b itself,
+        # which does not divide a.  The second try, at 2^88, answers 1.
+        calls = []
+        original = rings._unpack
+
+        def counting(value, n, w):
+            calls.append(w)
+            return original(value, n, w)
+
+        monkeypatch.setattr(rings, "_unpack", counting)
+        a, b = IntPoly((1, 1, 1)), IntPoly((2 ** 32 + 1, 1))
+        assert _heu_gcd(a, b) == (P_ONE, a, b)
+        assert calls == [8, 11]
+        assert _prs_gcd(a, b) == P_ONE
+
+
+def _clear_caches():
+    rings.cyclotomic.cache_clear()
+    for module in (sequences, qsequences):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+@pytest.fixture
+def flipped_word_digit(monkeypatch):
+    """One wrong result of the word-slot kernels: the first word-slot
+    _unpack result with at least 16 digits comes back with the sign of its
+    lowest nonzero digit flipped.  Yields the list of flipped digit indices.
+    The caches are empty before and after."""
+    original, flips = rings._unpack, []
+
+    def unpack(value, n, w):
+        digits = original(value, n, w)
+        if not flips and w in rings._WORD_CODES and n >= 16 and any(digits):
+            flips.append(next(i for i, d in enumerate(digits) if d))
+            digits[flips[0]] = -digits[flips[0]]
+        return digits
+
+    _clear_caches()
+    monkeypatch.setattr(rings, "_unpack", unpack)
+    yield flips
+    monkeypatch.undo()
+    _clear_caches()
+
+
+class TestSuitesNoticeAWordSlotFault:
+    # The suites that meet a word-slot result of 16 or more digits and use
+    # it.  Others pass under the fault: cor44, and eq26/eq28 at their
+    # default sizes, meet no such result; in thm41, thm42 and thm45 the
+    # first one is the last square of an IntPoly power, which no result
+    # uses.
+    @pytest.mark.parametrize("command, notice", [
+        ("verify roundtrip --max-n 18", "FAIL e-q-oracle"),
+        ("verify roundtrip", "FAIL E-q-oracle"),
+        ("verify eq18", "FAIL product-coefficient"),
+        ("verify eq21 --max-n 16", "FAIL log-coefficient"),
+        ("verify thm43", "consistency violation"),
+        ("verify eq26 --m 8", "consistency violation"),
+        ("verify eq28 --m 10", "consistency violation"),
+        ("verify qpascal --max-n 16", "consistency violation"),
+    ])
+    def test_suite_exits_one(self, flipped_word_digit, capsys, command, notice):
+        assert cli.main(command.split()) == 1
+        assert flipped_word_digit
+        captured = capsys.readouterr()
+        assert notice in captured.out + captured.err
+
+
+def test_failed_exact_division_is_a_consistency_violation(monkeypatch, capsys):
+    # An exact division the theory guarantees is an internal check, not a
+    # usage error: it reports like a ConsistencyError, with exit 1.
+    def refuse(self, other):
+        raise InexactDivisionError("planted")
+
+    _clear_caches()
+    monkeypatch.setattr(IntPoly, "divexact", refuse)
+    assert cli.main(["verify", "thm42"]) == 1
+    assert "consistency violation: planted" in capsys.readouterr().err
+    monkeypatch.undo()
+    _clear_caches()
 
 
 class TestPolyGcd:
