@@ -9,7 +9,7 @@
 Sequence names: e c a u r (classical) and eq Eq uq rq cq (q-analogs).
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error.
 The environment variable PPX_MAX_N overrides the sequence length caps
-(default 64 for the classical sequences, 20 for the q-sequences, chosen so
+(default 64 for the classical sequences, 40 for the q-sequences, chosen so
 ``verify all`` stays comfortably under a minute).
 """
 
@@ -19,14 +19,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import pascal, qsequences, sequences
 from .report import Report, render_reports_json
 from .rings import ConsistencyError, InexactDivisionError, serialize
 
 INT_SEQ_CAP = 64
-Q_SEQ_CAP = 20
+Q_SEQ_CAP = 40
 
 SEQ_FUNCS = {
     "e": (sequences.e_seq, "int"),
@@ -82,7 +81,6 @@ def cmd_seq(args) -> int:
 # verify
 
 
-@dataclass(frozen=True)
 class Suite:
     """One ``ppx verify`` suite: every check runs once per parameter set and
     all their checks are merged, in order, into one report named after the
@@ -95,12 +93,16 @@ class Suite:
     replaces them with one pair whose n defaults to max(3m, 6).
     """
 
-    checks: tuple
-    max_n: int | None = None
-    flag: str | None = None
-    sweep: tuple = ()
-    together: bool = False
-    pairs: tuple = ()
+    __slots__ = ("checks", "max_n", "flag", "sweep", "together", "pairs")
+
+    def __init__(self, checks: tuple, max_n: int | None = None, flag: str | None = None,
+                 sweep: tuple = (), together: bool = False, pairs: tuple = ()):
+        self.checks = checks
+        self.max_n = max_n
+        self.flag = flag
+        self.sweep = sweep
+        self.together = together
+        self.pairs = pairs
 
 
 SUITES = {

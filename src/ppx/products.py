@@ -17,17 +17,17 @@ brute-force oracle for all closed-form recursions in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .series import TruncatedSeries
 
 
-@dataclass(frozen=True)
 class ProductExpansion:
     """Factors g_1..g_N of the product expansion of a unit series."""
 
-    ring: object
-    factors: tuple
+    __slots__ = ("ring", "factors")
+
+    def __init__(self, ring, factors: tuple):
+        self.ring = ring
+        self.factors = factors
 
     @property
     def order(self) -> int:

@@ -19,8 +19,10 @@ the recursion into
 
 computed here in the rational-function field and then asserted to land in
 Z[q] with leading coefficient (-1)^n: the integrality theorem becomes a
-single testable postcondition.  c_n(q) = [n]! e_n(q) is extracted the same
-way.  Setting q = 1 recovers the classical sequences, q = 0 the dyadic
+single testable postcondition.  c_n(q) = [n]! e_n(q) needs no division:
+gcd([j], [n]) = [gcd(j, n)], so c_n(q) = r_n(q) prod_{j<=n} [j]/[gcd(j, n)],
+each factor a polynomial, and cofactor times u_n(q) is checked to be [n]!.
+Setting q = 1 recovers the classical sequences, q = 0 the dyadic
 pattern of 1/(1-x) = prod (1 + x^(2^k)), and reduction mod q^2 a closed-form
 expansion checked over the ring Z[q]/(q^2) with no division at all.
 """
@@ -188,18 +190,29 @@ def _r_q(n: int) -> IntPoly:
     return r
 
 
+def _u_cofactor(n: int) -> IntPoly:
+    # [n]!/u_n(q) = prod_{j<=n} [j]/[g] with g = gcd(j, n), since
+    # gcd([j], [n]) = [gcd(j, n)]; each factor is 1 + q^g + ... + q^(j-g),
+    # and the factors, in order of degree, are multiplied in a product tree.
+    layer = sorted((IntPoly(((1,) + (0,) * (g - 1)) * (j // g))
+                    for j in range(1, n + 1) if (g := math.gcd(j, n)) != j),
+                   key=lambda f: f.degree)
+    while len(layer) > 1:
+        pairs = [a * b for a, b in zip(layer[::2], layer[1::2])]
+        layer = pairs + layer[2 * len(pairs):]
+    return layer[0] if layer else P_ONE
+
+
 @functools.cache
 def _c_q(n: int) -> IntPoly:
     if n < 1:
         raise ValueError("index must be >= 1")
-    value = RatFunc(qfact(n)) * _e_q(n)
-    if not value.is_polynomial:
-        raise ConsistencyError(f"c_{n}(q) = [n]! e_{n}(q) is not a polynomial: {value}")
-    c = value.as_poly()
+    cofactor = _u_cofactor(n)
+    if cofactor * _u_q(n) != qfact(n):
+        raise ConsistencyError(f"[{n}]!/u_{n}(q) cofactor times u_{n}(q) != [{n}]!")
+    c = _r_q(n) * cofactor
     if c(1) != sequences._c(n):
         raise ConsistencyError(f"c_{n}(q) at q=1 != c_{n}")
-    if _r_q(n) * qfact(n) != c * _u_q(n):
-        raise ConsistencyError(f"r_{n}(q) [n]! != c_{n}(q) u_{n}(q)")
     return c
 
 

@@ -8,22 +8,25 @@ The suite passes iff every check passes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 
-@dataclass
 class Check:
-    check_id: str
-    params: dict
-    passed: bool
-    expected: str
-    actual: str
+    __slots__ = ("check_id", "params", "passed", "expected", "actual")
+
+    def __init__(self, check_id: str, params: dict, passed: bool, expected: str, actual: str):
+        self.check_id = check_id
+        self.params = params
+        self.passed = passed
+        self.expected = expected
+        self.actual = actual
 
 
-@dataclass
 class Report:
-    suite: str
-    checks: list = field(default_factory=list)
+    __slots__ = ("suite", "checks")
+
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.checks = []
 
     def add(self, check_id: str, params: dict, passed: bool, expected, actual) -> bool:
         self.checks.append(Check(check_id, dict(params), bool(passed), str(expected), str(actual)))

@@ -141,6 +141,21 @@ def _unpack(value: int, n: int, w: int) -> list:
     return digits.tolist()
 
 
+def _power(base, k: int, one):
+    # base^k for k >= 0 by repeated squaring, with no product by one and no
+    # square after the last bit of k.
+    if k == 0:
+        return one
+    result = None
+    while True:
+        if k & 1:
+            result = base if result is None else result * base
+        k >>= 1
+        if not k:
+            return result
+        base = base * base
+
+
 class IntPoly:
     """Dense polynomial over Z in the indeterminate q.
 
@@ -275,14 +290,7 @@ class IntPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = P_ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, P_ONE)
 
     # -- division -----------------------------------------------------------
 
@@ -631,7 +639,8 @@ class RatFunc:
         g, da, db = _gcd_cofactors(self.den, other.den)
         num = self.num * db + other.num * da
         if g == P_ONE:
-            return RatFunc(num, self.den * db)
+            # Coprime reduced denominators give a reduced sum (Henrici, JACM 1956).
+            return RatFunc._from_coprime(num, self.den * db)
         if num.is_zero:
             return RF_ZERO
         den = self.den * db
@@ -878,14 +887,7 @@ class QuotientElem:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power in a quotient ring")
-        result = self.ring.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, self.ring.one)
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -92,28 +92,30 @@ class TruncatedSeries:
         return TruncatedSeries(ring, out)
 
     def log(self) -> "TruncatedSeries":
-        """Logarithm sum((-1)^(d-1) (f-1)^d / d of a series with constant term 1.
+        """Logarithm L of a series f with constant term 1.
 
-        Needs exact division by the integers 1..N in the coefficient ring, so
-        it is meant for rational or rational-function coefficients.
+        From f' = f L', the coefficients obey
+        n L_n = n f_n - sum_{k<n} (k L_k) f_(n-k), which takes O(N^2)
+        coefficient products (Brent and Kung, JACM 1978) where summing the
+        powers (f-1)^d / d takes O(N^3).  Needs exact division by the
+        integers 1..N in the coefficient ring, so it is meant for rational
+        or rational-function coefficients.
         """
         ring = self.ring
-        if self.coeffs[0] != ring.one:
+        f = self.coeffs
+        if f[0] != ring.one:
             raise ValueError("log requires constant term 1")
-        n = self.order
-        h = self - TruncatedSeries.one(ring, n)
-        total = [ring.zero] * (n + 1)
-        power = h
-        for d in range(1, n + 1):
-            negative = d % 2 == 0
-            for k in range(d, n + 1):
-                c = power.coeffs[k]
-                if c == ring.zero:
-                    continue
-                term = ring.div_int(c, d)
-                total[k] = total[k] - term if negative else total[k] + term
-            if d < n:
-                power = power * h
+        zero = ring.zero
+        scaled = [zero]  # k L_k
+        total = [zero]
+        for n in range(1, len(f)):
+            acc = f[n] * n
+            for k in range(1, n):
+                a, b = scaled[k], f[n - k]
+                if a != zero and b != zero:
+                    acc = acc - a * b
+            scaled.append(acc)
+            total.append(ring.div_int(acc, n))
         return TruncatedSeries(ring, total)
 
     def negate_argument(self) -> "TruncatedSeries":

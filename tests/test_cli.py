@@ -55,8 +55,11 @@ class TestSeq:
         assert "between 1 and 64" in err
 
     def test_q_cap_enforced(self, capsys):
-        code, _, _ = run(capsys, "seq", "rq", "21")
+        code, _, _ = run(capsys, "seq", "rq", "41")
         assert code == 2
+        code, out, _ = run(capsys, "seq", "rq", "40")
+        assert code == 0
+        assert len(out.split()) == 40
 
     def test_env_var_overrides_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("PPX_MAX_N", "70")

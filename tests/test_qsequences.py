@@ -164,6 +164,23 @@ class TestCq:
         cq = c_q_seq(8)
         assert [p(1) for p in cq] == [1, 1, -2, 9, -24, 130, -720, 8505]
 
+    def test_matches_factorial_times_e_q(self):
+        # A second derivation: the rational-function product [n]! e_n(q)
+        # against r_n(q) times the [n]!/u_n(q) cofactor.
+        for n, c in enumerate(c_q_seq(24), start=1):
+            assert RatFunc(qfact(n)) * qsequences._e_q(n) == c
+
+    @pytest.mark.parametrize("wrong", [
+        lambda f: f * IntPoly((1, 1)),   # one factor too many
+        lambda f: f + IntPoly((0, 1, -1)),  # the same value at q = 1
+    ])
+    def test_wrong_cofactor_is_caught(self, monkeypatch, fresh_q_caches, wrong):
+        right = qsequences._u_cofactor
+        monkeypatch.setattr(qsequences, "_u_cofactor",
+                            lambda n: wrong(right(n)) if n == 6 else right(n))
+        with pytest.raises(ConsistencyError, match=r"cofactor times u_6\(q\) != \[6\]!"):
+            c_q_seq(6)
+
 
 class TestDegenerations:
     def test_q_to_one_all_sequences(self):
@@ -314,5 +331,5 @@ class TestGcdKernelFaults:
         # integrality checks of the q-sequences must notice.  The patched
         # kernel is the one behind RatFunc normalisation.
         monkeypatch.setattr(rings, "_primitive_gcd", lambda a, b: (P_ONE, a, b))
-        with pytest.raises(ConsistencyError, match="not a polynomial"):
+        with pytest.raises(ConsistencyError, match=r"r_2\(q\) did not reduce to a polynomial"):
             c_q_seq(6)

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ppx import cli, qsequences, rings, sequences
@@ -412,10 +412,8 @@ def flipped_word_digit(monkeypatch):
 
 class TestSuitesNoticeAWordSlotFault:
     # The suites that meet a word-slot result of 16 or more digits and use
-    # it.  Others pass under the fault: cor44, and eq26/eq28 at their
-    # default sizes, meet no such result; in thm41, thm42 and thm45 the
-    # first one is the last square of an IntPoly power, which no result
-    # uses.
+    # it.  Others pass under the fault because they meet no such result:
+    # cor44, thm41, and eq26/eq28 at their default sizes.
     @pytest.mark.parametrize("command, notice", [
         ("verify roundtrip --max-n 18", "FAIL e-q-oracle"),
         ("verify roundtrip", "FAIL E-q-oracle"),
@@ -425,6 +423,8 @@ class TestSuitesNoticeAWordSlotFault:
         ("verify eq26 --m 8", "consistency violation"),
         ("verify eq28 --m 10", "consistency violation"),
         ("verify qpascal --max-n 16", "consistency violation"),
+        ("verify thm42", "consistency violation"),
+        ("verify thm45", "consistency violation"),
     ])
     def test_suite_exits_one(self, flipped_word_digit, capsys, command, notice):
         assert cli.main(command.split()) == 1
@@ -560,6 +560,17 @@ class TestRatFunc:
         f = RatFunc(IntPoly((1, 1)), IntPoly((1, 0, 1)))
         assert f(1) == Fraction(2, 2)
         assert f(Fraction(1, 2)) == Fraction(3, 2) / Fraction(5, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_polys, nonzero_polys, small_polys, nonzero_polys)
+    def test_sum_over_coprime_denominators_is_reduced(self, a, b, c, d):
+        # The sum skips the gcd when the denominators are coprime; it must
+        # equal the fully reduced a/b + c/d.
+        x, y = RatFunc(a, b), RatFunc(c, d)
+        assume(rings._gcd_cofactors(x.den, y.den)[0] == P_ONE)
+        expected = RatFunc(x.num * y.den + y.num * x.den, x.den * y.den)
+        assert x + y == expected
+        assert y + x == expected
 
     def test_rational_reduction_structural_equality(self):
         assert Fraction(2, 4) == Fraction(1, 2)

@@ -89,7 +89,38 @@ class TestInverse:
         assert f * f.inverse() == TruncatedSeries.one(QQ, f.order)
 
 
+def power_sum_log(f):
+    """The logarithm as sum (-1)^(d-1) (f-1)^d / d: the O(N^3) reference
+    for the recurrence in TruncatedSeries.log."""
+    ring, n = f.ring, f.order
+    h = f - TruncatedSeries.one(ring, n)
+    total = [ring.zero] * (n + 1)
+    power = h
+    for d in range(1, n + 1):
+        for k in range(d, n + 1):
+            term = ring.div_int(power.coeffs[k], d)
+            total[k] = total[k] + term if d % 2 else total[k] - term
+        power = power * h
+    return TruncatedSeries(ring, total)
+
+
 class TestLog:
+    @settings(max_examples=60, deadline=None)
+    @given(unit_series)
+    def test_matches_power_sum(self, f):
+        assert f.log() == power_sum_log(f)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_expq_matches_power_sum(self, n):
+        assert expq_series(n).log() == power_sum_log(expq_series(n))
+
+    def test_makes_no_series_product(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("log multiplied two series")
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", refuse)
+        assert cap_expq_series(8).log().order == 8
+
     def test_log_exp_is_x(self):
         logs = exp_series(6).log()
         expected = qq_series([0, 1, 0, 0, 0, 0, 0])
