@@ -7,7 +7,8 @@
                    [--format text|json]
 
 Sequence names: e c a u r (classical) and eq Eq uq rq cq (q-analogs).
-Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error.
+Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error,
+141 the reader closed standard output early.
 The environment variable PPX_MAX_N overrides the sequence length caps
 (default 64 for the classical sequences, 40 for the q-sequences, chosen so
 ``verify all`` stays comfortably under a minute).
@@ -274,7 +275,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe early (`ppx verify all | head -1`).  With
+        # stdout pointed at devnull the interpreter's exit-time flush stays
+        # quiet; 141 is the status a shell reports for a death by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

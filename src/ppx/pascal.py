@@ -86,13 +86,6 @@ class SquareMatrix:
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
         )
 
-    def __sub__(self, other):
-        self._require_compatible(other)
-        return SquareMatrix(
-            self.ring,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
     def __mul__(self, other):
         """Sparse row-by-row product (Gustavson): row i is the sum of
         a * (row l of other) over the nonzero a = self[i][l].  Every entry

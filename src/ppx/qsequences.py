@@ -11,17 +11,13 @@ The companion Exp_q(x) = sum q^C(n,2) x^n/[n]! = 1/exp_q(-x) expands with
 E_n(q), same recursion with (q-1)^(n-1) in the tail; for odd n the two
 coefficient families agree and are fixed under q -> 1/q.
 
-Writing e_n(q) = r_n(q)/u_n(q) over u_n(q) = prod_{j<=n} gcd([j], [n]) turns
-the recursion into
-
-    r_n(q) = sum_{d|n, d>1} (-1)^d (u_n(q) / (d u_{n/d}(q)^d)) r_{n/d}(q)^d
-             + (1-q)^(n-1) u_n(q) / (n [n]),
-
-computed here in the rational-function field and then asserted to land in
-Z[q] with leading coefficient (-1)^n: the integrality theorem becomes a
-single testable postcondition.  c_n(q) = [n]! e_n(q) needs no division:
-gcd([j], [n]) = [gcd(j, n)], so c_n(q) = r_n(q) prod_{j<=n} [j]/[gcd(j, n)],
-each factor a polynomial, and cofactor times u_n(q) is checked to be [n]!.
+Writing e_n(q) = r_n(q)/u_n(q) over u_n(q) = prod_{j<=n} gcd([j], [n]),
+r_n(q) is the product u_n(q) e_n(q) in the rational-function field, asserted
+to land in Z[q] with leading coefficient (-1)^n: the integrality theorem
+becomes a single testable postcondition.  c_n(q) = [n]! e_n(q) needs no
+division: gcd([j], [n]) = [gcd(j, n)], so c_n(q) = r_n(q) times
+prod_{j<=n} [j]/[gcd(j, n)], each factor a polynomial, and cofactor times
+u_n(q) is checked to be [n]!.
 Setting q = 1 recovers the classical sequences, q = 0 the dyadic
 pattern of 1/(1-x) = prod (1 + x^(2^k)), and reduction mod q^2 a closed-form
 expansion checked over the ring Z[q]/(q^2) with no division at all.
@@ -48,7 +44,7 @@ from .rings import (
     RatFunc,
     poly_gcd,
 )
-from .sequences import divisors, euler_phi, is_prime
+from .sequences import divisors, euler_phi
 from .series import TruncatedSeries
 
 
@@ -165,18 +161,10 @@ def _u_q(n: int) -> IntPoly:
 def _r_q(n: int) -> IntPoly:
     if n < 1:
         raise ValueError("index must be >= 1")
-    u_n = _u_q(n)
-    total = RF_ZERO
-    for d in divisors(n):
-        if d == 1:
-            continue
-        quotient = RatFunc(u_n, _u_q(n // d) ** d * d)
-        term = quotient * RatFunc(_r_q(n // d)) ** d
-        total = total + term if d % 2 == 0 else total - term
-    total = total + RatFunc(IntPoly((1, -1)) ** (n - 1) * u_n, qint(n) * n)
-    if not total.is_polynomial:
-        raise ConsistencyError(f"r_{n}(q) did not reduce to a polynomial: {total}")
-    r = total.as_poly()
+    product = _e_q(n) * RatFunc(_u_q(n))
+    if not product.is_polynomial:
+        raise ConsistencyError(f"r_{n}(q) did not reduce to a polynomial: {product}")
+    r = product.as_poly()
     if n > 1:
         expected_lead = 1 if n % 2 == 0 else -1
         if r.lead != expected_lead:
@@ -185,8 +173,6 @@ def _r_q(n: int) -> IntPoly:
             )
     if r(1) != sequences._r(n):
         raise ConsistencyError(f"r_{n}(q) at q=1 != r_{n}")
-    if RatFunc(r, u_n) != _e_q(n):
-        raise ConsistencyError(f"r_{n}(q)/u_{n}(q) != e_{n}(q)")
     return r
 
 
@@ -292,20 +278,6 @@ GOLDEN_R_Q = (
 
 # ---------------------------------------------------------------------------
 # Closed forms and specializations
-
-
-def r_p_closed_form(p: int) -> IntPoly:
-    """r_p(q) = (-[p] + (1-q)^(p-1)) / p for an odd prime p."""
-    if p < 3 or not is_prime(p):
-        raise ValueError("an odd prime is required")
-    numerator = IntPoly((1, -1)) ** (p - 1) - qint(p)
-    try:
-        r = numerator.divexact(p)
-    except ArithmeticError as exc:
-        raise ConsistencyError(f"-[{p}] + (1-q)^{p - 1} is not divisible by {p}") from exc
-    if r != _r_q(p):
-        raise ConsistencyError(f"closed form for r_{p}(q) != recursion value")
-    return r
 
 
 def mod_q2_ring() -> QuotientRing:
@@ -460,15 +432,6 @@ def check_golden_q_lists(strict_n: int = 5) -> Report:
     for check in check_odd_symmetry(13).checks:
         rep.checks.append(check)
     return rep
-
-
-def transcription_discrepancies(strict_n: int = 5) -> list:
-    """Golden-list entries beyond strict_n whose transcription disagrees
-    with the computed value; empty when the source lists are accurate."""
-    names = {"golden-e": "e", "golden-E": "E", "golden-r": "r"}
-    return [(names[c.check_id], c.params["n"], c.expected, c.actual)
-            for c in check_golden_q_lists(strict_n).checks
-            if c.params.get("informational") and c.expected != c.actual]
 
 
 def check_mod_q2(n_max: int) -> Report:

@@ -29,12 +29,14 @@ integers that ``array`` converts in one C call.  A quotient is accepted only
 when a bound on its digits proves it exact; otherwise, and for smaller
 operands, the schoolbook loops decide.
 
-The ring singletons at the bottom (``ZZ``, ``QQ``, ``ZX``, ``QFUNC``) bundle
-the few ring facts (zero, one, integer embedding, unit inversion, exact
-division by an integer) that the generic series and matrix code needs; a
-:class:`QuotientRing` instance plays the same role for its own elements,
-except that it offers no unit inversion (the only units inverted in a
-quotient ring are those mod q^2, by ``ppx.qsequences.mod_q2_inverse``).
+The ring singletons at the bottom (``ZZ``, ``QQ``, ``ZX``, ``QFUNC``) are the
+coefficient-ring protocol of the generic series, expansion and matrix code:
+``zero``, ``one`` and, on the rings that code divides in, ``div_int``, the
+exact division by an integer (``ZZ`` for matrices, ``QQ`` and ``QFUNC`` for
+series logarithms); elements do the rest through their operators.  A
+:class:`QuotientRing` instance provides ``zero`` and ``one`` for its own
+elements and no ``div_int`` (the only units inverted in a quotient ring are
+those mod q^2, by ``ppx.qsequences.mod_q2_inverse``).
 """
 
 from __future__ import annotations
@@ -139,21 +141,6 @@ def _unpack(value: int, n: int, w: int) -> list:
     if _BIG_ENDIAN:
         digits.byteswap()
     return digits.tolist()
-
-
-def _power(base, k: int, one):
-    # base^k for k >= 0 by repeated squaring, with no product by one and no
-    # square after the last bit of k.
-    if k == 0:
-        return one
-    result = None
-    while True:
-        if k & 1:
-            result = base if result is None else result * base
-        k >>= 1
-        if not k:
-            return result
-        base = base * base
 
 
 class IntPoly:
@@ -288,9 +275,20 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        # Repeated squaring, with no product by one and no square after the
+        # last bit of k.
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        return _power(self, k, P_ONE)
+        if k == 0:
+            return P_ONE
+        base, result = self, None
+        while True:
+            if k & 1:
+                result = base if result is None else result * base
+            k >>= 1
+            if not k:
+                return result
+            base = base * base
 
     # -- division -----------------------------------------------------------
 
@@ -692,12 +690,6 @@ class RatFunc:
             return NotImplemented
         return self * other.reciprocal()
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.reciprocal()
-
     def __pow__(self, k: int):
         if k == 0:
             return RF_ONE
@@ -706,7 +698,7 @@ class RatFunc:
         # Powers of a reduced fraction stay reduced (Gauss's lemma).
         return RatFunc._from_coprime(self.num ** k, self.den ** k)
 
-    # -- substitution and evaluation ------------------------------------------
+    # -- substitution ----------------------------------------------------------
 
     def subst_inverse(self) -> "RatFunc":
         """The rational function f(1/q), cleared of negative powers.
@@ -722,14 +714,6 @@ class RatFunc:
             return IntPoly((0,) * (m - p.degree) + tuple(reversed(p.coeffs)))
 
         return RatFunc(reverse(self.num), reverse(self.den))
-
-    def __call__(self, x) -> Fraction:
-        """Exact evaluation at a rational point (the denominator must not
-        vanish there)."""
-        den_val = Fraction(self.den(x))
-        if den_val == 0:
-            raise ZeroDivisionError(f"denominator of {self} vanishes at {x}")
-        return Fraction(self.num(x)) / den_val
 
     # -- comparisons and rendering ---------------------------------------------
 
@@ -825,17 +809,6 @@ class QuotientRing:
                 rem[i + k] -= t * mc
         return QuotientElem(self, IntPoly(rem[:dm]))
 
-    def div_int(self, a: "QuotientElem", n: int) -> "QuotientElem":
-        if a.ring != self:
-            raise ValueError("element belongs to a different quotient ring")
-        coeffs = []
-        for c in a.rep.coeffs:
-            t, leftover = divmod(c, n)
-            if leftover:
-                raise InexactDivisionError(f"{a.rep} is not divisible by {n} in {self!r}")
-            coeffs.append(t)
-        return QuotientElem(self, IntPoly(coeffs))
-
 
 class QuotientElem:
     """An element of a :class:`QuotientRing`, stored by its canonical
@@ -884,11 +857,6 @@ class QuotientElem:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power in a quotient ring")
-        return _power(self, k, self.ring.one)
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -914,16 +882,6 @@ class _IntegerRing:
     one = 1
 
     @staticmethod
-    def from_int(n: int) -> int:
-        return n
-
-    @staticmethod
-    def inv(a: int) -> int:
-        if a in (1, -1):
-            return a
-        raise InexactDivisionError(f"{a} is not a unit in Z")
-
-    @staticmethod
     def div_int(a: int, n: int) -> int:
         t, leftover = divmod(a, n)
         if leftover:
@@ -939,16 +897,6 @@ class _RationalField:
     one = Fraction(1)
 
     @staticmethod
-    def from_int(n: int) -> Fraction:
-        return Fraction(n)
-
-    @staticmethod
-    def inv(a: Fraction) -> Fraction:
-        if a == 0:
-            raise ZeroDivisionError("zero is not invertible")
-        return 1 / a
-
-    @staticmethod
     def div_int(a: Fraction, n: int) -> Fraction:
         return a / n
 
@@ -960,20 +908,6 @@ class _PolyRing:
     zero = P_ZERO
     one = P_ONE
 
-    @staticmethod
-    def from_int(n: int) -> IntPoly:
-        return IntPoly((n,))
-
-    @staticmethod
-    def inv(a: IntPoly) -> IntPoly:
-        if a == P_ONE or a == IntPoly((-1,)):
-            return a
-        raise InexactDivisionError(f"{a} is not a unit in Z[q]")
-
-    @staticmethod
-    def div_int(a: IntPoly, n: int) -> IntPoly:
-        return a.divexact(IntPoly((n,)))
-
     def __repr__(self):
         return "ZX"
 
@@ -981,14 +915,6 @@ class _PolyRing:
 class _RatFuncField:
     zero = RF_ZERO
     one = RF_ONE
-
-    @staticmethod
-    def from_int(n: int) -> RatFunc:
-        return RatFunc(n)
-
-    @staticmethod
-    def inv(a: RatFunc) -> RatFunc:
-        return a.reciprocal()
 
     @staticmethod
     def div_int(a: RatFunc, n: int) -> RatFunc:

@@ -15,9 +15,9 @@ class TruncatedSeries:
 
     >>> from ppx.rings import QQ
     >>> from fractions import Fraction
-    >>> f = TruncatedSeries(QQ, [Fraction(1), Fraction(-1)] + [Fraction(0)] * 4)
-    >>> (f * f.inverse()).coeffs[:3]
-    (Fraction(1, 1), Fraction(0, 1), Fraction(0, 1))
+    >>> f = TruncatedSeries(QQ, [Fraction(1), Fraction(1), Fraction(0)])
+    >>> (f * f).coeffs
+    (Fraction(1, 1), Fraction(2, 1), Fraction(1, 1))
     """
 
     __slots__ = ("ring", "coeffs")
@@ -48,17 +48,6 @@ class TruncatedSeries:
 
     # -- ring operations ------------------------------------------------------
 
-    def __add__(self, other):
-        self._require_compatible(other)
-        return TruncatedSeries(self.ring, (a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._require_compatible(other)
-        return TruncatedSeries(self.ring, (a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return TruncatedSeries(self.ring, (-a for a in self.coeffs))
-
     def __mul__(self, other):
         """Cauchy product truncated at the common order."""
         self._require_compatible(other)
@@ -73,22 +62,6 @@ class TruncatedSeries:
                 if b == ring.zero:
                     continue
                 out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(ring, out)
-
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the constant term must be a unit."""
-        ring = self.ring
-        b0 = ring.inv(self.coeffs[0])
-        n = self.order
-        out = [b0] + [ring.zero] * n
-        for m in range(1, n + 1):
-            acc = ring.zero
-            for k in range(1, m + 1):
-                a = self.coeffs[k]
-                if a == ring.zero:
-                    continue
-                acc = acc + a * out[m - k]
-            out[m] = -(b0 * acc)
         return TruncatedSeries(ring, out)
 
     def log(self) -> "TruncatedSeries":

@@ -1,6 +1,7 @@
 """The ppx command line: formats, exit codes, JSON round trips."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -200,6 +201,29 @@ class TestSubprocess:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1,1,-2,9,-24,130,-720,8505"
+
+    def test_closed_pipe_exits_141(self):
+        # As in `ppx verify all | head -1`.  The report (about 90 kB) outgrows
+        # a 64 KiB pipe, so the write meets the closed end.
+        proc = subprocess.Popen([sys.executable, "-m", "ppx", "verify", "all"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0)
+        assert proc.stdout.readline() == b"report: roundtrip\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
+
+    def test_pipe_closed_before_a_short_output_exits_141(self):
+        # Buffered output that fits the buffer is written only when flushed;
+        # the read end is closed before the process starts.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read, write = os.pipe()
+        os.close(read)
+        proc = subprocess.run([sys.executable, "-m", "ppx", "seq", "c", "8"],
+                              stdout=write, stderr=subprocess.PIPE, env=env)
+        os.close(write)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
 
     def test_module_verify_exit_codes(self):
         proc = subprocess.run(

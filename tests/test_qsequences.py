@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppx import products, qsequences, rings
+from ppx import cli, products, qsequences, rings
 from ppx.qsequences import (
     GOLDEN_CAP_E_Q,
     GOLDEN_E_Q,
@@ -31,13 +31,11 @@ from ppx.qsequences import (
     qbinom,
     qfact,
     qint,
-    r_p_closed_form,
     r_q_seq,
-    transcription_discrepancies,
     u_q_seq,
 )
 from ppx.rings import ConsistencyError, IntPoly, P_ONE, P_ZERO, Q, RatFunc
-from ppx.sequences import c_seq, e_seq, r_seq, u_seq
+from ppx.sequences import c_seq, divisors, e_seq, is_prime, r_seq, u_seq
 
 
 def stack_depth() -> int:
@@ -50,6 +48,36 @@ def stack_depth() -> int:
 def quotient_qbinom(n: int, k: int) -> IntPoly:
     """Reference Gaussian binomial: the exact quotient [n]!/([k]![n-k]!)."""
     return qfact(n).divexact(qfact(k) * qfact(n - k))
+
+
+def recursion_r_q(n_max: int) -> list:
+    """Reference r_1(q)..r_N(q) from the divisor recursion, with no e_n(q):
+
+        r_n(q) = sum_{d|n, d>1} (-1)^d (u_n(q) / (d u_{n/d}(q)^d)) r_{n/d}(q)^d
+                 + (1-q)^(n-1) u_n(q) / (n [n]).
+    """
+    u, r = u_q_seq(n_max), []
+    for n in range(1, n_max + 1):
+        total = RatFunc(0)
+        for d in divisors(n)[1:]:
+            term = RatFunc(u[n - 1], u[n // d - 1] ** d * d) * RatFunc(r[n // d - 1]) ** d
+            total = total + term if d % 2 == 0 else total - term
+        total = total + RatFunc(IntPoly((1, -1)) ** (n - 1) * u[n - 1], qint(n) * n)
+        r.append(total.as_poly())
+    return r
+
+
+def r_p_closed_form(p: int) -> IntPoly:
+    """r_p(q) = ((1-q)^(p-1) - [p]) / p for an odd prime p."""
+    return (IntPoly((1, -1)) ** (p - 1) - qint(p)).divexact(p)
+
+
+def transcription_discrepancies() -> list:
+    """(check id, n, printed, computed) for each informational golden-list
+    entry whose transcription disagrees with the computed value."""
+    return [(c.check_id, c.params["n"], c.expected, c.actual)
+            for c in check_golden_q_lists().checks
+            if c.params.get("informational") and c.expected != c.actual]
 
 
 class TestQBasics:
@@ -118,7 +146,8 @@ class TestGoldenLists:
     def test_transcription_discrepancy_reported(self, monkeypatch):
         wrong = RatFunc(P_ONE, qint(6))
         monkeypatch.setattr(qsequences, "GOLDEN_E_Q", GOLDEN_E_Q[:5] + (wrong,) + GOLDEN_E_Q[6:])
-        assert transcription_discrepancies() == [("e", 6, str(wrong), str(GOLDEN_E_Q[5]))]
+        assert transcription_discrepancies() == [
+            ("golden-e", 6, str(wrong), str(GOLDEN_E_Q[5]))]
         assert check_golden_q_lists().passed
 
     def test_report(self):
@@ -184,7 +213,7 @@ class TestCq:
 
 class TestDegenerations:
     def test_q_to_one_all_sequences(self):
-        assert [f(1) for f in e_q_seq(14)] == e_seq(14)
+        assert [Fraction(f.num(1), f.den(1)) for f in e_q_seq(14)] == e_seq(14)
         assert [p(1) for p in u_q_seq(14)] == u_seq(14)
         assert [p(1) for p in r_q_seq(14)] == r_seq(14)
         assert [p(1) for p in c_q_seq(14)] == c_seq(14)
@@ -192,7 +221,7 @@ class TestDegenerations:
     def test_q_to_zero_dyadic(self):
         for n, f in enumerate(e_q_seq(16), start=1):
             expected = 1 if n & (n - 1) == 0 else 0
-            assert f(0) == expected
+            assert Fraction(f.num(0), f.den(0)) == expected
 
     def test_r_at_zero_dyadic(self):
         for n, p in enumerate(r_q_seq(16), start=1):
@@ -209,6 +238,22 @@ class TestIntegralityTheorem:
             if n > 1:
                 assert p.lead == (1 if n % 2 == 0 else -1)
             assert all(isinstance(c, int) for c in p.coeffs)
+
+
+class TestRq:
+    def test_matches_divisor_recursion(self):
+        assert r_q_seq(30) == recursion_r_q(30)
+
+    @pytest.mark.parametrize("wrong,notice", [
+        (lambda e: e + RatFunc(1, qint(7)), "r_6(q) did not reduce to a polynomial"),
+        (lambda e: e + RatFunc(1, qint(6)), "r_6(q) at q=1 != r_6"),  # integral, monic
+    ])
+    def test_wrong_e_q_is_caught(self, monkeypatch, capsys, fresh_q_caches, wrong, notice):
+        right = qsequences._e_q
+        monkeypatch.setattr(qsequences, "_e_q",
+                            lambda n: wrong(right(n)) if n == 6 else right(n))
+        assert cli.main(["seq", "rq", "6"]) == 1
+        assert capsys.readouterr().err.startswith(f"consistency violation: {notice}")
 
 
 class TestOddSymmetry:
@@ -248,11 +293,9 @@ class TestPrimeClosedForm:
         assert r_p_closed_form(p) == expected
         assert r_q_seq(p)[p - 1] == expected
 
-    def test_rejects_two_and_composites(self):
-        with pytest.raises(ValueError):
-            r_p_closed_form(2)
-        with pytest.raises(ValueError):
-            r_p_closed_form(9)
+    @pytest.mark.parametrize("p", [p for p in range(3, 24) if is_prime(p)])
+    def test_matches_r_q_seq(self, p):
+        assert r_q_seq(p)[p - 1] == r_p_closed_form(p)
 
 
 class TestModQ2:

@@ -556,11 +556,6 @@ class TestRatFunc:
         f = RatFunc(num, den)
         assert f.subst_inverse().subst_inverse() == f
 
-    def test_eval(self):
-        f = RatFunc(IntPoly((1, 1)), IntPoly((1, 0, 1)))
-        assert f(1) == Fraction(2, 2)
-        assert f(Fraction(1, 2)) == Fraction(3, 2) / Fraction(5, 4)
-
     @settings(max_examples=200, deadline=None)
     @given(small_polys, nonzero_polys, small_polys, nonzero_polys)
     def test_sum_over_coprime_denominators_is_reduced(self, a, b, c, d):

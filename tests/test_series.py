@@ -1,4 +1,4 @@
-"""Truncated series arithmetic: products, inverses, logarithms."""
+"""Truncated series arithmetic: products and logarithms."""
 
 import math
 from fractions import Fraction
@@ -41,10 +41,6 @@ class TestMul:
         product = factors[0] * factors[1] * factors[2]
         assert product == qq_series([1] * (n + 1))
 
-    def test_inverse_roundtrip(self):
-        f = exp_series(8)
-        assert f * f.inverse() == TruncatedSeries.one(QQ, 8)
-
     def test_order_mismatch_raises(self):
         with pytest.raises(ValueError):
             qq_series([1, 1]) * qq_series([1, 1, 1])
@@ -64,36 +60,11 @@ class TestMul:
         assert (f * g) * h == f * (g * h)
 
 
-class TestInverse:
-    def test_geometric(self):
-        f = qq_series([1, -1, 0, 0, 0, 0])
-        assert f.inverse() == qq_series([1, 1, 1, 1, 1, 1])
-
-    def test_inverse_of_one(self):
-        one = TruncatedSeries.one(QQ, 5)
-        assert one.inverse() == one
-
-    def test_inverse_of_expq_negated_gives_companion(self):
-        # 1/exp_q(-x) has coefficients q^C(n,2)/[n]!
-        f = expq_series(6).negate_argument()
-        assert f.inverse() == cap_expq_series(6)
-
-    def test_non_unit_constant_raises(self):
-        f = TruncatedSeries(ZZ, [2, 1, 1])
-        with pytest.raises(ArithmeticError):
-            f.inverse()
-
-    @settings(max_examples=40, deadline=None)
-    @given(unit_series)
-    def test_roundtrip(self, f):
-        assert f * f.inverse() == TruncatedSeries.one(QQ, f.order)
-
-
 def power_sum_log(f):
     """The logarithm as sum (-1)^(d-1) (f-1)^d / d: the O(N^3) reference
     for the recurrence in TruncatedSeries.log."""
     ring, n = f.ring, f.order
-    h = f - TruncatedSeries.one(ring, n)
+    h = TruncatedSeries(ring, [ring.zero, *f.coeffs[1:]])  # f - 1
     total = [ring.zero] * (n + 1)
     power = h
     for d in range(1, n + 1):
@@ -127,7 +98,7 @@ class TestLog:
         assert logs == expected
 
     def test_log_geometric(self):
-        f = qq_series([1, -1, 0, 0, 0]).inverse()  # 1/(1-x)
+        f = qq_series([1, 1, 1, 1, 1])  # 1/(1-x)
         assert f.log() == qq_series([0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)])
 
     def test_log_expq_x2_coefficient(self):
@@ -145,7 +116,8 @@ class TestLog:
         n = min(f.order, g.order)
         f = TruncatedSeries(QQ, f.coeffs[: n + 1])
         g = TruncatedSeries(QQ, g.coeffs[: n + 1])
-        assert (f * g).log() == f.log() + g.log()
+        total = [a + b for a, b in zip(f.log().coeffs, g.log().coeffs)]
+        assert (f * g).log() == TruncatedSeries(QQ, total)
 
 
 class TestNegateArgument:
