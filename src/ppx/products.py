@@ -11,8 +11,7 @@ prod_{k<n} (1 + g_k x^k) = sum_k b_k x^k, then the next factor is forced to
 be g_n = a_n - b_n, because multiplying by (1 + g_n x^n) leaves coefficients
 below x^n untouched and adds g_n at x^n.
 
-contract(expand(f)) == f for every unit series, which makes this pair the
-brute-force oracle for all closed-form recursions in the package.
+contract(expand(f)) == f for every unit series; the classical suites check against it.
 """
 
 from __future__ import annotations

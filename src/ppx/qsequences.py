@@ -21,12 +21,20 @@ u_n(q) is checked to be [n]!.
 Setting q = 1 recovers the classical sequences, q = 0 the dyadic
 pattern of 1/(1-x) = prod (1 + x^(2^k)), and reduction mod q^2 a closed-form
 expansion checked over the ring Z[q]/(q^2) with no division at all.
+
+The suites check e_n(q), E_n(q) and the log in the divided-power basis, where
+(F_0, ..., F_N) in Z[q] is sum F_k x^k/[k]! (Hurwitz series; Keigher, Comm.
+Algebra 25, 1997): F_k = 1 for exp_q, q^C(k,2) for Exp_q, (-1)^k for exp_q(-x).
+There (F G)_n = sum_k [n, k] F_k G_(n-k), log f = sum M_n x^n/(n [n]!) with
+M_n = n F_n - sum_{0<k<n} [n, k] M_k F_(n-k), and f = prod (1 + G_n x^n/[n]!)
+with G_n = F_n - B_n, then B_k += [k, n] G_n B_(k-n) for k = N..n: all in Z[q].
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
 from . import products, sequences
 from .report import Report
@@ -37,7 +45,6 @@ from .rings import (
     P_ONE,
     P_ZERO,
     Q,
-    QFUNC,
     QQ,
     QuotientElem,
     QuotientRing,
@@ -101,20 +108,50 @@ def qbinom(n: int, k: int) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# The q-exponential series
+# Series in the divided-power basis over Z[q] (see the module docstring)
 
 
-def expq_series(order: int) -> TruncatedSeries:
-    """exp_q(x) = sum x^n/[n]! truncated, over rational functions in q."""
-    return TruncatedSeries(QFUNC, [RatFunc(P_ONE, qfact(n)) for n in range(order + 1)])
+def dp_mul(f: tuple, g: tuple) -> tuple:
+    """(F G)_n = sum_k [n, k] F_k G_(n-k)."""
+    return tuple(sum((qbinom(n, k) * f[k] * g[n - k] for k in range(n + 1)
+                      if f[k] and g[n - k]), P_ZERO) for n in range(len(f)))
 
 
-def cap_expq_series(order: int) -> TruncatedSeries:
-    """Exp_q(x) = sum q^C(n,2) x^n/[n]! truncated."""
-    return TruncatedSeries(
-        QFUNC,
-        [RatFunc(IntPoly.monomial(1, math.comb(n, 2)), qfact(n)) for n in range(order + 1)],
-    )
+def dp_log(f: tuple) -> tuple:
+    """M_n = n [n]! L_n for L = log f: the recurrence of TruncatedSeries.log times [n]!."""
+    if f[0] != P_ONE:
+        raise ValueError("log requires constant term 1")
+    m = [P_ZERO]
+    for n in range(1, len(f)):
+        m.append(f[n] * n - sum((qbinom(n, k) * m[k] * f[n - k] for k in range(1, n)
+                                 if m[k] and f[n - k]), P_ZERO))
+    return tuple(m)
+
+
+def _dp_times_factor(partial: list, n: int, g: IntPoly) -> None:
+    # partial *= 1 + g x^n/[n]!; k descends, so each B_(k-n) read is the old one.
+    for k in range(len(partial) - 1, n - 1, -1):
+        if g and partial[k - n]:
+            partial[k] = partial[k] + qbinom(k, n) * g * partial[k - n]
+
+
+def dp_expand(f: tuple) -> tuple:
+    """G_1..G_N with f = prod (1 + G_n x^n/[n]!), found as products.expand finds g_n."""
+    if f[0] != P_ONE:
+        raise ValueError("power product expansion requires constant term 1")
+    partial, factors = [P_ONE] + [P_ZERO] * (len(f) - 1), []
+    for n in range(1, len(f)):
+        factors.append(f[n] - partial[n])
+        _dp_times_factor(partial, n, factors[-1])
+    return tuple(factors)
+
+
+def dp_contract(factors: tuple) -> tuple:
+    """prod (1 + G_n x^n/[n]!) truncated at N = len(factors)."""
+    partial = [P_ONE] + [P_ZERO] * len(factors)
+    for n, g in enumerate(factors, start=1):
+        _dp_times_factor(partial, n, g)
+    return tuple(partial)
 
 
 # ---------------------------------------------------------------------------
@@ -355,42 +392,38 @@ def check_odd_symmetry(n_max: int) -> Report:
 
 
 def check_reciprocal_identity(order: int) -> Report:
-    """exp_q(-x) * Exp_q(x) = 1 as truncated series over rational functions."""
+    """exp_q(-x) * Exp_q(x) = 1, the product by dp_mul with coefficients P_n/[n]!."""
     if order < 1:
         raise ValueError("need N >= 1")
     rep = Report("eq18")
-    product = expq_series(order).negate_argument() * cap_expq_series(order)
+    cap_expq = tuple(IntPoly.monomial(1, math.comb(k, 2)) for k in range(order + 1))
+    product = dp_mul(tuple(IntPoly((-1) ** k) for k in range(order + 1)), cap_expq)
     for n in range(order + 1):
-        expected = QFUNC.one if n == 0 else QFUNC.zero
-        rep.add("product-coefficient", {"n": n}, product.coeffs[n] == expected,
-                str(expected), str(product.coeffs[n]))
+        expected = RatFunc(1 if n == 0 else 0)
+        found = RatFunc(product[n], qfact(n))
+        rep.add("product-coefficient", {"n": n}, found == expected, str(expected), str(found))
     for n in range(order + 1):
         # Exp_q is exp at 1/q: coefficient-wise q^C(n,2)/[n]! = (1/[n]!)(1/q).
         flipped = RatFunc(P_ONE, qfact(n)).subst_inverse()
         cap = RatFunc(IntPoly.monomial(1, math.comb(n, 2)), qfact(n))
         rep.add("q-inverse-coefficient", {"n": n}, flipped == cap, str(cap), str(flipped))
-    from fractions import Fraction
-
-    classical = TruncatedSeries(
-        QQ, [Fraction(1, math.factorial(n)) for n in range(order + 1)]
-    )
-    prod_q1 = classical.negate_argument() * classical
-    ok = prod_q1 == TruncatedSeries.one(QQ, order)
+    classical = TruncatedSeries(QQ, [Fraction(1, math.factorial(n)) for n in range(order + 1)])
+    ok = classical.negate_argument() * classical == TruncatedSeries.one(QQ, order)
     rep.add("q1-specialization", {"N": order}, ok, "exp(-x) exp(x) == 1",
             "as expected" if ok else "mismatch")
     return rep
 
 
 def check_log_coeffs(n_max: int) -> Report:
-    """Coefficient n of log exp_q(x) equals (1-q)^(n-1) / (n [n])."""
+    """Coefficient n of log exp_q(x), M_n/(n [n]!) by dp_log, is (1-q)^(n-1)/(n [n])."""
     if n_max < 1:
         raise ValueError("need N >= 1")
     rep = Report("eq21")
-    logs = expq_series(n_max).log()
+    logs = dp_log((P_ONE,) * (n_max + 1))
     for n in range(1, n_max + 1):
         expected = RatFunc(IntPoly((1, -1)) ** (n - 1), qint(n) * n)
-        rep.add("log-coefficient", {"n": n}, logs.coeffs[n] == expected,
-                str(expected), str(logs.coeffs[n]))
+        found = RatFunc(logs[n], qfact(n) * n)
+        rep.add("log-coefficient", {"n": n}, found == expected, str(expected), str(found))
     return rep
 
 
@@ -455,24 +488,19 @@ def check_mod_q2(n_max: int) -> Report:
 
 
 def check_q_oracle(n_max: int) -> Report:
-    """The q-recursions against the generic expansion of exp_q and Exp_q."""
+    """The q-recursions against dp_expand of exp_q and Exp_q (factor n is G_n/[n]!)."""
     if n_max < 1:
         raise ValueError("need N >= 1")
     rep = Report("roundtrip-q")
-    f = expq_series(n_max)
-    expansion = products.expand(f)
-    for n in range(1, n_max + 1):
-        rep.add("e-q-oracle", {"n": n}, expansion.factor(n) == _e_q(n),
-                str(_e_q(n)), str(expansion.factor(n)))
-    ok = products.contract(expansion) == f
-    rep.add("expq-roundtrip", {"N": n_max}, ok,
-            "contract(expand(exp_q)) == exp_q", "as expected" if ok else "mismatch")
-    g = cap_expq_series(n_max)
-    cap_expansion = products.expand(g)
-    for n in range(1, n_max + 1):
-        rep.add("E-q-oracle", {"n": n}, cap_expansion.factor(n) == _cap_e_q(n),
-                str(_cap_e_q(n)), str(cap_expansion.factor(n)))
-    ok = products.contract(cap_expansion) == g
-    rep.add("cap-expq-roundtrip", {"N": n_max}, ok,
-            "contract(expand(Exp_q)) == Exp_q", "as expected" if ok else "mismatch")
+    cap_expq = tuple(IntPoly.monomial(1, math.comb(k, 2)) for k in range(n_max + 1))
+    for check_id, roundtrip_id, name, series, recursion in (
+            ("e-q-oracle", "expq-roundtrip", "exp_q", (P_ONE,) * (n_max + 1), _e_q),
+            ("E-q-oracle", "cap-expq-roundtrip", "Exp_q", cap_expq, _cap_e_q)):
+        factors = dp_expand(series)
+        for n in range(1, n_max + 1):
+            found = RatFunc(factors[n - 1], qfact(n))
+            rep.add(check_id, {"n": n}, found == recursion(n), str(recursion(n)), str(found))
+        ok = dp_contract(factors) == series
+        rep.add(roundtrip_id, {"N": n_max}, ok, f"contract(expand({name})) == {name}",
+                "as expected" if ok else "mismatch")
     return rep

@@ -29,11 +29,11 @@ integers that ``array`` converts in one C call.  A quotient is accepted only
 when a bound on its digits proves it exact; otherwise, and for smaller
 operands, the schoolbook loops decide.
 
-The ring singletons at the bottom (``ZZ``, ``QQ``, ``ZX``, ``QFUNC``) are the
+The ring singletons at the bottom (``ZZ``, ``QQ``, ``ZX``) are the
 coefficient-ring protocol of the generic series, expansion and matrix code:
 ``zero``, ``one`` and, on the rings that code divides in, ``div_int``, the
-exact division by an integer (``ZZ`` for matrices, ``QQ`` and ``QFUNC`` for
-series logarithms); elements do the rest through their operators.  A
+exact division by an integer (``ZZ`` for matrices, ``QQ`` for series
+logarithms); elements do the rest through their operators.  A
 :class:`QuotientRing` instance provides ``zero`` and ``one`` for its own
 elements and no ``div_int`` (the only units inverted in a quotient ring are
 those mod q^2, by ``ppx.qsequences.mod_q2_inverse``).
@@ -227,9 +227,6 @@ class IntPoly:
 
     def __sub__(self, other):
         return self + (-_as_poly(other))
-
-    def __rsub__(self, other):
-        return _as_poly(other) + (-self)
 
     def __mul__(self, other):
         """Product in Z[q].
@@ -661,9 +658,6 @@ class RatFunc:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -837,17 +831,11 @@ class QuotientElem:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return QuotientElem(self.ring, -self.rep)
-
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         return QuotientElem(self.ring, self.rep - other.rep)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -912,24 +900,9 @@ class _PolyRing:
         return "ZX"
 
 
-class _RatFuncField:
-    zero = RF_ZERO
-    one = RF_ONE
-
-    @staticmethod
-    def div_int(a: RatFunc, n: int) -> RatFunc:
-        if n == 0:
-            raise ZeroDivisionError("division by zero")
-        return RatFunc._from_coprime(a.num, a.den * n) if not a.is_zero else RF_ZERO
-
-    def __repr__(self):
-        return "QFUNC"
-
-
 ZZ = _IntegerRing()
 QQ = _RationalField()
 ZX = _PolyRing()
-QFUNC = _RatFuncField()
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 A series carries its truncation order; every binary operation requires equal
 orders so that silent precision loss cannot happen.  The coefficient ring is
-one of the protocol objects from :mod:`ppx.rings` (``QQ``, ``QFUNC``, ``ZX``,
-``ZZ``, or a ``QuotientRing`` instance); coefficients themselves do their own
-arithmetic through operators.
+one of the protocol objects from :mod:`ppx.rings` (``QQ``, ``ZX``, ``ZZ``, or a
+``QuotientRing`` instance); coefficients themselves do their own arithmetic
+through operators.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class TruncatedSeries:
         coefficient products (Brent and Kung, JACM 1978) where summing the
         powers (f-1)^d / d takes O(N^3).  Needs exact division by the
         integers 1..N in the coefficient ring, so it is meant for rational
-        or rational-function coefficients.
+        coefficients; ``ppx.qsequences.dp_log`` runs it over Z[q].
         """
         ring = self.ring
         f = self.coeffs

@@ -31,14 +31,12 @@ from ppx.qsequences import (
     GOLDEN_R_Q,
     c_q_seq,
     cap_e_q_seq,
-    cap_expq_series,
     check_golden_q_lists,
     check_integrality,
     check_log_coeffs,
     check_mod_q2,
     check_reciprocal_identity,
     e_q_seq,
-    expq_series,
     mod_q2_expansion,
     mod_q2_ring,
     r_q_seq,
@@ -57,6 +55,7 @@ from ppx.sequences import (
     r_seq,
     u_seq,
 )
+from qfunc_series import cap_expq_series, expq_series
 
 
 @contextmanager

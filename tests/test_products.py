@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppx.products import ProductExpansion, contract, expand
-from ppx.qsequences import expq_series, qfact
-from ppx.rings import QFUNC, QQ, RatFunc, P_ONE
+from ppx.qsequences import qfact
+from ppx.rings import QQ, RatFunc, P_ONE
 from ppx.sequences import exp_series
 from ppx.series import TruncatedSeries
+from qfunc_series import expq_series
 
 
 def qq_series(coeffs):

@@ -1,5 +1,6 @@
 """q-analog sequences, their specializations, and identity suites."""
 
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -15,7 +16,6 @@ from ppx.qsequences import (
     GOLDEN_R_Q,
     c_q_seq,
     cap_e_q_seq,
-    cap_expq_series,
     check_golden_q_lists,
     check_integrality,
     check_log_coeffs,
@@ -23,8 +23,11 @@ from ppx.qsequences import (
     check_odd_symmetry,
     check_q_oracle,
     check_reciprocal_identity,
+    dp_contract,
+    dp_expand,
+    dp_log,
+    dp_mul,
     e_q_seq,
-    expq_series,
     mod_q2_closed_form,
     mod_q2_expansion,
     mod_q2_ring,
@@ -36,6 +39,7 @@ from ppx.qsequences import (
 )
 from ppx.rings import ConsistencyError, IntPoly, P_ONE, P_ZERO, Q, RatFunc
 from ppx.sequences import c_seq, divisors, e_seq, is_prime, r_seq, u_seq
+from qfunc_series import QFUNC, as_qfunc_series, cap_expq_series, expq_series
 
 
 def stack_depth() -> int:
@@ -343,6 +347,62 @@ class TestQOracle:
         assert list(cap_expansion.factors) == cap_e_q_seq(10)
 
 
+# Divided-power series (F_0, ..., F_N) with F_0 = 1 and small Z[q] tails,
+# at orders 1..8, in pairs of one order.
+small_zq = st.builds(IntPoly, st.lists(st.integers(-3, 3), max_size=4))
+
+
+def dp_series(order: int):
+    return st.lists(small_zq, min_size=order, max_size=order).map(lambda tail: (P_ONE, *tail))
+
+
+dp_any = st.integers(1, 8).flatmap(dp_series)
+dp_pairs = st.integers(1, 8).flatmap(lambda n: st.tuples(dp_series(n), dp_series(n)))
+
+
+class TestDividedPowerKernel:
+    """dp_mul, dp_log and dp_expand/dp_contract against TruncatedSeries
+    arithmetic and products.expand/contract over rational functions in q."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dp_pairs)
+    def test_mul_matches_qfunc_product(self, pair):
+        f, g = pair
+        assert as_qfunc_series(dp_mul(f, g)) == as_qfunc_series(f) * as_qfunc_series(g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dp_any)
+    def test_log_matches_qfunc_log(self, f):
+        m = dp_log(f)
+        logs = as_qfunc_series(f).log().coeffs
+        assert m[0] == P_ZERO
+        assert [RatFunc(m[n], qfact(n) * n) for n in range(1, len(f))] == list(logs[1:])
+
+    @settings(max_examples=40, deadline=None)
+    @given(dp_pairs)
+    def test_expand_and_contract_match_qfunc(self, pair):
+        f, g = pair
+        factors = dp_expand(f)
+        expansion = products.expand(as_qfunc_series(f))
+        assert [RatFunc(c, qfact(n)) for n, c in enumerate(factors, start=1)] == list(
+            expansion.factors)
+        assert dp_contract(factors) == f
+        # Contract on its own, from factors no expansion produced.
+        given_factors = products.ProductExpansion(
+            QFUNC, tuple(RatFunc(c, qfact(n)) for n, c in enumerate(g[1:], start=1)))
+        assert as_qfunc_series(dp_contract(g[1:])) == products.contract(given_factors)
+
+    def test_requires_unit_constant(self):
+        with pytest.raises(ValueError):
+            dp_log((IntPoly(2), P_ONE))
+        with pytest.raises(ValueError):
+            dp_expand((IntPoly(2), P_ONE))
+
+    def test_expq_factors_are_c_q(self):
+        # For exp_q, G_n = [n]! e_n(q) = c_n(q).
+        assert list(dp_expand((P_ONE,) * 25)) == c_q_seq(24)
+
+
 @pytest.fixture
 def fresh_q_caches():
     """Empty the q-sequence caches before and after the test, so that a
@@ -376,3 +436,45 @@ class TestGcdKernelFaults:
         monkeypatch.setattr(rings, "_primitive_gcd", lambda a, b: (P_ONE, a, b))
         with pytest.raises(ConsistencyError, match=r"r_2\(q\) did not reduce to a polynomial"):
             c_q_seq(6)
+
+
+class TestDividedPowerFaults:
+    """Planted faults that the divided-power oracle must turn into FAIL."""
+
+    @staticmethod
+    def failures(capsys) -> list:
+        return [line.split(" |")[0].strip() for line in capsys.readouterr().out.splitlines()
+                if line.startswith("  FAIL")]
+
+    def test_wrong_e7_fails_the_oracle(self, monkeypatch, capsys, fresh_q_caches):
+        # c_7(q) + q in place of c_7(q): e_7(q) + q/[7]!.
+        original, extra = qsequences._e_q, RatFunc(Q, qfact(7))
+        monkeypatch.setattr(qsequences, "_e_q",
+                            lambda n: original(n) + extra if n == 7 else original(n))
+        assert cli.main(["verify", "roundtrip"]) == 1
+        assert self.failures(capsys) == ["FAIL e-q-oracle [n=7]"]
+
+    @pytest.fixture
+    def wrong_q_binomial_6_3(self, monkeypatch, fresh_q_caches):
+        # [6, 3] + q in the q-Pascal row 6; the rows above it are built
+        # from it by the q-Pascal rule.  fresh_q_caches empties the qbinom
+        # cache of the wrong values afterwards.
+        row_rule = qsequences._q_pascal_row.__wrapped__
+
+        @functools.cache
+        def planted(n):
+            row = row_rule(n)
+            return row[:3] + (row[3] + Q,) + row[4:] if n == 6 else row
+
+        monkeypatch.setattr(qsequences, "_q_pascal_row", planted)
+
+    @pytest.mark.parametrize("suite, first_failure", [
+        ("roundtrip", "FAIL e-q-oracle [n=6]"),
+        ("eq18", "FAIL product-coefficient [n=6]"),
+        ("eq21", "FAIL log-coefficient [n=6]"),
+    ])
+    def test_wrong_q_binomial_fails_the_suite(self, wrong_q_binomial_6_3, capsys, suite,
+                                              first_failure):
+        assert qbinom(6, 3) != quotient_qbinom(6, 3)
+        assert cli.main(["verify", suite]) == 1
+        assert self.failures(capsys)[0] == first_failure

@@ -1,6 +1,8 @@
 """Exact ring arithmetic: polynomials, rational functions, quotients."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -416,7 +418,7 @@ class TestSuitesNoticeAWordSlotFault:
     # cor44, thm41, and eq26/eq28 at their default sizes.
     @pytest.mark.parametrize("command, notice", [
         ("verify roundtrip --max-n 18", "FAIL e-q-oracle"),
-        ("verify roundtrip", "FAIL E-q-oracle"),
+        ("verify roundtrip", "FAIL e-q-oracle"),
         ("verify eq18", "FAIL product-coefficient"),
         ("verify eq21 --max-n 16", "FAIL log-coefficient"),
         ("verify thm43", "consistency violation"),
@@ -431,6 +433,41 @@ class TestSuitesNoticeAWordSlotFault:
         assert flipped_word_digit
         captured = capsys.readouterr()
         assert notice in captured.out + captured.err
+
+
+# Run in a child process: every word-slot IntPoly product (an _unpack called
+# from IntPoly.__mul__ with a slot of 1, 2, 4 or 8 bytes) comes back with the
+# sign of its lowest nonzero digit flipped.
+EVERY_PRODUCT_WRONG = """
+import sys
+from ppx import cli, rings
+
+unpack = rings._unpack
+
+
+def flipped(value, n, w):
+    digits = unpack(value, n, w)
+    if sys._getframe(1).f_code.co_name == "__mul__" and w in rings._WORD_CODES and any(digits):
+        i = next(i for i, d in enumerate(digits) if d)
+        digits[i] = -digits[i]
+    return digits
+
+
+rings._unpack = flipped
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", [
+    "verify eq21 --max-n 16", "verify eq18", "verify roundtrip --max-n 18"])
+def test_suite_fed_wrong_products_fails_in_bounded_time(command):
+    # A wrong ring kernel must end in FAIL or a consistency violation, not
+    # in a gcd or division on ever larger integers: each exits 1 within 30 s
+    # (subprocess.run raises TimeoutExpired otherwise).
+    done = subprocess.run([sys.executable, "-c", EVERY_PRODUCT_WRONG, *command.split()],
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 1, done.stderr
+    assert "FAIL" in done.stdout or "consistency violation" in done.stderr
 
 
 def test_failed_exact_division_is_a_consistency_violation(monkeypatch, capsys):

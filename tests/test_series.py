@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppx.qsequences import cap_expq_series, expq_series, qfact, qint
+from ppx.qsequences import qfact, qint
 from ppx.rings import QQ, RatFunc, IntPoly, P_ONE, ZZ
 from ppx.sequences import exp_series
 from ppx.series import TruncatedSeries
+from qfunc_series import cap_expq_series, expq_series
 
 
 def qq_series(coeffs):
