@@ -13,7 +13,7 @@ The ``ppx`` command line exposes the sequences (``ppx seq``), the
 verification suites (``ppx verify``), and the matrices (``ppx pascal``).
 """
 
-from .products import ProductExpansion, contract, expand
+from .products import contract, expand
 from .rings import (
     ConsistencyError,
     InexactDivisionError,

@@ -22,19 +22,18 @@ Setting q = 1 recovers the classical sequences, q = 0 the dyadic
 pattern of 1/(1-x) = prod (1 + x^(2^k)), and reduction mod q^2 a closed-form
 expansion checked over the ring Z[q]/(q^2) with no division at all.
 
-The suites check e_n(q), E_n(q) and the log in the divided-power basis, where
-(F_0, ..., F_N) in Z[q] is sum F_k x^k/[k]! (Hurwitz series; Keigher, Comm.
-Algebra 25, 1997): F_k = 1 for exp_q, q^C(k,2) for Exp_q, (-1)^k for exp_q(-x).
-There (F G)_n = sum_k [n, k] F_k G_(n-k), log f = sum M_n x^n/(n [n]!) with
-M_n = n F_n - sum_{0<k<n} [n, k] M_k F_(n-k), and f = prod (1 + G_n x^n/[n]!)
-with G_n = F_n - B_n, then B_k += [k, n] G_n B_(k-n) for k = N..n: all in Z[q].
+The suites check e_n(q), E_n(q) and the log with ``TruncatedSeries`` over
+Z[q] in the divided-power basis of ``qbinom``, sum F_k x^k/[k]! (Keigher,
+Comm. Algebra 25, 1997): F_k = 1 for exp_q, q^C(k,2) for Exp_q, (-1)^k for
+exp_q(-x).  There the log, the product expansion (G_n = c_n(q) for exp_q) and
+its contraction stay in Z[q], and each reported coefficient is reduced once,
+as ``RatFunc(G_n, [n]!)``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 from . import products, sequences
 from .report import Report
@@ -45,7 +44,8 @@ from .rings import (
     P_ONE,
     P_ZERO,
     Q,
-    QQ,
+    ZX,
+    ZZ,
     QuotientElem,
     QuotientRing,
     RatFunc,
@@ -105,53 +105,6 @@ def qbinom(n: int, k: int) -> IntPoly:
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
     return _q_pascal_row(n)[k]
-
-
-# ---------------------------------------------------------------------------
-# Series in the divided-power basis over Z[q] (see the module docstring)
-
-
-def dp_mul(f: tuple, g: tuple) -> tuple:
-    """(F G)_n = sum_k [n, k] F_k G_(n-k)."""
-    return tuple(sum((qbinom(n, k) * f[k] * g[n - k] for k in range(n + 1)
-                      if f[k] and g[n - k]), P_ZERO) for n in range(len(f)))
-
-
-def dp_log(f: tuple) -> tuple:
-    """M_n = n [n]! L_n for L = log f: the recurrence of TruncatedSeries.log times [n]!."""
-    if f[0] != P_ONE:
-        raise ValueError("log requires constant term 1")
-    m = [P_ZERO]
-    for n in range(1, len(f)):
-        m.append(f[n] * n - sum((qbinom(n, k) * m[k] * f[n - k] for k in range(1, n)
-                                 if m[k] and f[n - k]), P_ZERO))
-    return tuple(m)
-
-
-def _dp_times_factor(partial: list, n: int, g: IntPoly) -> None:
-    # partial *= 1 + g x^n/[n]!; k descends, so each B_(k-n) read is the old one.
-    for k in range(len(partial) - 1, n - 1, -1):
-        if g and partial[k - n]:
-            partial[k] = partial[k] + qbinom(k, n) * g * partial[k - n]
-
-
-def dp_expand(f: tuple) -> tuple:
-    """G_1..G_N with f = prod (1 + G_n x^n/[n]!), found as products.expand finds g_n."""
-    if f[0] != P_ONE:
-        raise ValueError("power product expansion requires constant term 1")
-    partial, factors = [P_ONE] + [P_ZERO] * (len(f) - 1), []
-    for n in range(1, len(f)):
-        factors.append(f[n] - partial[n])
-        _dp_times_factor(partial, n, factors[-1])
-    return tuple(factors)
-
-
-def dp_contract(factors: tuple) -> tuple:
-    """prod (1 + G_n x^n/[n]!) truncated at N = len(factors)."""
-    partial = [P_ONE] + [P_ZERO] * len(factors)
-    for n, g in enumerate(factors, start=1):
-        _dp_times_factor(partial, n, g)
-    return tuple(partial)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +323,18 @@ def mod_q2_expansion(n_max: int) -> list:
     """Expansion factors of exp_q(x) over Z[q]/(q^2), by pure ring ops."""
     if n_max < 1:
         raise ValueError("need N >= 1")
-    return list(products.expand(expq_series_mod_q2(n_max)).factors)
+    return list(products.expand(expq_series_mod_q2(n_max)))
+
+
+def _expq_series(order: int) -> TruncatedSeries:
+    """exp_q(x) = sum x^k/[k]! in the divided-power basis over Z[q]: F_k = 1."""
+    return TruncatedSeries(ZX, [P_ONE] * (order + 1), qbinom)
+
+
+def _cap_expq_series(order: int) -> TruncatedSeries:
+    """Exp_q(x) = sum q^C(k,2) x^k/[k]!: F_k = q^C(k,2)."""
+    return TruncatedSeries(ZX, [IntPoly.monomial(1, math.comb(k, 2))
+                                for k in range(order + 1)], qbinom)
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +356,12 @@ def check_odd_symmetry(n_max: int) -> Report:
 
 
 def check_reciprocal_identity(order: int) -> Report:
-    """exp_q(-x) * Exp_q(x) = 1, the product by dp_mul with coefficients P_n/[n]!."""
+    """exp_q(-x) * Exp_q(x) = 1, multiplied in the divided-power basis: P_n/[n]!."""
     if order < 1:
         raise ValueError("need N >= 1")
     rep = Report("eq18")
-    cap_expq = tuple(IntPoly.monomial(1, math.comb(k, 2)) for k in range(order + 1))
-    product = dp_mul(tuple(IntPoly((-1) ** k) for k in range(order + 1)), cap_expq)
+    product = (TruncatedSeries(ZX, [IntPoly((-1) ** k) for k in range(order + 1)], qbinom)
+               * _cap_expq_series(order)).coeffs
     for n in range(order + 1):
         expected = RatFunc(1 if n == 0 else 0)
         found = RatFunc(product[n], qfact(n))
@@ -407,19 +371,19 @@ def check_reciprocal_identity(order: int) -> Report:
         flipped = RatFunc(P_ONE, qfact(n)).subst_inverse()
         cap = RatFunc(IntPoly.monomial(1, math.comb(n, 2)), qfact(n))
         rep.add("q-inverse-coefficient", {"n": n}, flipped == cap, str(cap), str(flipped))
-    classical = TruncatedSeries(QQ, [Fraction(1, math.factorial(n)) for n in range(order + 1)])
-    ok = classical.negate_argument() * classical == TruncatedSeries.one(QQ, order)
+    classical = sequences.exp_series(order, -1) * sequences.exp_series(order)
+    ok = classical == TruncatedSeries(ZZ, [1] + [0] * order, math.comb)
     rep.add("q1-specialization", {"N": order}, ok, "exp(-x) exp(x) == 1",
             "as expected" if ok else "mismatch")
     return rep
 
 
 def check_log_coeffs(n_max: int) -> Report:
-    """Coefficient n of log exp_q(x), M_n/(n [n]!) by dp_log, is (1-q)^(n-1)/(n [n])."""
+    """Coefficient n of log exp_q(x), M_n/(n [n]!) from the series log, is (1-q)^(n-1)/(n [n])."""
     if n_max < 1:
         raise ValueError("need N >= 1")
     rep = Report("eq21")
-    logs = dp_log((P_ONE,) * (n_max + 1))
+    logs = _expq_series(n_max).log().coeffs
     for n in range(1, n_max + 1):
         expected = RatFunc(IntPoly((1, -1)) ** (n - 1), qint(n) * n)
         found = RatFunc(logs[n], qfact(n) * n)
@@ -488,19 +452,18 @@ def check_mod_q2(n_max: int) -> Report:
 
 
 def check_q_oracle(n_max: int) -> Report:
-    """The q-recursions against dp_expand of exp_q and Exp_q (factor n is G_n/[n]!)."""
+    """The q-recursions against the expansions of exp_q and Exp_q (factor n is G_n/[n]!)."""
     if n_max < 1:
         raise ValueError("need N >= 1")
     rep = Report("roundtrip-q")
-    cap_expq = tuple(IntPoly.monomial(1, math.comb(k, 2)) for k in range(n_max + 1))
     for check_id, roundtrip_id, name, series, recursion in (
-            ("e-q-oracle", "expq-roundtrip", "exp_q", (P_ONE,) * (n_max + 1), _e_q),
-            ("E-q-oracle", "cap-expq-roundtrip", "Exp_q", cap_expq, _cap_e_q)):
-        factors = dp_expand(series)
+            ("e-q-oracle", "expq-roundtrip", "exp_q", _expq_series(n_max), _e_q),
+            ("E-q-oracle", "cap-expq-roundtrip", "Exp_q", _cap_expq_series(n_max), _cap_e_q)):
+        factors = products.expand(series)
         for n in range(1, n_max + 1):
             found = RatFunc(factors[n - 1], qfact(n))
             rep.add(check_id, {"n": n}, found == recursion(n), str(recursion(n)), str(found))
-        ok = dp_contract(factors) == series
+        ok = products.contract(factors, ZX, qbinom) == series
         rep.add(roundtrip_id, {"N": n_max}, ok, f"contract(expand({name})) == {name}",
                 "as expected" if ok else "mismatch")
     return rep

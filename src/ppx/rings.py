@@ -29,11 +29,11 @@ integers that ``array`` converts in one C call.  A quotient is accepted only
 when a bound on its digits proves it exact; otherwise, and for smaller
 operands, the schoolbook loops decide.
 
-The ring singletons at the bottom (``ZZ``, ``QQ``, ``ZX``) are the
-coefficient-ring protocol of the generic series, expansion and matrix code:
-``zero``, ``one`` and, on the rings that code divides in, ``div_int``, the
-exact division by an integer (``ZZ`` for matrices, ``QQ`` for series
-logarithms); elements do the rest through their operators.  A
+The ring singletons at the bottom (``ZZ``, ``ZX``) are the coefficient-ring
+protocol of the generic series, expansion and matrix code: ``zero``, ``one``
+and, on ``ZZ``, ``div_int``, the exact division by an integer that the matrix
+code needs (series and expansions divide nowhere); elements do the rest
+through their operators and are false exactly when zero.  A
 :class:`QuotientRing` instance provides ``zero`` and ``one`` for its own
 elements and no ``div_int`` (the only units inverted in a quotient ring are
 those mod q^2, by ``ppx.qsequences.mod_q2_inverse``).
@@ -854,6 +854,9 @@ class QuotientElem:
     def __hash__(self):
         return hash(("QuotientElem", self.ring.modulus.coeffs, self.rep.coeffs))
 
+    def __bool__(self):
+        return bool(self.rep)
+
     def __repr__(self):
         return f"QuotientElem({self.rep!r} mod {self.ring.modulus!r})"
 
@@ -880,18 +883,6 @@ class _IntegerRing:
         return "ZZ"
 
 
-class _RationalField:
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def div_int(a: Fraction, n: int) -> Fraction:
-        return a / n
-
-    def __repr__(self):
-        return "QQ"
-
-
 class _PolyRing:
     zero = P_ZERO
     one = P_ONE
@@ -901,7 +892,6 @@ class _PolyRing:
 
 
 ZZ = _IntegerRing()
-QQ = _RationalField()
 ZX = _PolyRing()
 
 

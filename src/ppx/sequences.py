@@ -19,7 +19,8 @@ Attached to them are
 
 Integrality and divisibility are asserted at every step, never assumed; a
 violation raises :class:`~ppx.rings.ConsistencyError`.  The construction is
-cross-checked against the generic product-expansion extraction, which keeps
+cross-checked against the generic product-expansion extraction of exp(x) in
+the divided-power basis over Z, whose factors are the c_n = n! e_n: it keeps
 the closed recursions honest.
 """
 
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 from . import products
 from .report import Report
-from .rings import QQ, ConsistencyError
+from .rings import ZZ, ConsistencyError
 from .series import TruncatedSeries
 
 
@@ -93,9 +94,10 @@ def primes_up_to(n: int) -> list:
 # The sequences
 
 
-def exp_series(order: int) -> TruncatedSeries:
-    """exp(x) truncated at the given order, over exact rationals."""
-    return TruncatedSeries(QQ, [Fraction(1, math.factorial(n)) for n in range(order + 1)])
+def exp_series(order: int, sign: int = 1) -> TruncatedSeries:
+    """exp(sign x) truncated at the given order, in the divided-power basis
+    over Z: F_k = sign^k stands for sign^k x^k/k!."""
+    return TruncatedSeries(ZZ, [sign ** k for k in range(order + 1)], math.comb)
 
 
 @functools.cache
@@ -161,9 +163,9 @@ def _r(n: int) -> int:
 @functools.cache
 def _a_oracle_checked(n_max: int) -> bool:
     # The generic expansion of exp(-x) must reproduce a_n = (-1)^n e_n.
-    expansion = products.expand(exp_series(n_max).negate_argument())
+    factors = products.expand(exp_series(n_max, -1))
     for n in range(1, n_max + 1):
-        if expansion.factor(n) != _a(n):
+        if Fraction(factors[n - 1], math.factorial(n)) != _a(n):
             raise ConsistencyError(
                 f"a_{n} disagrees with the product-expansion oracle"
             )
@@ -298,20 +300,15 @@ def check_oracle_roundtrip(n_max: int) -> Report:
     if n_max < 1:
         raise ValueError("need N >= 1")
     rep = Report("roundtrip")
-    f = exp_series(n_max)
-    expansion = products.expand(f)
-    for n in range(1, n_max + 1):
-        rep.add("e-oracle", {"n": n}, expansion.factor(n) == _e(n),
-                str(_e(n)), str(expansion.factor(n)))
-    ok = products.contract(expansion) == f
-    rep.add("exp-roundtrip", {"N": n_max}, ok,
-            "contract(expand(exp)) == exp", "as expected" if ok else "mismatch")
-    g = f.negate_argument()
-    neg_expansion = products.expand(g)
-    for n in range(1, n_max + 1):
-        rep.add("a-oracle", {"n": n}, neg_expansion.factor(n) == _a(n),
-                str(_a(n)), str(neg_expansion.factor(n)))
-    ok = products.contract(neg_expansion) == g
-    rep.add("exp-neg-roundtrip", {"N": n_max}, ok,
-            "contract(expand(exp(-x))) == exp(-x)", "as expected" if ok else "mismatch")
+    for check_id, roundtrip_id, name, sign, recursion in (
+            ("e-oracle", "exp-roundtrip", "exp", 1, _e),
+            ("a-oracle", "exp-neg-roundtrip", "exp(-x)", -1, _a)):
+        f = exp_series(n_max, sign)
+        factors = products.expand(f)  # factor n is G_n/n!
+        for n in range(1, n_max + 1):
+            found = Fraction(factors[n - 1], math.factorial(n))
+            rep.add(check_id, {"n": n}, found == recursion(n), str(recursion(n)), str(found))
+        ok = products.contract(factors, ZZ, math.comb) == f
+        rep.add(roundtrip_id, {"N": n_max}, ok, f"contract(expand({name})) == {name}",
+                "as expected" if ok else "mismatch")
     return rep

@@ -1,36 +1,38 @@
-"""Truncated formal power series over a pluggable exact coefficient ring.
+"""Truncated formal power series over an exact coefficient ring, in a basis.
 
-A series carries its truncation order; every binary operation requires equal
-orders so that silent precision loss cannot happen.  The coefficient ring is
-one of the protocol objects from :mod:`ppx.rings` (``QQ``, ``ZX``, ``ZZ``, or a
-``QuotientRing`` instance); coefficients themselves do their own arithmetic
-through operators.
+(F_0, ..., F_N) stands for sum F_k x^k/d_k, and the basis enters only through
+the weights binom(n, k) = d_n/(d_k d_(n-k)): ``None`` for d_k = 1,
+``math.comb`` for k! and ``ppx.qsequences.qbinom`` for [k]!, the last two the
+divided-power (Hurwitz series) basis of Keigher (Comm. Algebra 25, 1997).
+Every binary operation requires equal orders, rings and bases, so that silent
+precision loss cannot happen.  The ring (``ZZ``, ``ZX`` or a ``QuotientRing``
+from :mod:`ppx.rings`) gives ``zero`` and ``one``; coefficients do their own
+arithmetic through operators and are false exactly when zero.
 """
 
 from __future__ import annotations
 
 
 class TruncatedSeries:
-    """Coefficients a_0..a_N of a formal power series, exact, truncated at N.
+    """Coefficients F_0..F_N of sum F_k x^k/d_k, exact, truncated at N.
 
-    >>> from ppx.rings import QQ
-    >>> from fractions import Fraction
-    >>> f = TruncatedSeries(QQ, [Fraction(1), Fraction(1), Fraction(0)])
-    >>> (f * f).coeffs
-    (Fraction(1, 1), Fraction(2, 1), Fraction(1, 1))
+    >>> import math
+    >>> from ppx.rings import ZZ
+    >>> exp = TruncatedSeries(ZZ, [1, 1, 1, 1], math.comb)
+    >>> (exp * exp).coeffs
+    (1, 2, 4, 8)
+    >>> exp.log().coeffs
+    (0, 1, 0, 0)
     """
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "coeffs", "binom")
 
-    def __init__(self, ring, coeffs):
+    def __init__(self, ring, coeffs, binom=None):
         self.ring = ring
         self.coeffs = tuple(coeffs)
+        self.binom = binom
         if not self.coeffs:
             raise ValueError("a series carries at least its constant term")
-
-    @classmethod
-    def one(cls, ring, order: int) -> "TruncatedSeries":
-        return cls(ring, [ring.one] + [ring.zero] * order)
 
     @property
     def order(self) -> int:
@@ -39,74 +41,57 @@ class TruncatedSeries:
     def _require_compatible(self, other: "TruncatedSeries"):
         if not isinstance(other, TruncatedSeries):
             raise TypeError("expected a TruncatedSeries")
-        if self.ring != other.ring:
-            raise ValueError(f"mixing coefficient rings {self.ring!r} and {other.ring!r}")
-        if self.order != other.order:
-            raise ValueError(
-                f"mixing truncation orders {self.order} and {other.order}"
-            )
+        for what, mine, theirs in (("coefficient rings", self.ring, other.ring),
+                                   ("bases", self.binom, other.binom),
+                                   ("truncation orders", self.order, other.order)):
+            if mine != theirs:
+                raise ValueError(f"mixing {what} {mine!r} and {theirs!r}")
 
     # -- ring operations ------------------------------------------------------
 
     def __mul__(self, other):
-        """Cauchy product truncated at the common order."""
+        """(F G)_n = sum_k binom(n, k) F_k G_(n-k), truncated at the common order."""
         self._require_compatible(other)
-        ring = self.ring
-        n = self.order
-        out = [ring.zero] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == ring.zero:
-                continue
-            for j in range(n - i + 1):
-                b = other.coeffs[j]
-                if b == ring.zero:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(ring, out)
+        f, g, binom = self.coeffs, other.coeffs, self.binom
+        out = []
+        for n in range(len(f)):
+            acc = self.ring.zero
+            for k in range(n + 1):
+                a, b = f[k], g[n - k]
+                if a and b:
+                    acc = acc + (a * b if binom is None else binom(n, k) * a * b)
+            out.append(acc)
+        return TruncatedSeries(self.ring, out, binom)
 
     def log(self) -> "TruncatedSeries":
-        """Logarithm L of a series f with constant term 1.
+        """x (log f)' for a series f with F_0 = 1, in f's ring and basis.
 
-        From f' = f L', the coefficients obey
-        n L_n = n f_n - sum_{k<n} (k L_k) f_(n-k), which takes O(N^2)
-        coefficient products (Brent and Kung, JACM 1978) where summing the
-        powers (f-1)^d / d takes O(N^3).  Needs exact division by the
-        integers 1..N in the coefficient ring, so it is meant for rational
-        coefficients; ``ppx.qsequences.dp_log`` runs it over Z[q].
+        Its coefficients are M_n = n d_n L_n for log f = sum L_n x^n.  From
+        x f' = f x (log f)', they obey
+        M_n = n F_n - sum_{0<k<n} binom(n, k) M_k F_(n-k): O(N^2) coefficient
+        products (Brent and Kung, JACM 1978) where summing the powers
+        (f-1)^j / j takes O(N^3), and no division.
         """
-        ring = self.ring
-        f = self.coeffs
+        ring, f, binom = self.ring, self.coeffs, self.binom
         if f[0] != ring.one:
             raise ValueError("log requires constant term 1")
-        zero = ring.zero
-        scaled = [zero]  # k L_k
-        total = [zero]
+        m = [ring.zero]
         for n in range(1, len(f)):
             acc = f[n] * n
             for k in range(1, n):
-                a, b = scaled[k], f[n - k]
-                if a != zero and b != zero:
-                    acc = acc - a * b
-            scaled.append(acc)
-            total.append(ring.div_int(acc, n))
-        return TruncatedSeries(ring, total)
-
-    def negate_argument(self) -> "TruncatedSeries":
-        """The series f(-x): flip the sign of every odd coefficient."""
-        return TruncatedSeries(
-            self.ring,
-            (c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs)),
-        )
+                a, b = m[k], f[n - k]
+                if a and b:
+                    acc = acc - (a * b if binom is None else binom(n, k) * a * b)
+            m.append(acc)
+        return TruncatedSeries(ring, m, binom)
 
     # -- comparisons ------------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.ring, self.coeffs))
+        return (self.ring == other.ring and self.binom == other.binom
+                and self.coeffs == other.coeffs)
 
     def __repr__(self):
-        return f"TruncatedSeries({self.ring!r}, {list(self.coeffs)!r})"
+        return f"TruncatedSeries({self.ring!r}, {list(self.coeffs)!r}, {self.binom!r})"

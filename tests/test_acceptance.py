@@ -130,10 +130,12 @@ def test_criterion_3_p4_factorization(capsys):
 def test_criterion_4_oracle_equivalence():
     with criterion(4, "oracle-equivalence", 60.0):
         n = 14
-        assert list(products.expand(exp_series(n)).factors) == e_seq(n)
-        assert list(products.expand(exp_series(n).negate_argument()).factors) == a_seq(n)
-        assert list(products.expand(expq_series(n)).factors) == e_q_seq(n)
-        assert list(products.expand(cap_expq_series(n)).factors) == cap_e_q_seq(n)
+        for sign, expected in ((1, e_seq(n)), (-1, a_seq(n))):
+            factors = products.expand(exp_series(n, sign))  # G_k = k! g_k
+            assert [Fraction(g, math.factorial(k))
+                    for k, g in enumerate(factors, start=1)] == expected
+        assert list(products.expand(expq_series(n))) == e_q_seq(n)
+        assert list(products.expand(cap_expq_series(n))) == cap_e_q_seq(n)
 
 
 def test_criterion_5_property_suites():

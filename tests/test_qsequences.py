@@ -23,10 +23,6 @@ from ppx.qsequences import (
     check_odd_symmetry,
     check_q_oracle,
     check_reciprocal_identity,
-    dp_contract,
-    dp_expand,
-    dp_log,
-    dp_mul,
     e_q_seq,
     mod_q2_closed_form,
     mod_q2_expansion,
@@ -38,8 +34,9 @@ from ppx.qsequences import (
     u_q_seq,
 )
 from ppx.rings import ConsistencyError, IntPoly, P_ONE, P_ZERO, Q, RatFunc
-from ppx.sequences import c_seq, divisors, e_seq, is_prime, r_seq, u_seq
-from qfunc_series import QFUNC, as_qfunc_series, cap_expq_series, expq_series
+from ppx.sequences import c_seq, divisors, e_seq, exp_series, is_prime, r_seq, u_seq
+from ppx.series import TruncatedSeries
+from qfunc_series import cap_expq_series, expq_series
 
 
 def stack_depth() -> int:
@@ -276,15 +273,13 @@ class TestReciprocal:
         assert check_reciprocal_identity(8).passed
 
     def test_first_coefficient_cancels(self):
-        product = expq_series(4).negate_argument() * cap_expq_series(4)
+        product = expq_series(4, -1) * cap_expq_series(4)
         assert product.coeffs[1] == RatFunc(0)
 
     def test_q1_specialization(self):
-        from ppx.rings import QQ
-        from ppx.series import TruncatedSeries
-
-        exp = TruncatedSeries(QQ, [Fraction(1, math.factorial(n)) for n in range(9)])
-        assert exp.negate_argument() * exp == TruncatedSeries.one(QQ, 8)
+        # exp(-x) exp(x) = 1 in the k! basis over Z.
+        product = exp_series(8, -1) * exp_series(8)
+        assert product == TruncatedSeries(rings.ZZ, [1] + [0] * 8, math.comb)
 
 
 class TestPrimeClosedForm:
@@ -331,9 +326,9 @@ class TestLogCoefficients:
         assert check_log_coeffs(12).passed
 
     def test_explicit(self):
-        logs = expq_series(6).log()
+        logs = expq_series(6).log()  # weight 1 over Q(q): M_n = n L_n
         for n in range(1, 7):
-            assert logs.coeffs[n] == RatFunc(IntPoly((1, -1)) ** (n - 1), qint(n) * n)
+            assert logs.coeffs[n] / n == RatFunc(IntPoly((1, -1)) ** (n - 1), qint(n) * n)
 
 
 class TestQOracle:
@@ -341,66 +336,28 @@ class TestQOracle:
         assert check_q_oracle(14).passed
 
     def test_direct(self):
-        expansion = products.expand(expq_series(10))
-        assert list(expansion.factors) == e_q_seq(10)
-        cap_expansion = products.expand(cap_expq_series(10))
-        assert list(cap_expansion.factors) == cap_e_q_seq(10)
+        assert list(products.expand(expq_series(10))) == e_q_seq(10)
+        assert list(products.expand(cap_expq_series(10))) == cap_e_q_seq(10)
 
 
-# Divided-power series (F_0, ..., F_N) with F_0 = 1 and small Z[q] tails,
-# at orders 1..8, in pairs of one order.
-small_zq = st.builds(IntPoly, st.lists(st.integers(-3, 3), max_size=4))
-
-
-def dp_series(order: int):
-    return st.lists(small_zq, min_size=order, max_size=order).map(lambda tail: (P_ONE, *tail))
-
-
-dp_any = st.integers(1, 8).flatmap(dp_series)
-dp_pairs = st.integers(1, 8).flatmap(lambda n: st.tuples(dp_series(n), dp_series(n)))
+def expq_series_over_zq(order: int, constant=P_ONE) -> TruncatedSeries:
+    """exp_q(x) in the divided-power basis over Z[q], with F_0 = constant."""
+    return TruncatedSeries(rings.ZX, [constant] + [P_ONE] * order, qbinom)
 
 
 class TestDividedPowerKernel:
-    """dp_mul, dp_log and dp_expand/dp_contract against TruncatedSeries
-    arithmetic and products.expand/contract over rational functions in q."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(dp_pairs)
-    def test_mul_matches_qfunc_product(self, pair):
-        f, g = pair
-        assert as_qfunc_series(dp_mul(f, g)) == as_qfunc_series(f) * as_qfunc_series(g)
-
-    @settings(max_examples=40, deadline=None)
-    @given(dp_any)
-    def test_log_matches_qfunc_log(self, f):
-        m = dp_log(f)
-        logs = as_qfunc_series(f).log().coeffs
-        assert m[0] == P_ZERO
-        assert [RatFunc(m[n], qfact(n) * n) for n in range(1, len(f))] == list(logs[1:])
-
-    @settings(max_examples=40, deadline=None)
-    @given(dp_pairs)
-    def test_expand_and_contract_match_qfunc(self, pair):
-        f, g = pair
-        factors = dp_expand(f)
-        expansion = products.expand(as_qfunc_series(f))
-        assert [RatFunc(c, qfact(n)) for n, c in enumerate(factors, start=1)] == list(
-            expansion.factors)
-        assert dp_contract(factors) == f
-        # Contract on its own, from factors no expansion produced.
-        given_factors = products.ProductExpansion(
-            QFUNC, tuple(RatFunc(c, qfact(n)) for n, c in enumerate(g[1:], start=1)))
-        assert as_qfunc_series(dp_contract(g[1:])) == products.contract(given_factors)
+    """The series kernel in the basis of qbinom; its product, log, expansion
+    and contraction meet the schoolbook reference in test_weighted_series."""
 
     def test_requires_unit_constant(self):
         with pytest.raises(ValueError):
-            dp_log((IntPoly(2), P_ONE))
+            expq_series_over_zq(1, IntPoly(2)).log()
         with pytest.raises(ValueError):
-            dp_expand((IntPoly(2), P_ONE))
+            products.expand(expq_series_over_zq(1, IntPoly(2)))
 
     def test_expq_factors_are_c_q(self):
         # For exp_q, G_n = [n]! e_n(q) = c_n(q).
-        assert list(dp_expand((P_ONE,) * 25)) == c_q_seq(24)
+        assert list(products.expand(expq_series_over_zq(24))) == c_q_seq(24)
 
 
 @pytest.fixture

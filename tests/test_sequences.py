@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ppx import products
+from ppx import cli, products, qsequences, rings, sequences
 from ppx.sequences import (
     a_seq,
     c_seq,
@@ -150,8 +150,10 @@ class TestCrossIdentities:
 
 class TestOracle:
     def test_e_matches_expansion_to_24(self):
-        expansion = products.expand(exp_series(24))
-        assert list(expansion.factors) == e_seq(24)
+        factors = products.expand(exp_series(24))  # G_n = n! e_n
+        assert list(factors) == c_seq(24)
+        assert [Fraction(g, math.factorial(n))
+                for n, g in enumerate(factors, start=1)] == e_seq(24)
 
     def test_roundtrip_report(self):
         assert check_oracle_roundtrip(14).passed
@@ -160,3 +162,61 @@ class TestOracle:
         table = [seq(8) for seq in (e_seq, c_seq, a_seq, u_seq, r_seq)]
         assert tuple(table[1]) == (1, 1, -2, 9, -24, 130, -720, 8505)
         assert all(len(values) == 8 for values in table)
+
+
+@pytest.fixture
+def planted_c5(monkeypatch):
+    """c_5 + 1 = -23 in place of c_5 = -24, with every sequence cache empty
+    before and after, so that no value computed from it is left behind."""
+
+    def clear():
+        rings.cyclotomic.cache_clear()
+        for module in (sequences, qsequences):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+    original = sequences._c
+    clear()
+    monkeypatch.setattr(sequences, "_c", lambda n: original(n) + (n == 5))
+    yield
+    monkeypatch.undo()
+    clear()
+
+
+FAILS_A_CHECK = {"cor44": "FAIL coprime-congruence [n=5 p=2]",
+                 "pascal": "FAIL factor-recovery [n=6]",
+                 "pascal-m": "FAIL m1-reduction [n=12]"}
+# r_5, directly or through r_5(q) at q = 1, asserts r_5 5! = c_5 u_5.
+STOPS_ON_A_VIOLATION = ["closed-forms", "thm41", "thm42", "thm43", "qpascal"]
+# Blind spots: kolberg reads e_n and a_n only; borwein-lou's bound
+# |c_5| <= 4! = 24 still holds for |c_5 + 1| = 23; divisibility reads u_n
+# only; roundtrip compares its expansion, whose G_n are the c_n, with
+# e_n = G_n/n! from the divisor recursion, never with c_n.  The other
+# suites compute no classical c_n at all.
+PASSES = ["kolberg", "borwein-lou", "divisibility", "roundtrip",
+          "eq18", "eq21", "eq26", "eq28", "thm45"]
+
+
+class TestPlantedC5:
+    """Which suites notice a wrong c_5, each at its default size."""
+
+    @pytest.mark.parametrize("suite", FAILS_A_CHECK)
+    def test_fails_a_check(self, planted_c5, capsys, suite):
+        assert cli.main(["verify", suite]) == 1
+        failures = [line.split(" |")[0].strip() for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("  FAIL")]
+        assert failures[0] == FAILS_A_CHECK[suite]
+
+    @pytest.mark.parametrize("suite", STOPS_ON_A_VIOLATION)
+    def test_is_a_consistency_violation(self, planted_c5, capsys, suite):
+        assert cli.main(["verify", suite]) == 1
+        assert capsys.readouterr().err == "consistency violation: r_5 n! != c_5 u_5\n"
+
+    @pytest.mark.parametrize("suite", PASSES)
+    def test_passes(self, planted_c5, capsys, suite):
+        assert cli.main(["verify", suite]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_every_suite_is_pinned(self):
+        assert sorted([*FAILS_A_CHECK, *STOPS_ON_A_VIOLATION, *PASSES]) == sorted(cli.SUITES)
