@@ -12,8 +12,12 @@ factors the (k,0) entry of the partial product forces c_k = 1 - g_{k-1}(k,0).
 That recovery is deliberately independent of the sequence recursion, so the
 agreement of the two is a genuine cross-check.  Each factor is the identity
 plus one band, so it is applied by a unit-band step, not a matrix product.
-All these matrices are lower triangular, so the leading n x n block of the
-N x N factorization is the n x n one: the suites factor once, at n_max.
+All these matrices are lower triangular, and the leading n x n block of a
+product (sum) of such matrices is the product (sum) of their blocks.  So the
+pascal and qpascal suites build the powers of H, the divided powers, their
+sum, exp(H), P and its factorization once, at n_max, and read each n from the
+leading blocks.  pascal-m builds each n anew: a fault in the bottom-left entry
+of a product must show even where n_max puts that entry off every band.
 
 An m-fold variant uses entries C(floor(i/m), k) at (i, i-mk) ("doubled"
 Pascal triangle for m = 2, OEIS A178112), and a q-variant replaces binomials
@@ -58,8 +62,7 @@ class SquareMatrix:
 
     @classmethod
     def identity(cls, ring, n: int) -> "SquareMatrix":
-        one, zero = ring.one, ring.zero
-        return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return _band(ring, n, 0, lambda i: ring.one)
 
     @property
     def n(self) -> int:
@@ -130,9 +133,6 @@ class SquareMatrix:
             return NotImplemented
         return self.ring == other.ring and self.rows == other.rows
 
-    def __hash__(self):
-        return hash((self.ring, self.rows))
-
     def __repr__(self):
         return f"SquareMatrix({self.ring!r}, {self.n}x{self.n})"
 
@@ -146,15 +146,28 @@ class SquareMatrix:
 
 def _div_scalar_exact(matrix: SquareMatrix, d: int) -> SquareMatrix:
     # Divides the nonzero entries only, as scale multiplies them.
-    zero = matrix.ring.zero
-
-    def div(e):
-        return e if e == zero else matrix.ring.div_int(e, d)
-
+    ring = matrix.ring
     try:
-        return matrix.map_entries(div, matrix.ring)
+        return matrix.map_entries(lambda e: e if e == ring.zero else ring.div_int(e, d), ring)
     except ArithmeticError as exc:
         raise ConsistencyError(f"matrix entries not divisible by {d}") from exc
+
+
+def _band(ring, n: int, shift: int, entry) -> SquareMatrix:
+    """The n x n matrix with entry(i) at (i, i - shift) and zeros elsewhere."""
+    return SquareMatrix(ring, [[ring.zero] * n] * min(shift, n) + [
+        [ring.zero] * (i - shift) + [entry(i)] + [ring.zero] * (n - 1 - i + shift)
+        for i in range(shift, n)])
+
+
+def _blockwise(a: SquareMatrix, b: SquareMatrix) -> list:
+    """Entry n (0..a.n) says if the leading n x n blocks of a and b agree: an
+    entry (i, j) where a and b differ is in every block of size n > max(i, j)."""
+    size = a.n
+    for i, (ra, rb) in enumerate(zip(a.rows, b.rows)):
+        if i < size and ra != rb:
+            size = min(size, max(i, next(j for j, (x, y) in enumerate(zip(ra, rb)) if x != y)))
+    return [n <= size for n in range(a.n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -172,31 +185,26 @@ def h_matrix(n: int) -> SquareMatrix:
     """The nilpotent generator with entries i at (i, i-1)."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    return SquareMatrix(ZZ, [[i if i - j == 1 else 0 for j in range(n)] for i in range(n)])
+    return _band(ZZ, n, 1, lambda i: i)
 
 
 def h_nk(n: int, k: int) -> SquareMatrix:
     """The divided power H_n^k / k!, with entries C(i, k) at (i, i-k)."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    return SquareMatrix(
-        ZZ, [[math.comb(i, k) if i - j == k else 0 for j in range(n)] for i in range(n)]
-    )
+    return _band(ZZ, n, k, lambda i: math.comb(i, k))
 
 
 def exp_nilpotent(matrix: SquareMatrix) -> SquareMatrix:
     """exp(M) = sum M^k / k! for a nilpotent integer matrix, all divisions
     exact."""
-    total = SquareMatrix.identity(matrix.ring, matrix.n)
-    power = matrix
-    k = 1
-    while not power.is_zero:
-        if k > matrix.n:
-            raise ConsistencyError("matrix is not nilpotent")
+    total, power = SquareMatrix.identity(matrix.ring, matrix.n), matrix
+    for k in range(1, matrix.n + 1):
+        if power.is_zero:
+            return total
         total = total + _div_scalar_exact(power, math.factorial(k))
         power = power * matrix
-        k += 1
-    return total
+    raise ConsistencyError("matrix is not nilpotent")
 
 
 def _unit_band_step(matrix: SquareMatrix, generator: SquareMatrix, shift: int, c) -> SquareMatrix:
@@ -206,10 +214,10 @@ def _unit_band_step(matrix: SquareMatrix, generator: SquareMatrix, shift: int, c
     at j: the dense product's other terms all have a zero factor, and here every ring
     product has two nonzero ones.  The sums read the row as it was, never an updated entry."""
     matrix._require_compatible(generator)
-    zero = matrix.ring.zero
-    band = [(i, j, g) for i, row in enumerate(generator.rows) for j, g in enumerate(row)
-            if g != zero]
-    if any(i - j != shift for i, j, _ in band):
+    zero, n = matrix.ring.zero, matrix.n
+    band = [(i, i - shift, row[i - shift]) for i, row in enumerate(generator.rows)
+            if 0 <= i - shift < n and row[i - shift] != zero]
+    if sum(row.count(zero) for row in generator.rows) != n * n - len(band):
         raise ConsistencyError(f"generator is nonzero off the band i - j = {shift}")
     if c == zero:
         return matrix
@@ -257,10 +265,7 @@ def h_m_nk(n: int, m: int, k: int) -> SquareMatrix:
     """Entries C(floor(i/m), k) at (i, i - mk)."""
     if n < 1 or m < 1 or k < 0:
         raise ValueError("need n, m >= 1 and k >= 0")
-    return SquareMatrix(
-        ZZ,
-        [[math.comb(i // m, k) if i - j == m * k else 0 for j in range(n)] for i in range(n)],
-    )
+    return _band(ZZ, n, m * k, lambda i: math.comb(i // m, k))
 
 
 def pascal_m(n: int, m: int) -> SquareMatrix:
@@ -268,26 +273,25 @@ def pascal_m(n: int, m: int) -> SquareMatrix:
 
     Sum of the generalized divided powers, exponential of the generator, and
     the factored product with the expansion coefficients c_k must agree; the
-    divided powers must satisfy H_{k-1} H_1 = k H_k.
+    divided powers must satisfy H_{k-1} H_1 = k H_k.  exp(H) is the sum of the
+    H^k / k! = H_k of the power chain, with one more product for H^(k_max+1) = 0.
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     k_max = (n - 1) // m
     powers = [h_m_nk(n, m, k) for k in range(k_max + 1)]
-    generator = powers[1] if k_max >= 1 else h_m_nk(n, m, 1)
-    generator_power = generator
+    generator = generator_power = h_m_nk(n, m, 1)
     for k in range(2, k_max + 1):
         if powers[k - 1] * generator != powers[k].scale(k):
             raise ConsistencyError(f"H^({m})_({n},{k - 1}) H_1 != {k} H_({n},{k})")
         generator_power = generator_power * generator
         if _div_scalar_exact(generator_power, math.factorial(k)) != powers[k]:
             raise ConsistencyError(f"H^k/k! mismatch for m={m}, n={n}, k={k}")
-    total = functools.reduce(SquareMatrix.__add__, powers)
-    if total != exp_nilpotent(generator):
+    if not (generator_power * generator if k_max else generator).is_zero:
         raise ConsistencyError(f"sum of divided powers != exp(H) for m={m}, n={n}")
+    total = functools.reduce(SquareMatrix.__add__, powers)
     if k_max >= 1:
-        cs = sequences.c_seq(k_max)
-        product = SquareMatrix.identity(ZZ, n)
+        cs, product = sequences.c_seq(k_max), SquareMatrix.identity(ZZ, n)
         for k in range(1, k_max + 1):
             product = _unit_band_step(product, powers[k], m * k, cs[k - 1])
         if product != total:
@@ -326,9 +330,7 @@ def q_h(n: int) -> SquareMatrix:
     """The q-generator with entries [i] at (i, i-1)."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    return SquareMatrix(
-        ZX, [[qint(i) if i - j == 1 else P_ZERO for j in range(n)] for i in range(n)]
-    )
+    return _band(ZX, n, 1, qint)
 
 
 def q_h_nk(n: int, k: int) -> SquareMatrix:
@@ -336,11 +338,7 @@ def q_h_nk(n: int, k: int) -> SquareMatrix:
     (i, i-k)."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    return SquareMatrix(
-        ZX,
-        [[qbinom(i, k) if i - j == k and k <= i else P_ZERO for j in range(n)]
-         for i in range(n)],
-    )
+    return _band(ZX, n, k, lambda i: qbinom(i, k))
 
 
 def factor_q_pascal(n: int) -> list:
@@ -359,29 +357,40 @@ def factor_q_pascal(n: int) -> list:
 # Verification suites
 
 
+_SAME, _ZERO = ("as expected", "mismatch"), ("zero", "nonzero")
+
+
+def _power_checks(generator: SquareMatrix, same_at) -> tuple:
+    """For an N x N generator H, per n = 0..N: whether the _blockwise list
+    same_at(k, H^k) holds at n for every k < n, and whether H^n's n-block is 0."""
+    ring, size = generator.ring, generator.n
+    powers = [SquareMatrix.identity(ring, size),
+              *itertools.accumulate([generator] * size, SquareMatrix.__mul__)]
+    same = [same_at(k, power) for k, power in enumerate(powers[:size])]
+    zero = SquareMatrix(ring, [[ring.zero] * size] * size)
+    return ([all(s[n] for s in same[:n]) for n in range(size + 1)],
+            [_blockwise(power, zero)[n] for n, power in enumerate(powers)])
+
+
 def check_pascal(n_max: int) -> Report:
-    """Divided powers, nilpotency, exp identity, and factor recovery for P_n."""
+    """Divided powers, nilpotency, exp identity, and factor recovery for P_n,
+    each n read from leading blocks at n_max; prefix stability factors n_max - 1."""
     if n_max < 2:
         raise ValueError("need n >= 2")
-    rep = Report("pascal")
-    partial, cs = _factor_greedily(ZZ, n_max, n_max - 1, lambda k: h_nk(n_max, k), 1)
+    rep, h, p = Report("pascal"), h_matrix(n_max), pascal_matrix(n_max)
+    divided = [h_nk(n_max, k) for k in range(n_max)]
+    partial, cs = _factor_greedily(ZZ, n_max, n_max - 1, divided.__getitem__, 1)
+    divided_ok, vanishes = _power_checks(h, lambda k, power: _blockwise(
+        _div_scalar_exact(power, math.factorial(k)), divided[k]))
+    summed = _blockwise(functools.reduce(SquareMatrix.__add__, divided), p)
+    expd, factored = _blockwise(exp_nilpotent(h), p), _blockwise(partial, p)
     for n in range(2, n_max + 1):
-        h = h_matrix(n)
-        powers = list(itertools.accumulate([h] * n, SquareMatrix.__mul__,
-                                           initial=SquareMatrix.identity(ZZ, n)))
-        ok = all(_div_scalar_exact(powers[k], math.factorial(k)) == h_nk(n, k) for k in range(n))
-        rep.add("divided-powers", {"n": n}, ok, "H^k/k! == H_(n,k) for k < n",
-                "as expected" if ok else "mismatch")
-        ok = powers[n].is_zero
-        rep.add("nilpotency", {"n": n}, ok, "H^n == 0", "zero" if ok else "nonzero")
-        total = functools.reduce(SquareMatrix.__add__, [h_nk(n, k) for k in range(n)])
-        p = pascal_matrix(n)
-        rep.add("sum-of-divided-powers", {"n": n}, total == p, "P_n",
-                "as expected" if total == p else "mismatch")
-        expd = exp_nilpotent(h)
-        rep.add("matrix-exponential", {"n": n}, expd == p, "P_n",
-                "as expected" if expd == p else "mismatch")
-        if tuple(row[:n] for row in partial.rows[:n]) != p.rows:
+        rep.add("divided-powers", {"n": n}, divided_ok[n], "H^k/k! == H_(n,k) for k < n",
+                _SAME[not divided_ok[n]])
+        rep.add("nilpotency", {"n": n}, vanishes[n], "H^n == 0", _ZERO[not vanishes[n]])
+        rep.add("sum-of-divided-powers", {"n": n}, summed[n], "P_n", _SAME[not summed[n]])
+        rep.add("matrix-exponential", {"n": n}, expd[n], "P_n", _SAME[not expd[n]])
+        if not factored[n]:
             raise ConsistencyError(f"recovered factors do not multiply to P_{n}")
         expected = sequences.c_seq(n - 1)
         rep.add("factor-recovery", {"n": n}, cs[: n - 1] == expected,
@@ -389,7 +398,7 @@ def check_pascal(n_max: int) -> Report:
     prefix_ok = n_max == 2 or _factor_greedily(
         ZZ, n_max - 1, n_max - 2, lambda k: h_nk(n_max - 1, k), 1)[1] == cs[:-1]
     rep.add("factor-prefix-stability", {"n_max": n_max}, prefix_ok,
-            "factors independent of matrix size", "as expected" if prefix_ok else "mismatch")
+            "factors independent of matrix size", _SAME[not prefix_ok])
     return rep
 
 
@@ -400,7 +409,7 @@ def check_pascal_m(n_max: int, m_values=(2, 3)) -> Report:
     rep = Report("pascal-m")
     try:
         reduced = pascal_m(n_max, 1) == pascal_matrix(n_max)
-        note = "as expected" if reduced else "mismatch"
+        note = _SAME[not reduced]
     except ConsistencyError as exc:
         reduced, note = False, str(exc)
     rep.add("m1-reduction", {"n": n_max}, reduced, "P_n", note)
@@ -417,28 +426,25 @@ def check_pascal_m(n_max: int, m_values=(2, 3)) -> Report:
 
 
 def check_q_pascal(n_max: int) -> Report:
-    """q-divided powers, the q-exponential identity, factor recovery, q = 1."""
+    """q-divided powers, the q-exponential identity, factor recovery, q = 1,
+    each n read from leading blocks as in check_pascal."""
     if n_max < 2:
         raise ValueError("need n >= 2")
-    rep = Report("qpascal")
-    partial, cs = _factor_greedily(ZX, n_max, n_max - 1, lambda k: q_h_nk(n_max, k), 1)
+    rep, p = Report("qpascal"), q_pascal(n_max)
+    divided = [q_h_nk(n_max, k) for k in range(n_max)]
+    partial, cs = _factor_greedily(ZX, n_max, n_max - 1, divided.__getitem__, 1)
+    divided_ok, vanishes = _power_checks(q_h(n_max), lambda k, power: _blockwise(
+        power, divided[k].scale(qfact(k))))
+    summed = _blockwise(functools.reduce(SquareMatrix.__add__, divided), p)
+    at_one = _blockwise(p.map_entries(lambda e: e(1), ZZ), pascal_matrix(n_max))
+    factored = _blockwise(partial, p)
     for n in range(2, n_max + 1):
-        powers = list(itertools.accumulate([q_h(n)] * n, SquareMatrix.__mul__,
-                                           initial=SquareMatrix.identity(ZX, n)))
-        ok = all(powers[k] == q_h_nk(n, k).scale(qfact(k)) for k in range(n))
-        rep.add("q-divided-powers", {"n": n}, ok, "H^k(q) == [k]! H_(n,k)(q) for k < n",
-                "as expected" if ok else "mismatch")
-        ok = powers[n].is_zero
-        rep.add("q-nilpotency", {"n": n}, ok, "H(q)^n == 0", "zero" if ok else "nonzero")
-        total = functools.reduce(SquareMatrix.__add__, [q_h_nk(n, k) for k in range(n)])
-        p = q_pascal(n)
-        rep.add("q-exp-identity", {"n": n}, total == p, "P_n(q)",
-                "as expected" if total == p else "mismatch")
-        at_one = p.map_entries(lambda e: e(1), ZZ)
-        classical = pascal_matrix(n)
-        rep.add("q1-specialization", {"n": n}, at_one == classical, "P_n",
-                "as expected" if at_one == classical else "mismatch")
-        if tuple(row[:n] for row in partial.rows[:n]) != p.rows:
+        rep.add("q-divided-powers", {"n": n}, divided_ok[n],
+                "H^k(q) == [k]! H_(n,k)(q) for k < n", _SAME[not divided_ok[n]])
+        rep.add("q-nilpotency", {"n": n}, vanishes[n], "H(q)^n == 0", _ZERO[not vanishes[n]])
+        rep.add("q-exp-identity", {"n": n}, summed[n], "P_n(q)", _SAME[not summed[n]])
+        rep.add("q1-specialization", {"n": n}, at_one[n], "P_n", _SAME[not at_one[n]])
+        if not factored[n]:
             raise ConsistencyError(f"recovered q-factors do not multiply to P_{n}(q)")
         expected = qsequences.c_q_seq(n - 1)
         rep.add("q-factor-recovery", {"n": n}, cs[: n - 1] == expected,
@@ -526,7 +532,7 @@ def _truncated_exp_product(n: int, m: int, ring: QuotientRing) -> tuple:
         product = _unit_band_step(product, powers[j], j, ring.reduce(qsequences._c_q(j)))
     rep = Report("eq28")
     rep.add("sum-equals-product", {"n": n, "m": m}, total == product,
-            "matrix identity", "as expected" if total == product else "mismatch")
+            "matrix identity", _SAME[total != product])
     return rep, total
 
 
@@ -554,32 +560,26 @@ def check_root_of_unity_factorization(n: int, m: int) -> Report:
 
     h_reduced = _reduce_matrix(q_h(n), ring)
     ok = (h_reduced ** m).is_zero
-    rep.add("generator-m-nilpotent", {"n": n, "m": m}, ok, "H(zeta)^m == 0",
-            "zero" if ok else "nonzero")
+    rep.add("generator-m-nilpotent", {"n": n, "m": m}, ok, "H(zeta)^m == 0", _ZERO[not ok])
 
     eq28, truncated = _truncated_exp_product(n, m, ring)
     rep.checks.extend(eq28.checks)
 
     k_max = (n - 1) // m
-    ok = all(
-        _reduce_matrix(q_h_nk(n, k * m), ring) == _embed(h_m_nk(n, m, k), ring)
-        for k in range(1, k_max + 1)
-    )
+    generators = [_reduce_matrix(q_h_nk(n, k * m), ring) for k in range(1, k_max + 1)]
+    ok = all(g == _embed(h_m_nk(n, m, k), ring) for k, g in enumerate(generators, 1))
     rep.add("gaussian-specialization", {"n": n, "m": m}, ok,
-            "H_(n,km)(zeta_m) == m-fold divided power",
-            "as expected" if ok else "mismatch")
+            "H_(n,km)(zeta_m) == m-fold divided power", _SAME[not ok])
 
     quotient = solve_unit_lower(truncated, _reduce_matrix(q_pascal(n), ring))
     m_fold = _embed(pascal_m(n, m), ring)
     rep.add("quotient-is-m-fold-pascal", {"n": n, "m": m}, quotient == m_fold,
-            "P^(m)_n", "as expected" if quotient == m_fold else "mismatch")
+            "P^(m)_n", _SAME[quotient != m_fold])
 
     cs = sequences.c_seq(k_max) if k_max >= 1 else []
     product = SquareMatrix.identity(ring, n)
-    for k in range(1, k_max + 1):
-        generator = _reduce_matrix(q_h_nk(n, k * m), ring)
+    for k, generator in enumerate(generators, 1):
         product = _unit_band_step(product, generator, k * m, ring.from_int(cs[k - 1]))
     rep.add("quotient-factorization", {"n": n, "m": m}, quotient == product,
-            "prod (I + c_k H_(n,km)(zeta_m))",
-            "as expected" if quotient == product else "mismatch")
+            "prod (I + c_k H_(n,km)(zeta_m))", _SAME[quotient != product])
     return rep

@@ -1,0 +1,116 @@
+"""Per-n references for the pascal and qpascal suites of ``ppx.pascal``.
+
+The band matrices are built by their dense defining comprehensions, one
+conditional per entry, and each suite builds every matrix anew at every n
+instead of reading the leading blocks of the n_max ones.  Both suites print
+the same report as ``check_pascal`` and ``check_q_pascal``, row for row."""
+
+import functools
+import itertools
+import math
+
+from ppx import qsequences, sequences
+from ppx.pascal import (
+    SquareMatrix,
+    _div_scalar_exact,
+    _factor_greedily,
+    exp_nilpotent,
+    pascal_matrix,
+    q_pascal,
+)
+from ppx.qsequences import qbinom, qfact, qint
+from ppx.report import Report
+from ppx.rings import ConsistencyError, P_ZERO, ZX, ZZ
+
+
+def h_matrix(n: int) -> SquareMatrix:
+    return SquareMatrix(ZZ, [[i if i - j == 1 else 0 for j in range(n)] for i in range(n)])
+
+
+def h_nk(n: int, k: int) -> SquareMatrix:
+    return SquareMatrix(
+        ZZ, [[math.comb(i, k) if i - j == k else 0 for j in range(n)] for i in range(n)]
+    )
+
+
+def h_m_nk(n: int, m: int, k: int) -> SquareMatrix:
+    return SquareMatrix(
+        ZZ,
+        [[math.comb(i // m, k) if i - j == m * k else 0 for j in range(n)] for i in range(n)],
+    )
+
+
+def q_h(n: int) -> SquareMatrix:
+    return SquareMatrix(
+        ZX, [[qint(i) if i - j == 1 else P_ZERO for j in range(n)] for i in range(n)]
+    )
+
+
+def q_h_nk(n: int, k: int) -> SquareMatrix:
+    return SquareMatrix(
+        ZX,
+        [[qbinom(i, k) if i - j == k and k <= i else P_ZERO for j in range(n)]
+         for i in range(n)],
+    )
+
+
+def check_pascal(n_max: int) -> Report:
+    if n_max < 2:
+        raise ValueError("need n >= 2")
+    rep = Report("pascal")
+    partial, cs = _factor_greedily(ZZ, n_max, n_max - 1, lambda k: h_nk(n_max, k), 1)
+    for n in range(2, n_max + 1):
+        h = h_matrix(n)
+        powers = list(itertools.accumulate([h] * n, SquareMatrix.__mul__,
+                                           initial=SquareMatrix.identity(ZZ, n)))
+        ok = all(_div_scalar_exact(powers[k], math.factorial(k)) == h_nk(n, k) for k in range(n))
+        rep.add("divided-powers", {"n": n}, ok, "H^k/k! == H_(n,k) for k < n",
+                "as expected" if ok else "mismatch")
+        ok = powers[n].is_zero
+        rep.add("nilpotency", {"n": n}, ok, "H^n == 0", "zero" if ok else "nonzero")
+        total = functools.reduce(SquareMatrix.__add__, [h_nk(n, k) for k in range(n)])
+        p = pascal_matrix(n)
+        rep.add("sum-of-divided-powers", {"n": n}, total == p, "P_n",
+                "as expected" if total == p else "mismatch")
+        expd = exp_nilpotent(h)
+        rep.add("matrix-exponential", {"n": n}, expd == p, "P_n",
+                "as expected" if expd == p else "mismatch")
+        if tuple(row[:n] for row in partial.rows[:n]) != p.rows:
+            raise ConsistencyError(f"recovered factors do not multiply to P_{n}")
+        expected = sequences.c_seq(n - 1)
+        rep.add("factor-recovery", {"n": n}, cs[: n - 1] == expected,
+                ", ".join(map(str, expected)), ", ".join(map(str, cs[: n - 1])))
+    prefix_ok = n_max == 2 or _factor_greedily(
+        ZZ, n_max - 1, n_max - 2, lambda k: h_nk(n_max - 1, k), 1)[1] == cs[:-1]
+    rep.add("factor-prefix-stability", {"n_max": n_max}, prefix_ok,
+            "factors independent of matrix size", "as expected" if prefix_ok else "mismatch")
+    return rep
+
+
+def check_q_pascal(n_max: int) -> Report:
+    if n_max < 2:
+        raise ValueError("need n >= 2")
+    rep = Report("qpascal")
+    partial, cs = _factor_greedily(ZX, n_max, n_max - 1, lambda k: q_h_nk(n_max, k), 1)
+    for n in range(2, n_max + 1):
+        powers = list(itertools.accumulate([q_h(n)] * n, SquareMatrix.__mul__,
+                                           initial=SquareMatrix.identity(ZX, n)))
+        ok = all(powers[k] == q_h_nk(n, k).scale(qfact(k)) for k in range(n))
+        rep.add("q-divided-powers", {"n": n}, ok, "H^k(q) == [k]! H_(n,k)(q) for k < n",
+                "as expected" if ok else "mismatch")
+        ok = powers[n].is_zero
+        rep.add("q-nilpotency", {"n": n}, ok, "H(q)^n == 0", "zero" if ok else "nonzero")
+        total = functools.reduce(SquareMatrix.__add__, [q_h_nk(n, k) for k in range(n)])
+        p = q_pascal(n)
+        rep.add("q-exp-identity", {"n": n}, total == p, "P_n(q)",
+                "as expected" if total == p else "mismatch")
+        at_one = p.map_entries(lambda e: e(1), ZZ)
+        classical = pascal_matrix(n)
+        rep.add("q1-specialization", {"n": n}, at_one == classical, "P_n",
+                "as expected" if at_one == classical else "mismatch")
+        if tuple(row[:n] for row in partial.rows[:n]) != p.rows:
+            raise ConsistencyError(f"recovered q-factors do not multiply to P_{n}(q)")
+        expected = qsequences.c_q_seq(n - 1)
+        rep.add("q-factor-recovery", {"n": n}, cs[: n - 1] == expected,
+                ", ".join(map(str, expected)), ", ".join(map(str, cs[: n - 1])))
+    return rep

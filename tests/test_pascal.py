@@ -44,6 +44,8 @@ from ppx.rings import (
 )
 from ppx.sequences import c_seq
 
+import pascal_reference as reference
+
 
 class TestClassical:
     def test_p4_rows(self):
@@ -265,6 +267,22 @@ class TestSquareMatrix:
         assert m.to_json_obj() == [[["1"], []], [["1"], ["1"]]]
 
 
+class TestBandConstructors:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_match_dense_definitions(self, n):
+        # every band index k, those at or past the last row included
+        assert h_matrix(n) == reference.h_matrix(n)
+        assert q_h(n) == reference.q_h(n)
+        for k in range(n + 3):
+            assert h_nk(n, k) == reference.h_nk(n, k)
+            assert q_h_nk(n, k) == reference.q_h_nk(n, k)
+            for m in (1, 2, 3):
+                assert h_m_nk(n, m, k) == reference.h_m_nk(n, m, k)
+        for ring in (ZZ, ZX):
+            assert SquareMatrix.identity(ring, n).rows == tuple(
+                tuple(ring.one if i == j else ring.zero for j in range(n)) for i in range(n))
+
+
 # ---------------------------------------------------------------------------
 # The sparse product against a dense schoolbook reference
 
@@ -366,6 +384,16 @@ class DividingRing:
         return ZZ.div_int(a, n)
 
 
+@pytest.fixture
+def product_calls(monkeypatch):
+    """One entry per call of SquareMatrix.__mul__."""
+    calls = []
+    original = SquareMatrix.__mul__
+    monkeypatch.setattr(SquareMatrix, "__mul__",
+                        lambda a, b: calls.append(1) or original(a, b))
+    return calls
+
+
 class TestDivScalarExact:
     # Integer matrices are the only ones the program divides.
     @settings(max_examples=120, deadline=None)
@@ -381,17 +409,13 @@ class TestDivScalarExact:
         with pytest.raises(ConsistencyError, match="not divisible by 2"):
             pascal._div_scalar_exact(h_matrix(4), 2)
 
-    def test_pascal_m_takes_one_product_per_power(self, monkeypatch):
-        # k = 2..k_max: H_(k-1) H_1 and H^k = H^(k-1) H_1; exp(H) one more
-        # product per nonzero power H^1..H^k_max.
-        calls = []
-        original = SquareMatrix.__mul__
-        monkeypatch.setattr(SquareMatrix, "__mul__",
-                            lambda a, b: calls.append(1) or original(a, b))
+    def test_pascal_m_takes_one_product_per_power(self, product_calls):
+        # k = 2..k_max: H_(k-1) H_1 and H^k = H^(k-1) H_1; exp(H) then takes
+        # one more product, H^(k_max + 1) = 0.
         n, m = 13, 2
         k_max = (n - 1) // m
         pascal_m(n, m)
-        assert len(calls) == 2 * (k_max - 1) + k_max
+        assert len(product_calls) == 2 * (k_max - 1) + 1
 
 
 class TestSparseProduct:
@@ -496,6 +520,120 @@ class TestUnitBandStep:
         unit = SquareMatrix(ring, [[ring.one if i == j else a.entry(i, j) if i > j
                                     else ring.zero for j in range(n)] for i in range(n)])
         assert solve_unit_lower(unit, dense_product(unit, b)) == b
+
+
+# ---------------------------------------------------------------------------
+# Reading every n from the leading blocks of the n_max matrices
+
+
+def leading_block(matrix, n):
+    return SquareMatrix(matrix.ring, [row[:n] for row in matrix.rows[:n]])
+
+
+@st.composite
+def lower_triangular_pairs(draw):
+    ring = draw(st.sampled_from((ZZ, ZX)))
+    n = draw(st.integers(1, 10))
+    elements = ring_elements(ring)
+    return tuple(
+        SquareMatrix(ring, [[draw(elements) if i >= j else ring.zero for j in range(n)]
+                            for i in range(n)])
+        for _ in range(2)
+    )
+
+
+@st.composite
+def nearly_equal_pairs(draw):
+    """A matrix and a copy with up to three entries replaced."""
+    ring = draw(st.sampled_from(PRODUCT_RINGS))
+    n = draw(st.integers(1, 12))
+    a = draw(square_matrices(ring, n))
+    rows = [list(row) for row in a.rows]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = draw(ring_elements(ring))
+    return a, SquareMatrix(ring, rows)
+
+
+def plant_wrong_c3(monkeypatch):
+    original = sequences._c
+    monkeypatch.setattr(sequences, "_c", lambda n: original(n) + (n == 3))
+
+
+def plant_wrong_c3_q(monkeypatch):
+    original = qsequences._c_q
+    monkeypatch.setattr(qsequences, "_c_q",
+                        lambda n: original(n) + IntPoly.monomial(1, 1) * (n == 3))
+
+
+def fault_at(i, j, change):
+    """Every product changes its entry (i, j), whatever its size.  The fault
+    depends on the position alone, so it commutes with taking leading blocks
+    and the per-n suites and the block reading see the same FAIL rows."""
+    def plant(monkeypatch):
+        original = SquareMatrix.__mul__
+
+        def mul(a, b):
+            product = original(a, b)
+            if product.n <= i:
+                return product
+            rows = [list(row) for row in product.rows]
+            rows[i][j] = change(rows[i][j], a.ring)
+            return SquareMatrix(a.ring, rows)
+
+        monkeypatch.setattr(SquareMatrix, "__mul__", mul)
+    return plant
+
+
+def outcome(suite, n_max):
+    try:
+        return suite(n_max).render_text()
+    except ConsistencyError as exc:
+        return f"ConsistencyError: {exc}"
+
+
+class TestBlockReading:
+    @settings(max_examples=80, deadline=None)
+    @given(lower_triangular_pairs())
+    def test_blocks_of_lower_triangular_product_and_sum(self, pair):
+        a, b = pair
+        for n in range(1, a.n + 1):
+            assert leading_block(a * b, n) == leading_block(a, n) * leading_block(b, n)
+            assert leading_block(a + b, n) == leading_block(a, n) + leading_block(b, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(nearly_equal_pairs())
+    def test_blockwise_matches_sliced_blocks(self, pair):
+        a, b = pair
+        assert pascal._blockwise(a, b) == [True] + [
+            leading_block(a, n) == leading_block(b, n) for n in range(1, a.n + 1)]
+
+    # (4, 0) doubled: of the divided powers only k = 4 fails, first at n = 5.
+    # (3, 0) + 6: H(q)^4 is nonzero in the 4 x 4 block; H^4 / 4! is inexact,
+    # so both pascal suites stop with the same ConsistencyError.
+    @pytest.mark.parametrize("plant", [
+        None, plant_wrong_c3, plant_wrong_c3_q,
+        fault_at(4, 0, lambda e, ring: e + e), fault_at(3, 0, lambda e, ring: e + 6 * ring.one),
+    ], ids=["shipped", "wrong-c3", "wrong-c3-q", "doubled-4-0", "bumped-3-0"])
+    @pytest.mark.parametrize("suite, per_n", [(check_pascal, reference.check_pascal),
+                                              (check_q_pascal, reference.check_q_pascal)],
+                             ids=["pascal", "qpascal"])
+    def test_report_matches_per_n_reference(self, suite, per_n, plant, fresh_caches,
+                                            monkeypatch):
+        if plant:
+            plant(monkeypatch)
+        for n_max in range(2, 11):
+            assert outcome(suite, n_max) == outcome(per_n, n_max)
+
+    def test_check_pascal_products(self, product_calls):
+        # the powers H^2..H^12 and exp(H) at n_max alone; 143 when built per n
+        check_pascal(12)
+        assert len(product_calls) <= 24
+
+    def test_check_q_pascal_products(self, product_calls):
+        # the powers H(q)^2..H(q)^12 at n_max alone; 77 when built per n
+        check_q_pascal(12)
+        assert len(product_calls) <= 12
 
 
 # ---------------------------------------------------------------------------
