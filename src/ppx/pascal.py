@@ -24,7 +24,10 @@ Pascal triangle for m = 2, OEIS A178112), and a q-variant replaces binomials
 with Gaussian binomials; both factor the same way.  Specializing q at a
 primitive m-th root of unity zeta_m -- done symbolically in Z[q]/Phi_m(q),
 never with complex floats -- collapses the q-Pascal matrix onto the m-fold
-one and yields the congruences c_n = 0 resp. c_{pm} = c_m mod p.
+one and yields the congruences c_n = 0 resp. c_{pm} = c_m mod p.  The
+Gaussian binomials of those suites are built in the ring: the q-Pascal rule
+runs on length-m coefficient vectors mod q^m - 1, where q^k is a rotation,
+and each entry is reduced by Phi_m once; the m-fold side stays on math.comb.
 """
 
 from __future__ import annotations
@@ -38,11 +41,11 @@ from .qsequences import qbinom, qfact, qint
 from .report import Report
 from .rings import (
     ConsistencyError,
+    IntPoly,
     P_ZERO,
     QuotientRing,
     ZX,
     ZZ,
-    cyclotomic,
     serialize,
 )
 from .sequences import is_prime
@@ -459,7 +462,7 @@ def check_cyclotomic_specialization(n_max: int, m: int) -> Report:
     if n_max < m:
         raise ValueError("need n_max >= m")
     rep = Report("thm43")
-    ring = QuotientRing(cyclotomic(m))
+    ring = QuotientRing.cyclotomic(m)
     for n in range(m, n_max + 1):
         residue = ring.reduce(qsequences._c_q(n))
         if n % m == 0:
@@ -493,11 +496,35 @@ def check_carlitz(p: int, n_max: int) -> Report:
 
 
 def _embed(matrix: SquareMatrix, ring: QuotientRing) -> SquareMatrix:
-    return matrix.map_entries(ring.from_int, ring)
+    return matrix.map_entries(lambda e: ring.from_int(e) if e else ring.zero, ring)
 
 
-def _reduce_matrix(matrix: SquareMatrix, ring: QuotientRing) -> SquareMatrix:
-    return matrix.map_entries(ring.reduce, ring)
+def _rotate(vector: list, k: int) -> list:
+    """q^k times a coefficient vector mod q^m - 1, m = len(vector)."""
+    s = k % len(vector)
+    return vector[-s:] + vector[:-s]
+
+
+def _gaussian_rows(n: int, ring: QuotientRing) -> list:
+    """[i, 0], ..., [i, i] in Z[q]/Phi_m for i < n, built in the ring: the q-Pascal
+    rule [i, k] = [i-1, k-1] + q^k [i-1, k] runs on coefficient vectors mod q^m - 1,
+    where q^k is a rotation, and each entry is reduced by Phi_m once."""
+    vectors, rows = [[1] + [0] * (ring.period - 1)], []
+    for i in range(n):
+        rows.append([ring.reduce(IntPoly(v)) for v in vectors])
+        vectors = [vectors[0], *([a + b for a, b in zip(vectors[k - 1], _rotate(vectors[k], k))]
+                                 for k in range(1, i + 1)), vectors[0]]
+    return rows
+
+
+def _gaussian_band(rows: list, ring: QuotientRing, k: int) -> SquareMatrix:
+    """H_(n,k)(zeta_m), n = len(rows): the Gaussian binomials [i, k] at (i, i - k)."""
+    return _band(ring, len(rows), k, lambda i: rows[i][k])
+
+
+def _gaussian_matrix(rows: list, ring: QuotientRing) -> SquareMatrix:
+    """P_n(zeta_m), n = len(rows): the Gaussian binomials [i, j] at (i, j)."""
+    return SquareMatrix(ring, [row + [ring.zero] * (len(rows) - len(row)) for row in rows])
 
 
 def solve_unit_lower(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
@@ -523,9 +550,10 @@ def solve_unit_lower(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
     return SquareMatrix(ring, x)
 
 
-def _truncated_exp_product(n: int, m: int, ring: QuotientRing) -> tuple:
+def _truncated_exp_product(rows: list, m: int, ring: QuotientRing) -> tuple:
     """The eq28 report, and the sum_{j<m} H_{n,j}(zeta_m) it checks."""
-    powers = [_reduce_matrix(q_h_nk(n, j), ring) for j in range(m)]
+    n = len(rows)
+    powers = [_gaussian_band(rows, ring, j) for j in range(m)]
     total = functools.reduce(SquareMatrix.__add__, powers)
     product = SquareMatrix.identity(ring, n)
     for j in range(1, m):
@@ -541,7 +569,8 @@ def check_truncated_exp_product(n: int, m: int) -> Report:
     verified symbolically in Z[q]/Phi_m(q)."""
     if m < 2 or n < m:
         raise ValueError("need n >= m >= 2")
-    return _truncated_exp_product(n, m, QuotientRing(cyclotomic(m)))[0]
+    ring = QuotientRing.cyclotomic(m)
+    return _truncated_exp_product(_gaussian_rows(n, ring), m, ring)[0]
 
 
 def check_root_of_unity_factorization(n: int, m: int) -> Report:
@@ -556,22 +585,22 @@ def check_root_of_unity_factorization(n: int, m: int) -> Report:
     if m < 2 or n < m:
         raise ValueError("need n >= m >= 2")
     rep = Report("eq26")
-    ring = QuotientRing(cyclotomic(m))
+    ring = QuotientRing.cyclotomic(m)
+    rows = _gaussian_rows(n, ring)
 
-    h_reduced = _reduce_matrix(q_h(n), ring)
-    ok = (h_reduced ** m).is_zero
+    ok = (_gaussian_band(rows, ring, 1) ** m).is_zero
     rep.add("generator-m-nilpotent", {"n": n, "m": m}, ok, "H(zeta)^m == 0", _ZERO[not ok])
 
-    eq28, truncated = _truncated_exp_product(n, m, ring)
+    eq28, truncated = _truncated_exp_product(rows, m, ring)
     rep.checks.extend(eq28.checks)
 
     k_max = (n - 1) // m
-    generators = [_reduce_matrix(q_h_nk(n, k * m), ring) for k in range(1, k_max + 1)]
+    generators = [_gaussian_band(rows, ring, k * m) for k in range(1, k_max + 1)]
     ok = all(g == _embed(h_m_nk(n, m, k), ring) for k, g in enumerate(generators, 1))
     rep.add("gaussian-specialization", {"n": n, "m": m}, ok,
             "H_(n,km)(zeta_m) == m-fold divided power", _SAME[not ok])
 
-    quotient = solve_unit_lower(truncated, _reduce_matrix(q_pascal(n), ring))
+    quotient = solve_unit_lower(truncated, _gaussian_matrix(rows, ring))
     m_fold = _embed(pascal_m(n, m), ring)
     rep.add("quotient-is-m-fold-pascal", {"n": n, "m": m}, quotient == m_fold,
             "P^(m)_n", _SAME[quotient != m_fold])

@@ -34,7 +34,7 @@ protocol of the generic series, expansion and matrix code: ``zero``, ``one``
 and, on ``ZZ``, ``div_int``, the exact division by an integer that the matrix
 code needs (series and expansions divide nowhere); elements do the rest
 through their operators and are false exactly when zero.  A
-:class:`QuotientRing` instance provides ``zero`` and ``one`` for its own
+:class:`QuotientRing` instance holds one ``zero`` and one ``one`` for its own
 elements and no ``div_int`` (the only units inverted in a quotient ring are
 those mod q^2, by ``ppx.qsequences.mod_q2_inverse``).
 """
@@ -747,11 +747,15 @@ RF_ONE = RatFunc._raw(P_ONE, P_ONE)
 class QuotientRing:
     """Arithmetic in Z[q]/(m(q)) for a modulus with leading coefficient +-1.
 
-    Reduction is by plain long division, which stays in Z because the
-    leading coefficient is a unit.
+    A ring made by :meth:`cyclotomic` knows its period m: Phi_m divides
+    q^m - 1, so :meth:`reduce` first folds f mod q^m - 1, adding the
+    coefficients whose degrees agree mod m, which leaves degree < m.  What is
+    left, or f itself for any other modulus (such as q^2), is long-divided,
+    subtracting only the nonzero terms of the modulus (5 of the 17 of
+    Phi_40); that stays in Z because the leading coefficient is a unit.
     """
 
-    __slots__ = ("modulus",)
+    __slots__ = ("modulus", "period", "zero", "one", "_terms")
 
     def __init__(self, modulus):
         modulus = _as_poly(modulus)
@@ -759,9 +763,23 @@ class QuotientRing:
             raise ValueError("modulus must have degree >= 1")
         if modulus.lead not in (1, -1):
             raise ValueError("modulus must have leading coefficient +-1")
-        self.modulus = modulus
+        self.modulus, self.period = modulus, None
+        self.zero, self.one = QuotientElem(self, P_ZERO), QuotientElem(self, P_ONE)
+        # q^dm = -(lower terms)/lead modulo the modulus, and 1/lead = lead: a
+        # coefficient t at degree dm + k moves to t (-c lead) at i + k per term c q^i.
+        self._terms = [(i, -c * modulus.lead) for i, c in enumerate(modulus.coeffs[:-1]) if c]
+
+    @classmethod
+    @functools.cache
+    def cyclotomic(cls, m: int) -> "QuotientRing":
+        """Z[q]/Phi_m(q), one instance per m, with period m."""
+        ring = cls(cyclotomic(m))
+        ring.period = m
+        return ring
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, QuotientRing):
             return NotImplemented
         return self.modulus == other.modulus
@@ -772,36 +790,27 @@ class QuotientRing:
     def __repr__(self):
         return f"QuotientRing({self.modulus!r})"
 
-    @property
-    def zero(self) -> "QuotientElem":
-        return QuotientElem(self, P_ZERO)
-
-    @property
-    def one(self) -> "QuotientElem":
-        return self.reduce(P_ONE)
-
     def from_int(self, n: int) -> "QuotientElem":
-        return self.reduce(IntPoly((n,)))
+        return QuotientElem(self, IntPoly(n))
 
     def reduce(self, f) -> "QuotientElem":
         """Canonical representative of f modulo the modulus."""
         f = _as_poly(f)
-        m = self.modulus
-        dm = m.degree
+        dm, p = self.modulus.degree, self.period
         if f.degree < dm:
             return QuotientElem(self, f)
-        rem = list(f.coeffs)
-        lm = m.lead
-        for k in range(f.degree - dm, -1, -1):
-            c = rem[dm + k]
-            if c == 0:
-                continue
-            t, leftover = divmod(c, lm)
-            if leftover:
-                raise InexactDivisionError("reduction requires a unit leading coefficient")
-            for i, mc in enumerate(m.coeffs):
-                rem[i + k] -= t * mc
+        rem = _fold(f.coeffs, p) if p and f.degree >= p else list(f.coeffs)
+        for k in range(len(rem) - 1 - dm, -1, -1):
+            t = rem[dm + k]
+            if t:
+                for i, c in self._terms:
+                    rem[i + k] += t * c
         return QuotientElem(self, IntPoly(rem[:dm]))
+
+
+def _fold(coeffs: tuple, m: int) -> list:
+    """The coefficients of f mod q^m - 1: q^m = 1 adds degree d into d mod m."""
+    return [sum(coeffs[r::m]) for r in range(m)]
 
 
 class QuotientElem:
@@ -816,7 +825,7 @@ class QuotientElem:
 
     def _coerce(self, other):
         if isinstance(other, QuotientElem):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("mixing elements of different quotient rings")
             return other
         if isinstance(other, (int, IntPoly)):
@@ -827,6 +836,10 @@ class QuotientElem:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not other.rep:
+            return self
+        if not self.rep:
+            return other
         return QuotientElem(self.ring, self.rep + other.rep)
 
     __radd__ = __add__

@@ -3,7 +3,11 @@
 The band matrices are built by their dense defining comprehensions, one
 conditional per entry, and each suite builds every matrix anew at every n
 instead of reading the leading blocks of the n_max ones.  Both suites print
-the same report as ``check_pascal`` and ``check_q_pascal``, row for row."""
+the same report as ``check_pascal`` and ``check_q_pascal``, row for row.
+
+``reduce_matrix`` is the Z[q] route to the eq26/eq28 inputs over
+Z[q]/Phi_m: build the matrix of Gaussian binomials in Z[q], then reduce
+every entry, zeros included."""
 
 import functools
 import itertools
@@ -114,3 +118,7 @@ def check_q_pascal(n_max: int) -> Report:
         rep.add("q-factor-recovery", {"n": n}, cs[: n - 1] == expected,
                 ", ".join(map(str, expected)), ", ".join(map(str, cs[: n - 1])))
     return rep
+
+
+def reduce_matrix(matrix: SquareMatrix, ring) -> SquareMatrix:
+    return matrix.map_entries(ring.reduce, ring)

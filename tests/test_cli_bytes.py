@@ -3,6 +3,9 @@
 The digests are sha256 of stdout recorded before the suites moved into one
 registry (``cli.SUITES``); they pin how --max-n, --m and --p reach each
 check, including the sweeps and the (n, m) pairs used when they are absent.
+The eq26/eq28 ``--m 12`` digests were recorded while those suites still
+reduced matrices of Gaussian binomials built in Z[q], before they were built
+in Z[q]/Phi_m itself.
 """
 
 import hashlib
@@ -24,6 +27,10 @@ DIGESTS = {
         "36ec569374180515fe2b5536c1219f30db8b4eb5129fce546d0f0f0a9f88512d",
     "verify eq28 --m 3 --max-n 7":
         "0dfce819b595f540696a2f54d40750434dc335f62a6ac5cd62838f9e32e8a42e",
+    "verify eq26 --m 12":
+        "b898e8e9d029f44be44c35869bce5f71aa2150adaf4a2566ba6b90128bb26eea",
+    "verify eq28 --m 12":
+        "cb0a363752a1fe612a0c7c3496b0ed71056e0487be45d831ff46122989954002",
     "verify pascal-m --m 4 --max-n 9":
         "bf126c8afc8542aeac9ccfeeb88106328fc01647a13cc74c37ddde571217fe2c",
     "verify roundtrip --max-n 6 --format json":

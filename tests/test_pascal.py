@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppx import cli, pascal, qsequences, sequences
+from ppx import cli, pascal, qsequences, rings, sequences
 from ppx.pascal import (
     SquareMatrix,
     check_carlitz,
@@ -251,6 +251,29 @@ class TestRootOfUnity:
     def test_validation(self):
         with pytest.raises(ValueError):
             check_root_of_unity_factorization(3, 4)
+
+
+class TestGaussianRowsInTheRing:
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_rows_match_reduced_gaussian_binomials(self, m):
+        ring = QuotientRing.cyclotomic(m)
+        rows = pascal._gaussian_rows(40, ring)
+        assert [len(row) for row in rows] == list(range(1, 41))
+        for i, row in enumerate(rows):
+            assert all(e.ring is ring for e in row)
+            assert [e.rep for e in row] == [ring.reduce(qbinom(i, k)).rep for k in range(i + 1)]
+
+    @pytest.mark.parametrize("n,m", [(6, 2), (8, 2), (9, 3), (12, 4), (18, 6), (30, 10)])
+    def test_suite_inputs_match_the_z_q_route(self, n, m):
+        # every matrix eq26 and eq28 read from the rows: H_(n,k)(zeta_m) for
+        # j < m and k = m, 2m, ..., H(zeta_m) = H_(n,1) and P_n(zeta_m)
+        ring = QuotientRing.cyclotomic(m)
+        rows = pascal._gaussian_rows(n, ring)
+        for k in range(n + 1):
+            assert pascal._gaussian_band(rows, ring, k) == reference.reduce_matrix(
+                q_h_nk(n, k), ring)
+        assert pascal._gaussian_band(rows, ring, 1) == reference.reduce_matrix(q_h(n), ring)
+        assert pascal._gaussian_matrix(rows, ring) == reference.reduce_matrix(q_pascal(n), ring)
 
 
 class TestSquareMatrix:
@@ -636,6 +659,25 @@ class TestBlockReading:
         assert len(product_calls) <= 12
 
 
+@pytest.fixture
+def reduce_calls(monkeypatch):
+    """One entry per call of QuotientRing.reduce."""
+    calls = []
+    original = QuotientRing.reduce
+    monkeypatch.setattr(QuotientRing, "reduce",
+                        lambda ring, f: calls.append(1) or original(ring, f))
+    return calls
+
+
+# 793 and 915 calls with the rows built in the ring and zeros never reduced;
+# 9,208 and 9,480 when every entry of the Z[q] matrices, zeros included, was.
+@pytest.mark.parametrize("command, bound", [("verify eq26 --m 8", 990),
+                                            ("verify eq28 --m 10", 1145)])
+def test_root_of_unity_suites_reduce_calls(reduce_calls, capsys, command, bound):
+    assert cli.main(command.split()) == 0
+    assert len(reduce_calls) <= bound
+
+
 # ---------------------------------------------------------------------------
 # Fault injection: the matrix suites notice a wrong product
 
@@ -734,6 +776,30 @@ class TestMatrixSuitesCanFail:
         assert "FAIL sum-equals-product" in capsys.readouterr().out
         assert cli.main(["verify", "eq26"]) == 1
         assert "consistency violation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, failing", [
+        ("verify eq26 --m 6", "sum-equals-product"),
+        ("verify eq28 --m 6", "sum-equals-product"),
+        ("verify thm43", "residue"),
+    ])
+    def test_fold_with_wrong_stride_fails(self, monkeypatch, capsys, command, failing):
+        # Folding mod q^(m+1) - 1 is not a reduction mod Phi_m.  At the default
+        # (n, m) pairs of eq26 and eq28 no reduced polynomial reaches degree m,
+        # so nothing is folded there; at m = 6, c_5(q) has degree 9.
+        original = rings._fold
+        monkeypatch.setattr(rings, "_fold", lambda coeffs, m: original(coeffs, m + 1))
+        assert cli.main(command.split()) == 1
+        out = capsys.readouterr().out
+        assert f"FAIL {failing}" in out
+        assert "status: fail" in out
+
+    def test_rotation_off_by_one_fails_eq26(self, monkeypatch, capsys):
+        original = pascal._rotate
+        monkeypatch.setattr(pascal, "_rotate", lambda vector, k: original(vector, k + 1))
+        assert cli.main(["verify", "eq26"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL generator-m-nilpotent" in out
+        assert "status: fail" in out
 
     def test_wrong_c3_fails_factor_recovery(self, fresh_caches, monkeypatch, capsys):
         original = sequences._c

@@ -1,6 +1,7 @@
 """Exact ring arithmetic: polynomials, rational functions, quotients."""
 
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -641,6 +642,66 @@ class TestQuotientRing:
         r2 = QuotientRing(cyclotomic(3))
         with pytest.raises(ValueError):
             r1.one + r2.one
+
+
+def long_division_remainder(f: IntPoly, modulus: IntPoly) -> IntPoly:
+    """Dense schoolbook reference: at every degree from the top down, subtract
+    the quotient digit times every coefficient of the modulus, zeros included."""
+    rem, dm = list(f.coeffs), modulus.degree
+    for k in range(len(rem) - 1 - dm, -1, -1):
+        t, leftover = divmod(rem[dm + k], modulus.lead)
+        assert not leftover
+        for i, c in enumerate(modulus.coeffs):
+            rem[i + k] -= t * c
+    return IntPoly(rem[:dm])
+
+
+@st.composite
+def signed_polys(draw, max_degree):
+    """Degree up to max_degree; coefficients of 0 to 64 bits and either sign,
+    dense or mostly zero, filled from a seeded generator."""
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    degree, bits = draw(st.integers(-1, max_degree)), draw(st.integers(0, 64))
+    density = draw(st.sampled_from((1.0, 0.5, 0.05)))
+    return IntPoly([rnd.randint(-2 ** bits, 2 ** bits) if rnd.random() < density else 0
+                    for _ in range(degree + 1)])
+
+
+monic_moduli = st.builds(
+    lambda low, lead: IntPoly((*low, lead)),
+    st.lists(st.integers(-5, 5), max_size=12), st.sampled_from((1, -1)))
+
+
+class TestQuotientReduce:
+    """Fold mod q^m - 1, then sparse division, against dense long division."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 60), signed_polys(3000))
+    def test_cyclotomic_matches_long_division(self, m, f):
+        ring = QuotientRing.cyclotomic(m)
+        reduced = ring.reduce(f)
+        assert reduced.ring is ring
+        assert reduced.rep == long_division_remainder(f, cyclotomic(m))
+        assert QuotientRing(cyclotomic(m)).reduce(f).rep == reduced.rep
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.just(IntPoly((0, 0, 1))), monic_moduli.filter(lambda p: p.degree >= 1)),
+           signed_polys(400))
+    def test_general_modulus_matches_long_division(self, modulus, f):
+        assert QuotientRing(modulus).reduce(f).rep == long_division_remainder(f, modulus)
+
+    def test_cyclotomic_ring_is_shared_and_knows_its_period(self):
+        ring = QuotientRing.cyclotomic(40)
+        assert ring is QuotientRing.cyclotomic(40)
+        assert (ring.period, ring.modulus) == (40, cyclotomic(40))
+        assert QuotientRing(cyclotomic(40)).period is None
+        assert ring == QuotientRing(cyclotomic(40))
+
+    def test_zero_and_one_are_held_once(self):
+        ring = QuotientRing.cyclotomic(5)
+        assert ring.zero is ring.zero and ring.one is ring.one
+        a = ring.reduce(IntPoly((1, 2, 3)))
+        assert a + ring.zero is a and ring.zero + a is a and 0 + a is a
 
 
 class TestSerialize:
