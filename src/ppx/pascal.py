@@ -14,10 +14,11 @@ agreement of the two is a genuine cross-check.  Each factor is the identity
 plus one band, so it is applied by a unit-band step, not a matrix product.
 All these matrices are lower triangular, and the leading n x n block of a
 product (sum) of such matrices is the product (sum) of their blocks.  So the
-pascal and qpascal suites build the powers of H, the divided powers, their
-sum, exp(H), P and its factorization once, at n_max, and read each n from the
-leading blocks.  pascal-m builds each n anew: a fault in the bottom-left entry
-of a product must show even where n_max puts that entry off every band.
+pascal and qpascal suites build the powers of H (summed to exp(H) as well),
+the divided powers, their sum, P and its factorization once, at n_max, and
+read each n from the leading blocks.  pascal-m builds each n anew: a fault in
+the bottom-left entry of a product must show even where n_max puts that entry
+off every band.
 
 An m-fold variant uses entries C(floor(i/m), k) at (i, i-mk) ("doubled"
 Pascal triangle for m = 2, OEIS A178112), and a q-variant replaces binomials
@@ -198,18 +199,6 @@ def h_nk(n: int, k: int) -> SquareMatrix:
     return _band(ZZ, n, k, lambda i: math.comb(i, k))
 
 
-def exp_nilpotent(matrix: SquareMatrix) -> SquareMatrix:
-    """exp(M) = sum M^k / k! for a nilpotent integer matrix, all divisions
-    exact."""
-    total, power = SquareMatrix.identity(matrix.ring, matrix.n), matrix
-    for k in range(1, matrix.n + 1):
-        if power.is_zero:
-            return total
-        total = total + _div_scalar_exact(power, math.factorial(k))
-        power = power * matrix
-    raise ConsistencyError("matrix is not nilpotent")
-
-
 def _unit_band_step(matrix: SquareMatrix, generator: SquareMatrix, shift: int, c) -> SquareMatrix:
     """matrix * (I + c G) for a generator G that is zero off the band i - j = shift
     (ConsistencyError otherwise).  Column j of I + c G is e_j + c g_i e_i, g_i the band
@@ -363,13 +352,17 @@ def factor_q_pascal(n: int) -> list:
 _SAME, _ZERO = ("as expected", "mismatch"), ("zero", "nonzero")
 
 
-def _power_checks(generator: SquareMatrix, same_at) -> tuple:
-    """For an N x N generator H, per n = 0..N: whether the _blockwise list
-    same_at(k, H^k) holds at n for every k < n, and whether H^n's n-block is 0."""
-    ring, size = generator.ring, generator.n
-    powers = [SquareMatrix.identity(ring, size),
-              *itertools.accumulate([generator] * size, SquareMatrix.__mul__)]
-    same = [same_at(k, power) for k, power in enumerate(powers[:size])]
+def _powers(generator: SquareMatrix) -> list:
+    """H^0, ..., H^N for an N x N generator H."""
+    return [SquareMatrix.identity(generator.ring, generator.n),
+            *itertools.accumulate([generator] * generator.n, SquareMatrix.__mul__)]
+
+
+def _power_checks(powers: list, same: list) -> tuple:
+    """For the powers H^0..H^N of an N x N generator and _blockwise lists same[k],
+    k < N, per n = 0..N: whether same[k] holds at n for every k < n, and whether
+    H^n's n-block is 0."""
+    ring, size = powers[0].ring, len(same)
     zero = SquareMatrix(ring, [[ring.zero] * size] * size)
     return ([all(s[n] for s in same[:n]) for n in range(size + 1)],
             [_blockwise(power, zero)[n] for n, power in enumerate(powers)])
@@ -380,13 +373,14 @@ def check_pascal(n_max: int) -> Report:
     each n read from leading blocks at n_max; prefix stability factors n_max - 1."""
     if n_max < 2:
         raise ValueError("need n >= 2")
-    rep, h, p = Report("pascal"), h_matrix(n_max), pascal_matrix(n_max)
+    rep, powers, p = Report("pascal"), _powers(h_matrix(n_max)), pascal_matrix(n_max)
     divided = [h_nk(n_max, k) for k in range(n_max)]
     partial, cs = _factor_greedily(ZZ, n_max, n_max - 1, divided.__getitem__, 1)
-    divided_ok, vanishes = _power_checks(h, lambda k, power: _blockwise(
-        _div_scalar_exact(power, math.factorial(k)), divided[k]))
+    scaled = [_div_scalar_exact(power, math.factorial(k)) for k, power in enumerate(powers)]
+    divided_ok, vanishes = _power_checks(powers, list(map(_blockwise, scaled, divided)))
     summed = _blockwise(functools.reduce(SquareMatrix.__add__, divided), p)
-    expd, factored = _blockwise(exp_nilpotent(h), p), _blockwise(partial, p)
+    expd = _blockwise(functools.reduce(SquareMatrix.__add__, scaled), p)
+    factored = _blockwise(partial, p)
     for n in range(2, n_max + 1):
         rep.add("divided-powers", {"n": n}, divided_ok[n], "H^k/k! == H_(n,k) for k < n",
                 _SAME[not divided_ok[n]])
@@ -436,8 +430,9 @@ def check_q_pascal(n_max: int) -> Report:
     rep, p = Report("qpascal"), q_pascal(n_max)
     divided = [q_h_nk(n_max, k) for k in range(n_max)]
     partial, cs = _factor_greedily(ZX, n_max, n_max - 1, divided.__getitem__, 1)
-    divided_ok, vanishes = _power_checks(q_h(n_max), lambda k, power: _blockwise(
-        power, divided[k].scale(qfact(k))))
+    powers = _powers(q_h(n_max))
+    divided_ok, vanishes = _power_checks(powers, [
+        _blockwise(power, d.scale(qfact(k))) for k, (power, d) in enumerate(zip(powers, divided))])
     summed = _blockwise(functools.reduce(SquareMatrix.__add__, divided), p)
     at_one = _blockwise(p.map_entries(lambda e: e(1), ZZ), pascal_matrix(n_max))
     factored = _blockwise(partial, p)
@@ -552,12 +547,14 @@ def solve_unit_lower(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
 
 def _truncated_exp_product(rows: list, m: int, ring: QuotientRing) -> tuple:
     """The eq28 report, and the sum_{j<m} H_{n,j}(zeta_m) it checks."""
-    n = len(rows)
-    powers = [_gaussian_band(rows, ring, j) for j in range(m)]
-    total = functools.reduce(SquareMatrix.__add__, powers)
+    n, zero = len(rows), ring.zero
+    # The bands share no entry: (i, i - j) holds [i, j] when j < m, so the sum is one pass.
+    total = SquareMatrix(ring, [[row[i - k] if i - k < m else zero for k in range(i + 1)]
+                                + [zero] * (n - 1 - i) for i, row in enumerate(rows)])
     product = SquareMatrix.identity(ring, n)
     for j in range(1, m):
-        product = _unit_band_step(product, powers[j], j, ring.reduce(qsequences._c_q(j)))
+        product = _unit_band_step(product, _gaussian_band(rows, ring, j), j,
+                                  ring.reduce(qsequences._c_q(j)))
     rep = Report("eq28")
     rep.add("sum-equals-product", {"n": n, "m": m}, total == product,
             "matrix identity", _SAME[total != product])

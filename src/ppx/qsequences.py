@@ -11,13 +11,17 @@ The companion Exp_q(x) = sum q^C(n,2) x^n/[n]! = 1/exp_q(-x) expands with
 E_n(q), same recursion with (q-1)^(n-1) in the tail; for odd n the two
 coefficient families agree and are fixed under q -> 1/q.
 
-Writing e_n(q) = r_n(q)/u_n(q) over u_n(q) = prod_{j<=n} gcd([j], [n]),
-r_n(q) is the product u_n(q) e_n(q) in the rational-function field, asserted
-to land in Z[q] with leading coefficient (-1)^n: the integrality theorem
-becomes a single testable postcondition.  c_n(q) = [n]! e_n(q) needs no
-division: gcd([j], [n]) = [gcd(j, n)], so c_n(q) = r_n(q) times
-prod_{j<=n} [j]/[gcd(j, n)], each factor a polynomial, and cofactor times
-u_n(q) is checked to be [n]!.
+With u_n(q) = prod_{j<=n} [gcd(j, n)], which u_{n/d}(q)^d and [n] divide,
+n u_n(q) times the recursion is a sum in Z[q] for r_n(q) = u_n(q) e_n(q):
+
+    n r_n(q) = sum_{d|n, d>1} (-1)^d (n/d) (u_n / u_{n/d}^d) r_{n/d}(q)^d
+               + (1-q)^(n-1) u_n / [n],
+
+two exact quotients and no rational function.  Dividing by n is the
+integrality theorem as a postcondition; (-1)^n r_n(q) is asserted monic.
+With q-1 the sum gives u_n(q) E_n(q), and e_n(q), E_n(q) are each one reduced
+fraction over u_n(q).  c_n(q) = [n]! e_n(q) is r_n(q) times the polynomial
+prod_{j<=n} [j]/[gcd(j, n)], whose product with u_n(q) is checked to be [n]!.
 Setting q = 1 recovers the classical sequences, q = 0 the dyadic
 pattern of 1/(1-x) = prod (1 + x^(2^k)), and reduction mod q^2 a closed-form
 expansion checked over the ring Z[q]/(q^2) with no division at all.
@@ -38,7 +42,6 @@ import math
 from . import products, sequences
 from .report import Report
 from .rings import (
-    RF_ZERO,
     ConsistencyError,
     IntPoly,
     P_ONE,
@@ -49,7 +52,6 @@ from .rings import (
     QuotientElem,
     QuotientRing,
     RatFunc,
-    poly_gcd,
 )
 from .sequences import divisors, euler_phi
 from .series import TruncatedSeries
@@ -112,34 +114,12 @@ def qbinom(n: int, k: int) -> IntPoly:
 
 
 @functools.cache
-def _e_q_family(base: IntPoly, n: int) -> RatFunc:
-    # The n-th factor of the expansion whose log has coefficients
-    # base^(n-1)/(n [n]): base 1-q gives e_n(q), base q-1 gives E_n(q).
-    if n < 1:
-        raise ValueError("index must be >= 1")
-    total = RF_ZERO
-    for d in divisors(n):
-        if d == 1:
-            continue
-        term = (_e_q_family(base, n // d) ** d) / d
-        total = total + term if d % 2 == 0 else total - term
-    return total + RatFunc(base ** (n - 1), qint(n) * n)
-
-
-_e_q = functools.partial(_e_q_family, IntPoly((1, -1)))
-_cap_e_q = functools.partial(_e_q_family, IntPoly((-1, 1)))
-
-
-@functools.cache
 def _u_q(n: int) -> IntPoly:
     if n < 1:
         raise ValueError("index must be >= 1")
-    via_gcd = P_ONE
-    for j in range(1, n + 1):
-        via_gcd = via_gcd * poly_gcd(qint(j), qint(n))
-    via_phi = P_ONE
-    for d in divisors(n):
-        via_phi = via_phi * qint(d) ** euler_phi(n // d)
+    via_gcd = math.prod((qint(g) for j in range(1, n + 1) if (g := math.gcd(j, n)) > 1),
+                        start=P_ONE)
+    via_phi = math.prod((qint(d) ** euler_phi(n // d) for d in divisors(n)), start=P_ONE)
     if via_gcd != via_phi:
         raise ConsistencyError(f"u_{n}(q): gcd product != totient product")
     if via_gcd(1) != sequences._u(n):
@@ -147,20 +127,42 @@ def _u_q(n: int) -> IntPoly:
     return via_gcd
 
 
+def _divisor_sum(base: IntPoly, n: int) -> IntPoly:
+    # n R_n: the recursion for the n-th factor times n u_n(q), a sum in Z[q].
+    u = _u_q(n)
+    total = base ** (n - 1) * u.divexact(qint(n))
+    for d in divisors(n)[1:]:
+        m = n // d
+        term = u.divexact(_u_q(m) ** d) * _r_q_family(base, m) ** d * m
+        total = total + term if d % 2 == 0 else total - term
+    return total
+
+
+@functools.cache
+def _r_q_family(base: IntPoly, n: int) -> IntPoly:
+    # R_n = u_n(q) F_n(q) for the expansion whose log has coefficients base^(n-1)/(n [n]):
+    # F_n = e_n(q) for base 1-q, E_n(q) for q-1.  Dividing n R_n by n is the integrality theorem.
+    total = _divisor_sum(base, n)
+    if any(c % n for c in total.coeffs):
+        raise ConsistencyError(f"r_{n}(q) did not reduce to a polynomial: ({total})/{n}")
+    return IntPoly(tuple(c // n for c in total.coeffs))
+
+
+@functools.cache
+def _factor_q_family(base: IntPoly, n: int) -> RatFunc:
+    return RatFunc(_r_q_family(base, n), _u_q(n))
+
+
+_ONE_MINUS_Q, _Q_MINUS_ONE = IntPoly((1, -1)), IntPoly((-1, 1))
+_e_q = functools.partial(_factor_q_family, _ONE_MINUS_Q)
+_cap_e_q = functools.partial(_factor_q_family, _Q_MINUS_ONE)
+
+
 @functools.cache
 def _r_q(n: int) -> IntPoly:
-    if n < 1:
-        raise ValueError("index must be >= 1")
-    product = _e_q(n) * RatFunc(_u_q(n))
-    if not product.is_polynomial:
-        raise ConsistencyError(f"r_{n}(q) did not reduce to a polynomial: {product}")
-    r = product.as_poly()
-    if n > 1:
-        expected_lead = 1 if n % 2 == 0 else -1
-        if r.lead != expected_lead:
-            raise ConsistencyError(
-                f"(-1)^{n} r_{n}(q) is not monic: leading coefficient {r.lead}"
-            )
+    r = _r_q_family(_ONE_MINUS_Q, n)
+    if n > 1 and r.lead != (-1) ** n:
+        raise ConsistencyError(f"(-1)^{n} r_{n}(q) is not monic: leading coefficient {r.lead}")
     if r(1) != sequences._r(n):
         raise ConsistencyError(f"r_{n}(q) at q=1 != r_{n}")
     return r
@@ -207,7 +209,7 @@ def cap_e_q_seq(n_max: int) -> list:
 
 
 def u_q_seq(n_max: int) -> list:
-    """u_n(q) = prod_{j<=n} gcd([j], [n]), by both closed formulas."""
+    """u_n(q) = prod_{j<=n} [gcd(j, n)], checked against the totient product."""
     if n_max < 1:
         raise ValueError("need N >= 1")
     return [_u_q(n) for n in range(1, n_max + 1)]

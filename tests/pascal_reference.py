@@ -5,7 +5,8 @@ conditional per entry, and each suite builds every matrix anew at every n
 instead of reading the leading blocks of the n_max ones.  Both suites print
 the same report as ``check_pascal`` and ``check_q_pascal``, row for row.
 
-``reduce_matrix`` is the Z[q] route to the eq26/eq28 inputs over
+``exp_nilpotent`` sums the powers of a nilpotent matrix on a chain of its
+own.  ``reduce_matrix`` is the Z[q] route to the eq26/eq28 inputs over
 Z[q]/Phi_m: build the matrix of Gaussian binomials in Z[q], then reduce
 every entry, zeros included."""
 
@@ -18,13 +19,24 @@ from ppx.pascal import (
     SquareMatrix,
     _div_scalar_exact,
     _factor_greedily,
-    exp_nilpotent,
     pascal_matrix,
     q_pascal,
 )
 from ppx.qsequences import qbinom, qfact, qint
 from ppx.report import Report
 from ppx.rings import ConsistencyError, P_ZERO, ZX, ZZ
+
+
+def exp_nilpotent(matrix: SquareMatrix) -> SquareMatrix:
+    """exp(M) = sum M^k / k! for a nilpotent integer matrix, all divisions
+    exact."""
+    total, power = SquareMatrix.identity(matrix.ring, matrix.n), matrix
+    for k in range(1, matrix.n + 1):
+        if power.is_zero:
+            return total
+        total = total + _div_scalar_exact(power, math.factorial(k))
+        power = power * matrix
+    raise ConsistencyError("matrix is not nilpotent")
 
 
 def h_matrix(n: int) -> SquareMatrix:

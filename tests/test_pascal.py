@@ -17,7 +17,6 @@ from ppx.pascal import (
     check_q_pascal,
     check_root_of_unity_factorization,
     check_truncated_exp_product,
-    exp_nilpotent,
     factor_pascal,
     factor_pascal_m,
     factor_q_pascal,
@@ -70,7 +69,7 @@ class TestClassical:
 
     def test_exp_is_pascal(self):
         for n in (2, 4, 7):
-            assert exp_nilpotent(h_matrix(n)) == pascal_matrix(n)
+            assert reference.exp_nilpotent(h_matrix(n)) == pascal_matrix(n)
 
     def test_factor_p4(self):
         assert factor_pascal(4) == [1, 1, -2]
@@ -649,9 +648,10 @@ class TestBlockReading:
             assert outcome(suite, n_max) == outcome(per_n, n_max)
 
     def test_check_pascal_products(self, product_calls):
-        # the powers H^2..H^12 and exp(H) at n_max alone; 143 when built per n
+        # the powers H^2..H^12 at n_max alone, which exp(H) also sums; 22 when
+        # exp(H) had a chain of its own, 143 when built per n
         check_pascal(12)
-        assert len(product_calls) <= 24
+        assert len(product_calls) <= 11
 
     def test_check_q_pascal_products(self, product_calls):
         # the powers H(q)^2..H(q)^12 at n_max alone; 77 when built per n
@@ -676,6 +676,17 @@ def reduce_calls(monkeypatch):
 def test_root_of_unity_suites_reduce_calls(reduce_calls, capsys, command, bound):
     assert cli.main(command.split()) == 0
     assert len(reduce_calls) <= bound
+
+
+def test_eq28_sums_its_bands_in_one_pass(monkeypatch):
+    # 306 ring additions, all in the unit-band steps of the product; 8,406
+    # when the m bands were summed by m - 1 dense matrix additions.
+    calls = []
+    original = rings.QuotientElem.__add__
+    monkeypatch.setattr(rings.QuotientElem, "__add__",
+                        lambda a, b: calls.append(1) or original(a, b))
+    assert check_truncated_exp_product(30, 10).passed
+    assert len(calls) <= 400
 
 
 # ---------------------------------------------------------------------------

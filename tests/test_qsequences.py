@@ -68,6 +68,18 @@ def recursion_r_q(n_max: int) -> list:
     return r
 
 
+@functools.cache
+def reference_e_q_family(base: IntPoly, n: int) -> RatFunc:
+    """The n-th factor of the expansion whose log has coefficients
+    base^(n-1)/(n [n]), by the divisor recursion over Q(q): base 1-q gives
+    e_n(q), base q-1 gives E_n(q)."""
+    total = RatFunc(0)
+    for d in divisors(n)[1:]:
+        term = reference_e_q_family(base, n // d) ** d / d
+        total = total + term if d % 2 == 0 else total - term
+    return total + RatFunc(base ** (n - 1), qint(n) * n)
+
+
 def r_p_closed_form(p: int) -> IntPoly:
     """r_p(q) = ((1-q)^(p-1) - [p]) / p for an odd prime p."""
     return (IntPoly((1, -1)) ** (p - 1) - qint(p)).divexact(p)
@@ -246,15 +258,23 @@ class TestRq:
         assert r_q_seq(30) == recursion_r_q(30)
 
     @pytest.mark.parametrize("wrong,notice", [
-        (lambda e: e + RatFunc(1, qint(7)), "r_6(q) did not reduce to a polynomial"),
-        (lambda e: e + RatFunc(1, qint(6)), "r_6(q) at q=1 != r_6"),  # integral, monic
+        (lambda total: total + 1, "r_6(q) did not reduce to a polynomial"),  # 6 does not divide it
+        (lambda total: total + 6, "r_6(q) at q=1 != r_6"),  # r_6(q) + 1: integral, monic
     ])
     def test_wrong_e_q_is_caught(self, monkeypatch, capsys, fresh_q_caches, wrong, notice):
-        right = qsequences._e_q
-        monkeypatch.setattr(qsequences, "_e_q",
-                            lambda n: wrong(right(n)) if n == 6 else right(n))
+        # The fault is planted in 6 r_6(q) = 6 u_6(q) e_6(q), the divisor recursion's sum.
+        right = qsequences._divisor_sum
+        monkeypatch.setattr(qsequences, "_divisor_sum",
+                            lambda base, n: wrong(right(base, n)) if n == 6 else right(base, n))
         assert cli.main(["seq", "rq", "6"]) == 1
         assert capsys.readouterr().err.startswith(f"consistency violation: {notice}")
+
+    @pytest.mark.parametrize("base", [IntPoly((1, -1)), IntPoly((-1, 1))])
+    def test_family_matches_rational_recursion_to_40(self, base):
+        # u_n(q) times e_n(q) (base 1-q) or E_n(q) (base q-1) from the recursion over Q(q).
+        for n in range(1, 41):
+            expected = reference_e_q_family(base, n) * RatFunc(qsequences._u_q(n))
+            assert RatFunc(qsequences._r_q_family(base, n)) == expected
 
 
 class TestOddSymmetry:
@@ -387,12 +407,40 @@ class TestGcdKernelFaults:
         assert c_q_seq(12) == expected
 
     def test_unit_gcd_is_caught(self, monkeypatch, fresh_q_caches):
-        # A gcd that is not greatest leaves fractions unreduced; the
-        # integrality checks of the q-sequences must notice.  The patched
-        # kernel is the one behind RatFunc normalisation.
+        # A gcd that is not greatest leaves fractions unreduced, so the
+        # structural comparisons of the q-oracle must fail.  The patched
+        # kernel is the one behind RatFunc normalisation; c_n(q) uses none.
+        expected = c_q_seq(6)
+        fresh_q_caches()
         monkeypatch.setattr(rings, "_primitive_gcd", lambda a, b: (P_ONE, a, b))
-        with pytest.raises(ConsistencyError, match=r"r_2\(q\) did not reduce to a polynomial"):
-            c_q_seq(6)
+        assert not check_q_oracle(6).passed
+        assert c_q_seq(6) == expected
+
+
+class TestNoGcdOnTheSequencePath:
+    @pytest.fixture
+    def gcd_calls(self, monkeypatch, fresh_q_caches):
+        """One entry per call of poly_gcd or of the kernel behind RatFunc
+        normalisation, under every name a ppx module binds them to."""
+        calls = []
+        for name in ("_gcd_cofactors", "poly_gcd"):
+            original = getattr(rings, name)
+            counted = functools.partial(
+                lambda f, label, *args: calls.append(label) or f(*args), original, name)
+            for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "ppx"]:
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counted)
+        return calls
+
+    def test_r_q_and_c_q_make_no_gcd(self, gcd_calls):
+        r_q_seq(36)
+        c_q_seq(36)
+        assert gcd_calls == []
+
+    def test_e_q_normalises_once_per_n(self, gcd_calls):
+        e_q_seq(36)
+        assert 0 < len(gcd_calls) <= 36
 
 
 class TestDividedPowerFaults:
