@@ -41,12 +41,10 @@ from .pascal import (
     factor_pascal,
     factor_pascal_m,
     factor_q_pascal,
-    h_matrix,
     h_m_nk,
     h_nk,
     pascal_m,
     pascal_matrix,
-    q_h,
     q_h_nk,
     q_pascal,
 )

@@ -9,9 +9,9 @@
 Sequence names: e c a u r (classical) and eq Eq uq rq cq (q-analogs).
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error,
 141 the reader closed standard output early.
-The environment variable PPX_MAX_N overrides the sequence length caps
-(default 64 for the classical sequences, 40 for the q-sequences, chosen so
-``verify all`` stays comfortably under a minute).
+``ppx seq`` takes at most 64 terms of any sequence; the environment
+variable PPX_MAX_N overrides that cap.  It bounds ``seq`` only: the verify
+suites take their sizes from their options and defaults.
 """
 
 from __future__ import annotations
@@ -25,20 +25,19 @@ from . import pascal, qsequences, sequences
 from .report import Report, render_reports_json
 from .rings import ConsistencyError, InexactDivisionError, serialize
 
-INT_SEQ_CAP = 64
-Q_SEQ_CAP = 40
+SEQ_CAP = 64
 
 SEQ_FUNCS = {
-    "e": (sequences.e_seq, "int"),
-    "c": (sequences.c_seq, "int"),
-    "a": (sequences.a_seq, "int"),
-    "u": (sequences.u_seq, "int"),
-    "r": (sequences.r_seq, "int"),
-    "eq": (qsequences.e_q_seq, "q"),
-    "Eq": (qsequences.cap_e_q_seq, "q"),
-    "uq": (qsequences.u_q_seq, "q"),
-    "rq": (qsequences.r_q_seq, "q"),
-    "cq": (qsequences.c_q_seq, "q"),
+    "e": sequences.e_seq,
+    "c": sequences.c_seq,
+    "a": sequences.a_seq,
+    "u": sequences.u_seq,
+    "r": sequences.r_seq,
+    "eq": qsequences.e_q_seq,
+    "Eq": qsequences.cap_e_q_seq,
+    "uq": qsequences.u_q_seq,
+    "rq": qsequences.r_q_seq,
+    "cq": qsequences.c_q_seq,
 }
 
 
@@ -46,7 +45,7 @@ class UsageError(Exception):
     pass
 
 
-def _seq_cap(family: str) -> int:
+def _seq_cap() -> int:
     override = os.environ.get("PPX_MAX_N")
     if override is not None:
         try:
@@ -56,15 +55,14 @@ def _seq_cap(family: str) -> int:
         if cap < 1:
             raise UsageError("PPX_MAX_N must be >= 1")
         return cap
-    return INT_SEQ_CAP if family == "int" else Q_SEQ_CAP
+    return SEQ_CAP
 
 
 def cmd_seq(args) -> int:
-    func, family = SEQ_FUNCS[args.name]
-    cap = _seq_cap(family)
+    cap = _seq_cap()
     if args.count < 1 or args.count > cap:
         raise UsageError(f"N must be between 1 and {cap} for sequence {args.name!r}")
-    values = func(args.count)
+    values = SEQ_FUNCS[args.name](args.count)
     if args.format == "json":
         obj = {
             "sequence": args.name,
@@ -184,6 +182,15 @@ def cmd_verify(args) -> int:
 # pascal
 
 
+# --variant: the print builder and the factorizer, each called with (n, m).  They
+# look the functions up in ppx.pascal at call time, so a wrapper put there counts.
+PASCAL_VARIANTS = {
+    "classic": (lambda n, m: pascal.pascal_matrix(n), lambda n, m: pascal.factor_pascal(n)),
+    "q": (lambda n, m: pascal.q_pascal(n), lambda n, m: pascal.factor_q_pascal(n)),
+    "m": (lambda n, m: pascal.pascal_m(n, m), lambda n, m: pascal.factor_pascal_m(n, m)),
+}
+
+
 def cmd_pascal(args) -> int:
     n, variant = args.n, args.variant
     if n < 1:
@@ -195,39 +202,24 @@ def cmd_pascal(args) -> int:
             raise UsageError("--m must be >= 1")
     elif args.m is not None:
         raise UsageError("--m only applies to --variant m")
-
-    if args.action == "print":
-        if variant == "classic":
-            matrix = pascal.pascal_matrix(n)
-        elif variant == "q":
-            matrix = pascal.q_pascal(n)
-        else:
-            matrix = pascal.pascal_m(n, args.m)
-        if args.format == "json":
-            obj = {"pascal": n, "variant": variant, "entries": matrix.to_json_obj()}
-            if variant == "m":
-                obj["m"] = args.m
-            print(json.dumps(obj, indent=2))
-        else:
-            print(matrix.render_text())
-        return 0
-
-    if n < 2:
+    if args.action == "factor" and n < 2:
         raise UsageError("factoring needs n >= 2")
-    if variant == "classic":
-        factors = pascal.factor_pascal(n)
-    elif variant == "q":
-        factors = pascal.factor_q_pascal(n)
+
+    build, factor = PASCAL_VARIANTS[variant]
+    as_json = args.format == "json"
+    if args.action == "print":
+        matrix = build(n, args.m)
+        key, out = "entries", matrix.to_json_obj() if as_json else matrix.render_text()
     else:
-        factors = pascal.factor_pascal_m(n, args.m)
-    if args.format == "json":
-        obj = {"pascal": n, "variant": variant,
-               "factors": [serialize(c) for c in factors]}
+        factors = factor(n, args.m)
+        key, out = "factors", ([serialize(c) for c in factors] if as_json
+                               else ", ".join(str(c) for c in factors))
+    if as_json:
+        obj = {"pascal": n, "variant": variant, key: out}
         if variant == "m":
             obj["m"] = args.m
-        print(json.dumps(obj, indent=2))
-    else:
-        print(", ".join(str(c) for c in factors))
+        out = json.dumps(obj, indent=2)
+    print(out)
     return 0
 
 

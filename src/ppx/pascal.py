@@ -1,9 +1,16 @@
-"""Pascal matrices, their nilpotent generators, and product factorizations.
+"""Pascal matrices in a basis, their nilpotent generators, and product factorizations.
 
-The n x n Pascal matrix P_n = (C(i,j)) is exp(H_n) for the strictly lower
-triangular H_n with entries i at (i, i-1): the divided powers H_n^k / k! have
-entries C(i,k) at (i, i-k) and vanish for k >= n.  The same expansion
-coefficients c_k that govern exp(x) factor the matrix,
+Every matrix here is built in a basis, as the series of ``ppx.series`` are: a
+ring and the weights ``binom`` of a divided-power basis -- ``math.comb`` over
+ZZ, the Gaussian binomials ``qbinom`` over ZX, or their values at a primitive
+m-th root of unity zeta_m over Z[q]/Phi_m(q).  Two builders make them all:
+``_pascal`` puts binom(i, j) at (i, j), and ``_divided`` puts
+binom(floor(i/m), k) at (i, i - mk), the divided power H_{n,k} for m = 1.
+
+With binomials, the n x n Pascal matrix P_n = (C(i,j)) is exp(H_n) for
+H_n = H_{n,1}, entries i at (i, i-1): its powers are H_n^k = k! H_{n,k} and
+vanish for k >= n.  The same expansion coefficients c_k that govern exp(x)
+factor the matrix,
 
     P_n = (I + c_1 H_{n,1})(I + c_2 H_{n,2}) ... (I + c_{n-1} H_{n,n-1}),
 
@@ -12,23 +19,24 @@ factors the (k,0) entry of the partial product forces c_k = 1 - g_{k-1}(k,0).
 That recovery is deliberately independent of the sequence recursion, so the
 agreement of the two is a genuine cross-check.  Each factor is the identity
 plus one band, so it is applied by a unit-band step, not a matrix product.
+The q-basis puts [k]! where k! was, and the m-fold matrices (m = 2 is the
+"doubled" Pascal triangle, OEIS A178112) factor the same way, row mk playing
+the role of row k.  No matrix code divides: a power is compared with k! (or
+[k]!) times a divided power, and exp(H) = P as sum (N!/k!) H^k = N! P.
+
 All these matrices are lower triangular, and the leading n x n block of a
 product (sum) of such matrices is the product (sum) of their blocks.  So the
-pascal and qpascal suites build the powers of H (summed to exp(H) as well),
-the divided powers, their sum, P and its factorization once, at n_max, and
-read each n from the leading blocks.  pascal-m builds each n anew: a fault in
-the bottom-left entry of a product must show even where n_max puts that entry
-off every band.
+pascal and qpascal suites build the powers of H, the divided powers, their
+sum, P and its factorization once, at n_max, and read each n from the leading
+blocks.  pascal-m builds each n anew: a fault in the bottom-left entry of a
+product must show even where n_max puts that entry off every band.
 
-An m-fold variant uses entries C(floor(i/m), k) at (i, i-mk) ("doubled"
-Pascal triangle for m = 2, OEIS A178112), and a q-variant replaces binomials
-with Gaussian binomials; both factor the same way.  Specializing q at a
-primitive m-th root of unity zeta_m -- done symbolically in Z[q]/Phi_m(q),
-never with complex floats -- collapses the q-Pascal matrix onto the m-fold
-one and yields the congruences c_n = 0 resp. c_{pm} = c_m mod p.  The
-Gaussian binomials of those suites are built in the ring: the q-Pascal rule
-runs on length-m coefficient vectors mod q^m - 1, where q^k is a rotation,
-and each entry is reduced by Phi_m once; the m-fold side stays on math.comb.
+Specializing q at zeta_m -- done symbolically in Z[q]/Phi_m(q), never with
+complex floats -- collapses the q-Pascal matrix onto the m-fold one and
+yields the congruences c_n = 0 resp. c_{pm} = c_m mod p.  The Gaussian
+binomials of those suites are built in the ring: the q-Pascal rule runs on
+length-m coefficient vectors mod q^m - 1, where q^k is a rotation, and each
+entry is reduced by Phi_m once; the m-fold side stays on math.comb.
 """
 
 from __future__ import annotations
@@ -38,17 +46,9 @@ import itertools
 import math
 
 from . import qsequences, sequences
-from .qsequences import qbinom, qfact, qint
+from .qsequences import qbinom, qfact
 from .report import Report
-from .rings import (
-    ConsistencyError,
-    IntPoly,
-    P_ZERO,
-    QuotientRing,
-    ZX,
-    ZZ,
-    serialize,
-)
+from .rings import ConsistencyError, IntPoly, QuotientRing, ZX, ZZ, serialize
 from .sequences import is_prime
 
 
@@ -66,7 +66,8 @@ class SquareMatrix:
 
     @classmethod
     def identity(cls, ring, n: int) -> "SquareMatrix":
-        return _band(ring, n, 0, lambda i: ring.one)
+        # H_(n,0) in any basis
+        return _divided(ring, lambda i, k: ring.one, n, 0)
 
     @property
     def n(self) -> int:
@@ -148,19 +149,17 @@ class SquareMatrix:
         return "\n".join(" ".join(str(e) for e in row) for row in self.rows)
 
 
-def _div_scalar_exact(matrix: SquareMatrix, d: int) -> SquareMatrix:
-    # Divides the nonzero entries only, as scale multiplies them.
-    ring = matrix.ring
-    try:
-        return matrix.map_entries(lambda e: e if e == ring.zero else ring.div_int(e, d), ring)
-    except ArithmeticError as exc:
-        raise ConsistencyError(f"matrix entries not divisible by {d}") from exc
+def _pascal(ring, binom, n: int) -> SquareMatrix:
+    """The n x n matrix with binom(i, j) at (i, j) for j <= i, zeros above."""
+    return SquareMatrix(ring, [[binom(i, j) for j in range(i + 1)] + [ring.zero] * (n - 1 - i)
+                               for i in range(n)])
 
 
-def _band(ring, n: int, shift: int, entry) -> SquareMatrix:
-    """The n x n matrix with entry(i) at (i, i - shift) and zeros elsewhere."""
-    return SquareMatrix(ring, [[ring.zero] * n] * min(shift, n) + [
-        [ring.zero] * (i - shift) + [entry(i)] + [ring.zero] * (n - 1 - i + shift)
+def _divided(ring, binom, n: int, k: int, m: int = 1) -> SquareMatrix:
+    """The n x n matrix with binom(floor(i/m), k) at (i, i - mk), zeros elsewhere."""
+    shift, zero = m * k, ring.zero
+    return SquareMatrix(ring, [[zero] * n] * min(shift, n) + [
+        [zero] * (i - shift) + [binom(i // m, k)] + [zero] * (n - 1 - i + shift)
         for i in range(shift, n)])
 
 
@@ -172,31 +171,6 @@ def _blockwise(a: SquareMatrix, b: SquareMatrix) -> list:
         if i < size and ra != rb:
             size = min(size, max(i, next(j for j, (x, y) in enumerate(zip(ra, rb)) if x != y)))
     return [n <= size for n in range(a.n + 1)]
-
-
-# ---------------------------------------------------------------------------
-# Classical Pascal matrices
-
-
-def pascal_matrix(n: int) -> SquareMatrix:
-    """P_n with entries C(i, j), lower triangular."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    return SquareMatrix(ZZ, [[math.comb(i, j) for j in range(n)] for i in range(n)])
-
-
-def h_matrix(n: int) -> SquareMatrix:
-    """The nilpotent generator with entries i at (i, i-1)."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    return _band(ZZ, n, 1, lambda i: i)
-
-
-def h_nk(n: int, k: int) -> SquareMatrix:
-    """The divided power H_n^k / k!, with entries C(i, k) at (i, i-k)."""
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
-    return _band(ZZ, n, k, lambda i: math.comb(i, k))
 
 
 def _unit_band_step(matrix: SquareMatrix, generator: SquareMatrix, shift: int, c) -> SquareMatrix:
@@ -232,21 +206,52 @@ def _factor_greedily(ring, n: int, k_max: int, generator, step: int) -> tuple:
     return partial, cs
 
 
-def factor_pascal(n: int) -> list:
-    """Recover c_1..c_{n-1} from P_n = prod (I + c_k H_{n,k}) greedily.
+def _unfactored(ring, n: int, m: int = 1) -> ConsistencyError:
+    q = ring is ZX
+    target = f"the {m}-fold P_{n}" if m > 1 else f"P_{n}(q)" if q else f"P_{n}"
+    return ConsistencyError(f"recovered {'q-' * q}factors do not multiply to {target}")
 
-    The recovered coefficients are asserted to multiply back to P_n and to
-    equal the expansion sequence c_k, making the two derivations of the
-    sequence mutually checking.
+
+def _factor(ring, binom, n: int, m: int, target: SquareMatrix, sequence) -> list:
+    """Recover c_1..c_K, K = floor((n-1)/m), from target = prod (I + c_k H_{n,k}),
+    the H_{n,k} m-fold in the basis (ring, binom).
+
+    The recovered coefficients are asserted to multiply back to the target and
+    to equal sequence(K), making the two derivations of the sequence mutually
+    checking.
     """
+    k_max, q = (n - 1) // m, "(q)" if ring is ZX else ""
+    partial, cs = _factor_greedily(ring, n, k_max, lambda k: _divided(ring, binom, n, k, m), m)
+    if partial != target:
+        raise _unfactored(ring, n, m)
+    if k_max >= 1 and cs != sequence(k_max):
+        raise ConsistencyError(f"matrix-recovered c_k{q} != sequence c_k{q}")
+    return cs
+
+
+# ---------------------------------------------------------------------------
+# Classical Pascal matrices
+
+
+def pascal_matrix(n: int) -> SquareMatrix:
+    """P_n with entries C(i, j), lower triangular."""
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    return _pascal(ZZ, math.comb, n)
+
+
+def h_nk(n: int, k: int) -> SquareMatrix:
+    """The divided power H_n^k / k!, with entries C(i, k) at (i, i-k)."""
+    if n < 1 or k < 0:
+        raise ValueError("need n >= 1 and k >= 0")
+    return _divided(ZZ, math.comb, n, k)
+
+
+def factor_pascal(n: int) -> list:
+    """Recover c_1..c_{n-1} from P_n = prod (I + c_k H_{n,k}) greedily."""
     if n < 2:
         raise ValueError("need n >= 2")
-    partial, cs = _factor_greedily(ZZ, n, n - 1, lambda k: h_nk(n, k), 1)
-    if partial != pascal_matrix(n):
-        raise ConsistencyError(f"recovered factors do not multiply to P_{n}")
-    if cs != sequences.c_seq(n - 1):
-        raise ConsistencyError("matrix-recovered c_k != sequence c_k")
-    return cs
+    return _factor(ZZ, math.comb, n, 1, pascal_matrix(n), sequences.c_seq)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +262,7 @@ def h_m_nk(n: int, m: int, k: int) -> SquareMatrix:
     """Entries C(floor(i/m), k) at (i, i - mk)."""
     if n < 1 or m < 1 or k < 0:
         raise ValueError("need n, m >= 1 and k >= 0")
-    return _band(ZZ, n, m * k, lambda i: math.comb(i // m, k))
+    return _divided(ZZ, math.comb, n, k, m)
 
 
 def pascal_m(n: int, m: int) -> SquareMatrix:
@@ -277,8 +282,8 @@ def pascal_m(n: int, m: int) -> SquareMatrix:
         if powers[k - 1] * generator != powers[k].scale(k):
             raise ConsistencyError(f"H^({m})_({n},{k - 1}) H_1 != {k} H_({n},{k})")
         generator_power = generator_power * generator
-        if _div_scalar_exact(generator_power, math.factorial(k)) != powers[k]:
-            raise ConsistencyError(f"H^k/k! mismatch for m={m}, n={n}, k={k}")
+        if generator_power != powers[k].scale(math.factorial(k)):
+            raise ConsistencyError(f"H^k != k! H_k for m={m}, n={n}, k={k}")
     if not (generator_power * generator if k_max else generator).is_zero:
         raise ConsistencyError(f"sum of divided powers != exp(H) for m={m}, n={n}")
     total = functools.reduce(SquareMatrix.__add__, powers)
@@ -296,13 +301,7 @@ def factor_pascal_m(n: int, m: int) -> list:
     row k plays in the classical recovery."""
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
-    k_max = (n - 1) // m
-    partial, cs = _factor_greedily(ZZ, n, k_max, lambda k: h_m_nk(n, m, k), m)
-    if partial != pascal_m(n, m):
-        raise ConsistencyError(f"recovered factors do not multiply to the {m}-fold P_{n}")
-    if k_max >= 1 and cs != sequences.c_seq(k_max):
-        raise ConsistencyError("matrix-recovered c_k != sequence c_k")
-    return cs
+    return _factor(ZZ, math.comb, n, m, pascal_m(n, m), sequences.c_seq)
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +312,7 @@ def q_pascal(n: int) -> SquareMatrix:
     """P_n(q) with Gaussian binomial entries."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    return SquareMatrix(
-        ZX, [[qbinom(i, j) if j <= i else P_ZERO for j in range(n)] for i in range(n)]
-    )
-
-
-def q_h(n: int) -> SquareMatrix:
-    """The q-generator with entries [i] at (i, i-1)."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    return _band(ZX, n, 1, qint)
+    return _pascal(ZX, qbinom, n)
 
 
 def q_h_nk(n: int, k: int) -> SquareMatrix:
@@ -330,19 +320,14 @@ def q_h_nk(n: int, k: int) -> SquareMatrix:
     (i, i-k)."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    return _band(ZX, n, k, lambda i: qbinom(i, k))
+    return _divided(ZX, qbinom, n, k)
 
 
 def factor_q_pascal(n: int) -> list:
     """Recover c_1(q)..c_{n-1}(q) from P_n(q) = prod (I + c_k(q) H_{n,k}(q))."""
     if n < 2:
         raise ValueError("need n >= 2")
-    partial, cs = _factor_greedily(ZX, n, n - 1, lambda k: q_h_nk(n, k), 1)
-    if partial != q_pascal(n):
-        raise ConsistencyError(f"recovered q-factors do not multiply to P_{n}(q)")
-    if cs != qsequences.c_q_seq(n - 1):
-        raise ConsistencyError("matrix-recovered c_k(q) != sequence c_k(q)")
-    return cs
+    return _factor(ZX, qbinom, n, 1, q_pascal(n), qsequences.c_q_seq)
 
 
 # ---------------------------------------------------------------------------
@@ -352,20 +337,28 @@ def factor_q_pascal(n: int) -> list:
 _SAME, _ZERO = ("as expected", "mismatch"), ("zero", "nonzero")
 
 
-def _powers(generator: SquareMatrix) -> list:
-    """H^0, ..., H^N for an N x N generator H."""
-    return [SquareMatrix.identity(generator.ring, generator.n),
-            *itertools.accumulate([generator] * generator.n, SquareMatrix.__mul__)]
-
-
-def _power_checks(powers: list, same: list) -> tuple:
-    """For the powers H^0..H^N of an N x N generator and _blockwise lists same[k],
-    k < N, per n = 0..N: whether same[k] holds at n for every k < n, and whether
-    H^n's n-block is 0."""
-    ring, size = powers[0].ring, len(same)
-    zero = SquareMatrix(ring, [[ring.zero] * size] * size)
-    return ([all(s[n] for s in same[:n]) for n in range(size + 1)],
-            [_blockwise(power, zero)[n] for n, power in enumerate(powers)])
+def _block_rows(ring, binom, factorial, n_max: int) -> tuple:
+    """What the pascal and qpascal suites share, in the basis (ring, binom) with
+    factorials factorial(k), all at N = n_max: P_N, the powers H^0..H^N of
+    H = H_(N,1), the greedily recovered c_1..c_(N-1), and per n = 0..N (from
+    the leading n x n blocks) whether H^k == factorial(k) H_(n,k) for every
+    k < n, whether H^n == 0 and whether the H_(n,k) sum to P_n.  The recovered
+    factors must multiply back to P (ConsistencyError at the first n where not)."""
+    p = _pascal(ring, binom, n_max)
+    divided = [_divided(ring, binom, n_max, k) for k in range(n_max)]
+    partial, cs = _factor_greedily(ring, n_max, n_max - 1, divided.__getitem__, 1)
+    factored = _blockwise(partial, p)
+    if not all(factored):
+        raise _unfactored(ring, max(2, factored.index(False)))
+    powers = [SquareMatrix.identity(ring, n_max),
+              *itertools.accumulate([divided[1]] * n_max, SquareMatrix.__mul__)]
+    same = [_blockwise(power, d.scale(factorial(k)))
+            for k, (power, d) in enumerate(zip(powers, divided))]
+    zero = SquareMatrix(ring, [[ring.zero] * n_max] * n_max)
+    divided_ok = [all(s[n] for s in same[:n]) for n in range(n_max + 1)]
+    vanishes = [_blockwise(power, zero)[n] for n, power in enumerate(powers)]
+    summed = _blockwise(functools.reduce(SquareMatrix.__add__, divided), p)
+    return p, powers, cs, divided_ok, vanishes, summed
 
 
 def check_pascal(n_max: int) -> Report:
@@ -373,22 +366,25 @@ def check_pascal(n_max: int) -> Report:
     each n read from leading blocks at n_max; prefix stability factors n_max - 1."""
     if n_max < 2:
         raise ValueError("need n >= 2")
-    rep, powers, p = Report("pascal"), _powers(h_matrix(n_max)), pascal_matrix(n_max)
-    divided = [h_nk(n_max, k) for k in range(n_max)]
-    partial, cs = _factor_greedily(ZZ, n_max, n_max - 1, divided.__getitem__, 1)
-    scaled = [_div_scalar_exact(power, math.factorial(k)) for k, power in enumerate(powers)]
-    divided_ok, vanishes = _power_checks(powers, list(map(_blockwise, scaled, divided)))
-    summed = _blockwise(functools.reduce(SquareMatrix.__add__, divided), p)
-    expd = _blockwise(functools.reduce(SquareMatrix.__add__, scaled), p)
-    factored = _blockwise(partial, p)
+    rep = Report("pascal")
+    p, powers, cs, divided_ok, vanishes, summed = _block_rows(ZZ, math.comb, math.factorial, n_max)
+    # exp(H) = P as sum (N!/k!) H^k = N! P, in Z, summed in one pass over the nonzero
+    # entries of the powers: those off a power's band too, so that a wrong product
+    # fails this row as it fails the per-n sum of H^k/k!.
+    weights = [math.factorial(n_max) // math.factorial(k) for k in range(n_max + 1)]
+    total = [[0] * n_max for _ in range(n_max)]
+    for weight, power in zip(weights, powers):
+        for row, out in zip(power.rows, total):
+            for j, e in enumerate(row):
+                if e:
+                    out[j] += weight * e
+    expd = _blockwise(SquareMatrix(ZZ, total), p.scale(weights[0]))
     for n in range(2, n_max + 1):
         rep.add("divided-powers", {"n": n}, divided_ok[n], "H^k/k! == H_(n,k) for k < n",
                 _SAME[not divided_ok[n]])
         rep.add("nilpotency", {"n": n}, vanishes[n], "H^n == 0", _ZERO[not vanishes[n]])
         rep.add("sum-of-divided-powers", {"n": n}, summed[n], "P_n", _SAME[not summed[n]])
         rep.add("matrix-exponential", {"n": n}, expd[n], "P_n", _SAME[not expd[n]])
-        if not factored[n]:
-            raise ConsistencyError(f"recovered factors do not multiply to P_{n}")
         expected = sequences.c_seq(n - 1)
         rep.add("factor-recovery", {"n": n}, cs[: n - 1] == expected,
                 ", ".join(map(str, expected)), ", ".join(map(str, cs[: n - 1])))
@@ -427,23 +423,15 @@ def check_q_pascal(n_max: int) -> Report:
     each n read from leading blocks as in check_pascal."""
     if n_max < 2:
         raise ValueError("need n >= 2")
-    rep, p = Report("qpascal"), q_pascal(n_max)
-    divided = [q_h_nk(n_max, k) for k in range(n_max)]
-    partial, cs = _factor_greedily(ZX, n_max, n_max - 1, divided.__getitem__, 1)
-    powers = _powers(q_h(n_max))
-    divided_ok, vanishes = _power_checks(powers, [
-        _blockwise(power, d.scale(qfact(k))) for k, (power, d) in enumerate(zip(powers, divided))])
-    summed = _blockwise(functools.reduce(SquareMatrix.__add__, divided), p)
+    rep = Report("qpascal")
+    p, _, cs, divided_ok, vanishes, summed = _block_rows(ZX, qbinom, qfact, n_max)
     at_one = _blockwise(p.map_entries(lambda e: e(1), ZZ), pascal_matrix(n_max))
-    factored = _blockwise(partial, p)
     for n in range(2, n_max + 1):
         rep.add("q-divided-powers", {"n": n}, divided_ok[n],
                 "H^k(q) == [k]! H_(n,k)(q) for k < n", _SAME[not divided_ok[n]])
         rep.add("q-nilpotency", {"n": n}, vanishes[n], "H(q)^n == 0", _ZERO[not vanishes[n]])
         rep.add("q-exp-identity", {"n": n}, summed[n], "P_n(q)", _SAME[not summed[n]])
         rep.add("q1-specialization", {"n": n}, at_one[n], "P_n", _SAME[not at_one[n]])
-        if not factored[n]:
-            raise ConsistencyError(f"recovered q-factors do not multiply to P_{n}(q)")
         expected = qsequences.c_q_seq(n - 1)
         rep.add("q-factor-recovery", {"n": n}, cs[: n - 1] == expected,
                 ", ".join(map(str, expected)), ", ".join(map(str, cs[: n - 1])))
@@ -512,14 +500,10 @@ def _gaussian_rows(n: int, ring: QuotientRing) -> list:
     return rows
 
 
-def _gaussian_band(rows: list, ring: QuotientRing, k: int) -> SquareMatrix:
-    """H_(n,k)(zeta_m), n = len(rows): the Gaussian binomials [i, k] at (i, i - k)."""
-    return _band(ring, len(rows), k, lambda i: rows[i][k])
-
-
-def _gaussian_matrix(rows: list, ring: QuotientRing) -> SquareMatrix:
-    """P_n(zeta_m), n = len(rows): the Gaussian binomials [i, j] at (i, j)."""
-    return SquareMatrix(ring, [row + [ring.zero] * (len(rows) - len(row)) for row in rows])
+def _gaussian_basis(n: int, ring: QuotientRing):
+    """The weights binom(i, k) = [i, k] at zeta_m, k <= i < n, read from _gaussian_rows."""
+    rows = _gaussian_rows(n, ring)
+    return lambda i, k: rows[i][k]
 
 
 def solve_unit_lower(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
@@ -545,15 +529,14 @@ def solve_unit_lower(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
     return SquareMatrix(ring, x)
 
 
-def _truncated_exp_product(rows: list, m: int, ring: QuotientRing) -> tuple:
-    """The eq28 report, and the sum_{j<m} H_{n,j}(zeta_m) it checks."""
-    n, zero = len(rows), ring.zero
+def _truncated_exp_product(binom, n: int, m: int, ring: QuotientRing) -> tuple:
+    """The eq28 report, and the sum_{j<m} H_{n,j}(zeta_m) it checks, in the basis
+    (ring, binom) of the Gaussian binomials at zeta_m."""
     # The bands share no entry: (i, i - j) holds [i, j] when j < m, so the sum is one pass.
-    total = SquareMatrix(ring, [[row[i - k] if i - k < m else zero for k in range(i + 1)]
-                                + [zero] * (n - 1 - i) for i, row in enumerate(rows)])
+    total = _pascal(ring, lambda i, j: binom(i, i - j) if i - j < m else ring.zero, n)
     product = SquareMatrix.identity(ring, n)
     for j in range(1, m):
-        product = _unit_band_step(product, _gaussian_band(rows, ring, j), j,
+        product = _unit_band_step(product, _divided(ring, binom, n, j), j,
                                   ring.reduce(qsequences._c_q(j)))
     rep = Report("eq28")
     rep.add("sum-equals-product", {"n": n, "m": m}, total == product,
@@ -567,7 +550,7 @@ def check_truncated_exp_product(n: int, m: int) -> Report:
     if m < 2 or n < m:
         raise ValueError("need n >= m >= 2")
     ring = QuotientRing.cyclotomic(m)
-    return _truncated_exp_product(_gaussian_rows(n, ring), m, ring)[0]
+    return _truncated_exp_product(_gaussian_basis(n, ring), n, m, ring)[0]
 
 
 def check_root_of_unity_factorization(n: int, m: int) -> Report:
@@ -583,21 +566,21 @@ def check_root_of_unity_factorization(n: int, m: int) -> Report:
         raise ValueError("need n >= m >= 2")
     rep = Report("eq26")
     ring = QuotientRing.cyclotomic(m)
-    rows = _gaussian_rows(n, ring)
+    binom = _gaussian_basis(n, ring)
 
-    ok = (_gaussian_band(rows, ring, 1) ** m).is_zero
+    ok = (_divided(ring, binom, n, 1) ** m).is_zero
     rep.add("generator-m-nilpotent", {"n": n, "m": m}, ok, "H(zeta)^m == 0", _ZERO[not ok])
 
-    eq28, truncated = _truncated_exp_product(rows, m, ring)
+    eq28, truncated = _truncated_exp_product(binom, n, m, ring)
     rep.checks.extend(eq28.checks)
 
     k_max = (n - 1) // m
-    generators = [_gaussian_band(rows, ring, k * m) for k in range(1, k_max + 1)]
+    generators = [_divided(ring, binom, n, k * m) for k in range(1, k_max + 1)]
     ok = all(g == _embed(h_m_nk(n, m, k), ring) for k, g in enumerate(generators, 1))
     rep.add("gaussian-specialization", {"n": n, "m": m}, ok,
             "H_(n,km)(zeta_m) == m-fold divided power", _SAME[not ok])
 
-    quotient = solve_unit_lower(truncated, _gaussian_matrix(rows, ring))
+    quotient = solve_unit_lower(truncated, _pascal(ring, binom, n))
     m_fold = _embed(pascal_m(n, m), ring)
     rep.add("quotient-is-m-fold-pascal", {"n": n, "m": m}, quotient == m_fold,
             "P^(m)_n", _SAME[quotient != m_fold])

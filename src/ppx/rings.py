@@ -28,14 +28,11 @@ integers that ``array`` converts in one C call.  A quotient is accepted only
 when a bound on its digits proves it exact; otherwise, and for smaller
 operands, the schoolbook loops decide.
 
-The ring singletons at the bottom (``ZZ``, ``ZX``) are the coefficient-ring
-protocol of the generic series, expansion and matrix code: ``zero``, ``one``
-and, on ``ZZ``, ``div_int``, the exact division by an integer that the matrix
-code needs (series and expansions divide nowhere); elements do the rest
-through their operators and are false exactly when zero.  A
-:class:`QuotientRing` instance holds one ``zero`` and one ``one`` for its own
-elements and no ``div_int`` (the only units inverted in a quotient ring are
-those mod q^2, by ``ppx.qsequences.mod_q2_inverse``).
+The coefficient-ring protocol of the generic series, expansion and matrix
+code is ``zero`` and ``one``: the two instances ``ZZ`` and ``ZX`` at the
+bottom hold them for ``int`` and :class:`IntPoly`, and a :class:`QuotientRing`
+holds them for its own elements.  Elements do the rest through their
+operators and are false exactly when zero; none of that code divides.
 """
 
 from __future__ import annotations
@@ -793,34 +790,23 @@ class QuotientElem:
 
 
 # ---------------------------------------------------------------------------
-# Ring protocol singletons
+# Ring protocol instances
 
 
-class _IntegerRing:
-    zero = 0
-    one = 1
+class _Ring:
+    """A coefficient ring of the protocol: its zero and its one."""
 
-    @staticmethod
-    def div_int(a: int, n: int) -> int:
-        t, leftover = divmod(a, n)
-        if leftover:
-            raise InexactDivisionError(f"{a} is not divisible by {n}")
-        return t
+    __slots__ = ("zero", "one", "name")
+
+    def __init__(self, zero, one, name: str):
+        self.zero, self.one, self.name = zero, one, name
 
     def __repr__(self):
-        return "ZZ"
+        return self.name
 
 
-class _PolyRing:
-    zero = P_ZERO
-    one = P_ONE
-
-    def __repr__(self):
-        return "ZX"
-
-
-ZZ = _IntegerRing()
-ZX = _PolyRing()
+ZZ = _Ring(0, 1, "ZZ")
+ZX = _Ring(P_ZERO, P_ONE, "ZX")
 
 
 # ---------------------------------------------------------------------------

@@ -56,11 +56,11 @@ class TestSeq:
         assert "between 1 and 64" in err
 
     def test_q_cap_enforced(self, capsys):
-        code, _, _ = run(capsys, "seq", "rq", "41")
+        code, _, _ = run(capsys, "seq", "rq", "65")
         assert code == 2
-        code, out, _ = run(capsys, "seq", "rq", "40")
+        code, out, _ = run(capsys, "seq", "rq", "64")
         assert code == 0
-        assert len(out.split()) == 40
+        assert len(out.split()) == 64
 
     def test_env_var_overrides_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("PPX_MAX_N", "70")

@@ -21,11 +21,9 @@ from ppx.pascal import (
     factor_pascal_m,
     factor_q_pascal,
     h_m_nk,
-    h_matrix,
     h_nk,
     pascal_m,
     pascal_matrix,
-    q_h,
     q_h_nk,
     q_pascal,
     solve_unit_lower,
@@ -56,7 +54,7 @@ class TestClassical:
         )
 
     def test_h_cubed_over_six_is_divided_power(self):
-        h = h_matrix(4)
+        h = h_nk(4, 1)
         cubed = h ** 3
         scaled = cubed.map_entries(lambda e: e // 6, ZZ)
         assert scaled == h_nk(4, 3)
@@ -64,12 +62,12 @@ class TestClassical:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_nilpotency(self, n):
-        assert (h_matrix(n) ** n).is_zero
-        assert not (h_matrix(n) ** (n - 1)).is_zero
+        assert (h_nk(n, 1) ** n).is_zero
+        assert not (h_nk(n, 1) ** (n - 1)).is_zero
 
     def test_exp_is_pascal(self):
         for n in (2, 4, 7):
-            assert reference.exp_nilpotent(h_matrix(n)) == pascal_matrix(n)
+            assert reference.exp_nilpotent(h_nk(n, 1)) == pascal_matrix(n)
 
     def test_factor_p4(self):
         assert factor_pascal(4) == [1, 1, -2]
@@ -132,6 +130,14 @@ class TestMFold:
     def test_report(self):
         assert check_pascal_m(10).passed
 
+    def test_pascal_m_takes_one_product_per_power(self, product_calls):
+        # k = 2..k_max: H_(k-1) H_1 and H^k = H^(k-1) H_1; exp(H) then takes
+        # one more product, H^(k_max + 1) = 0.
+        n, m = 13, 2
+        k_max = (n - 1) // m
+        pascal_m(n, m)
+        assert len(product_calls) == 2 * (k_max - 1) + 1
+
 
 class TestQPascal:
     def test_q_pascal_3(self):
@@ -142,12 +148,12 @@ class TestQPascal:
         )
 
     def test_q_h_squared_entry(self):
-        squared = q_h(3) ** 2
+        squared = q_h_nk(3, 1) ** 2
         assert squared.entry(2, 0) == qfact(2)  # [2]! [2 choose 2]
 
     def test_divided_power_identity(self):
         for n in (3, 5):
-            h = q_h(n)
+            h = q_h_nk(n, 1)
             for k in range(n):
                 assert h ** k == q_h_nk(n, k).scale(qfact(k))
 
@@ -216,7 +222,7 @@ class TestCarlitz:
 class TestRootOfUnity:
     def test_generator_nilpotent_mod_phi2(self):
         ring = QuotientRing(cyclotomic(2))
-        h = q_h(6).map_entries(ring.reduce, ring)
+        h = q_h_nk(6, 1).map_entries(ring.reduce, ring)
         assert (h ** 2).is_zero
 
     def test_gaussian_binomial_at_minus_one(self):
@@ -264,15 +270,16 @@ class TestGaussianRowsInTheRing:
 
     @pytest.mark.parametrize("n,m", [(6, 2), (8, 2), (9, 3), (12, 4), (18, 6), (30, 10)])
     def test_suite_inputs_match_the_z_q_route(self, n, m):
-        # every matrix eq26 and eq28 read from the rows: H_(n,k)(zeta_m) for
-        # j < m and k = m, 2m, ..., H(zeta_m) = H_(n,1) and P_n(zeta_m)
+        # every matrix eq26 and eq28 build in the basis of the rows: H_(n,k)(zeta_m)
+        # for j < m and k = m, 2m, ..., H(zeta_m) = H_(n,1) and P_n(zeta_m)
         ring = QuotientRing.cyclotomic(m)
-        rows = pascal._gaussian_rows(n, ring)
+        binom = pascal._gaussian_basis(n, ring)
         for k in range(n + 1):
-            assert pascal._gaussian_band(rows, ring, k) == reference.reduce_matrix(
+            assert pascal._divided(ring, binom, n, k) == reference.reduce_matrix(
                 q_h_nk(n, k), ring)
-        assert pascal._gaussian_band(rows, ring, 1) == reference.reduce_matrix(q_h(n), ring)
-        assert pascal._gaussian_matrix(rows, ring) == reference.reduce_matrix(q_pascal(n), ring)
+        assert pascal._divided(ring, binom, n, 1) == reference.reduce_matrix(
+            reference.q_h(n), ring)
+        assert pascal._pascal(ring, binom, n) == reference.reduce_matrix(q_pascal(n), ring)
 
 
 class TestSquareMatrix:
@@ -292,14 +299,21 @@ class TestSquareMatrix:
 class TestBandConstructors:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_match_dense_definitions(self, n):
-        # every band index k, those at or past the last row included
-        assert h_matrix(n) == reference.h_matrix(n)
-        assert q_h(n) == reference.q_h(n)
+        # every band index k, those at or past the last row included; the two
+        # builders in the binomial, m-fold and Gaussian bases, and the public
+        # functions that call them (the zeta_m basis is in TestGaussianRowsInTheRing)
+        assert h_nk(n, 1) == reference.h_matrix(n)
+        assert q_h_nk(n, 1) == reference.q_h(n)
         for k in range(n + 3):
-            assert h_nk(n, k) == reference.h_nk(n, k)
-            assert q_h_nk(n, k) == reference.q_h_nk(n, k)
+            assert h_nk(n, k) == pascal._divided(ZZ, math.comb, n, k) == reference.h_nk(n, k)
+            assert q_h_nk(n, k) == pascal._divided(ZX, qbinom, n, k) == reference.q_h_nk(n, k)
             for m in (1, 2, 3):
-                assert h_m_nk(n, m, k) == reference.h_m_nk(n, m, k)
+                assert h_m_nk(n, m, k) == pascal._divided(ZZ, math.comb, n, k, m) == (
+                    reference.h_m_nk(n, m, k))
+        for ring, binom, public in ((ZZ, math.comb, pascal_matrix), (ZX, qbinom, q_pascal)):
+            dense = SquareMatrix(ring, [[binom(i, j) if j <= i else ring.zero for j in range(n)]
+                                        for i in range(n)])
+            assert public(n) == pascal._pascal(ring, binom, n) == dense
         for ring in (ZZ, ZX):
             assert SquareMatrix.identity(ring, n).rows == tuple(
                 tuple(ring.one if i == j else ring.zero for j in range(n)) for i in range(n))
@@ -395,17 +409,6 @@ class CountingRing:
         return matrix.map_entries(lambda e: Counted(e, self.log), self)
 
 
-class DividingRing:
-    """ZZ, counting its exact divisions by integers."""
-
-    def __init__(self):
-        self.zero, self.calls = ZZ.zero, 0
-
-    def div_int(self, a, n):
-        self.calls += 1
-        return ZZ.div_int(a, n)
-
-
 @pytest.fixture
 def product_calls(monkeypatch):
     """One entry per call of SquareMatrix.__mul__."""
@@ -414,30 +417,6 @@ def product_calls(monkeypatch):
     monkeypatch.setattr(SquareMatrix, "__mul__",
                         lambda a, b: calls.append(1) or original(a, b))
     return calls
-
-
-class TestDivScalarExact:
-    # Integer matrices are the only ones the program divides.
-    @settings(max_examples=120, deadline=None)
-    @given(st.integers(1, 8).flatmap(lambda n: square_matrices(ZZ, n)),
-           st.integers(-6, 6).filter(bool))
-    def test_one_div_int_per_nonzero_entry(self, matrix, d):
-        ring = DividingRing()
-        scaled = SquareMatrix(ring, [[e * d for e in row] for row in matrix.rows])
-        assert pascal._div_scalar_exact(scaled, d).rows == matrix.rows
-        assert ring.calls == sum(e != 0 for row in matrix.rows for e in row)
-
-    def test_inexact_entry_is_a_consistency_error(self):
-        with pytest.raises(ConsistencyError, match="not divisible by 2"):
-            pascal._div_scalar_exact(h_matrix(4), 2)
-
-    def test_pascal_m_takes_one_product_per_power(self, product_calls):
-        # k = 2..k_max: H_(k-1) H_1 and H^k = H^(k-1) H_1; exp(H) then takes
-        # one more product, H^(k_max + 1) = 0.
-        n, m = 13, 2
-        k_max = (n - 1) // m
-        pascal_m(n, m)
-        assert len(product_calls) == 2 * (k_max - 1) + 1
 
 
 class TestSparseProduct:
@@ -631,12 +610,17 @@ class TestBlockReading:
             leading_block(a, n) == leading_block(b, n) for n in range(1, a.n + 1)]
 
     # (4, 0) doubled: of the divided powers only k = 4 fails, first at n = 5.
-    # (3, 0) + 6: H(q)^4 is nonzero in the 4 x 4 block; H^4 / 4! is inexact,
-    # so both pascal suites stop with the same ConsistencyError.
+    # (3, 0) + 6: H^2 gets an entry off its band and H^4 is nonzero in the
+    # 4 x 4 block, so divided-powers, nilpotency and matrix-exponential FAIL
+    # from n = 4 in both suites (the per-n exp(H) divides H^4 by 4! inexactly
+    # and reports that as a mismatch), and the qpascal analogs likewise.
+    # (3, 2) + 1: off the band of every product H^k, so the one-pass sum of the
+    # (N!/k!) H^k must read the powers off their bands to FAIL matrix-exponential.
     @pytest.mark.parametrize("plant", [
         None, plant_wrong_c3, plant_wrong_c3_q,
         fault_at(4, 0, lambda e, ring: e + e), fault_at(3, 0, lambda e, ring: e + 6 * ring.one),
-    ], ids=["shipped", "wrong-c3", "wrong-c3-q", "doubled-4-0", "bumped-3-0"])
+        fault_at(3, 2, lambda e, ring: e + ring.one),
+    ], ids=["shipped", "wrong-c3", "wrong-c3-q", "doubled-4-0", "bumped-3-0", "bumped-3-2"])
     @pytest.mark.parametrize("suite, per_n", [(check_pascal, reference.check_pascal),
                                               (check_q_pascal, reference.check_q_pascal)],
                              ids=["pascal", "qpascal"])
@@ -811,6 +795,15 @@ class TestMatrixSuitesCanFail:
         out = capsys.readouterr().out
         assert "FAIL generator-m-nilpotent" in out
         assert "status: fail" in out
+
+    def test_wrong_product_keeps_the_report(self, monkeypatch, capsys):
+        # H^4 / 4! would be inexact here; H^4 is compared with 4! H_4 instead
+        fault_at(3, 0, lambda e, ring: e + 6 * ring.one)(monkeypatch)
+        assert cli.main(["verify", "pascal", "--max-n", "6"]) == 1
+        out = capsys.readouterr().out
+        fails = [line.split(" | ")[0].strip() for line in out.splitlines() if "FAIL" in line]
+        assert fails[0] == "FAIL divided-powers [n=4]"
+        assert out.splitlines()[-1] == "status: fail"
 
     def test_wrong_c3_fails_factor_recovery(self, fresh_caches, monkeypatch, capsys):
         original = sequences._c
