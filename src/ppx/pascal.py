@@ -6,6 +6,11 @@ ZZ, the Gaussian binomials ``qbinom`` over ZX, or their values at a primitive
 m-th root of unity zeta_m over Z[q]/Phi_m(q).  Two builders make them all:
 ``_pascal`` puts binom(i, j) at (i, j), and ``_divided`` puts
 binom(floor(i/m), k) at (i, i - mk), the divided power H_{n,k} for m = 1.
+A matrix is stored by its diagonals, the bands i - j = d: band k of P_n is
+H_{n,k}, and a product of two bands is one pass over their entries into the
+band at the sum of their offsets.  A product of single-band matrices costs O(n),
+a unit-band step O(n) per band of the left factor; the dense grid ``rows`` is a
+view, built to render, and to read the right side in ``solve_unit_lower``.
 
 With binomials, the n x n Pascal matrix P_n = (C(i,j)) is exp(H_n) for
 H_n = H_{n,1}, entries i at (i, i-1): its powers are H_n^k = k! H_{n,k} and
@@ -53,16 +58,36 @@ from .sequences import is_prime
 
 
 class SquareMatrix:
-    """Immutable square matrix over one of the exact coefficient rings."""
+    """Immutable n x n matrix over one of the exact coefficient rings, stored by
+    its diagonals: ``bands`` maps each offset d = i - j to the tuple of the
+    entries (i, i - d) in ascending i, n - |d| of them, and leaves out every
+    all-zero diagonal.  Entry (i, j) is at index min(i, j) of band i - j.  A
+    Pascal-type matrix is a few such bands (H_{n,k} is one, P_n one per k), and
+    band a of A times band b of B adds into band a + b of A B.
 
-    __slots__ = ("ring", "rows")
+    Costs, for s_A and s_B stored bands: a product O(s_A s_B n), a sum, scale or
+    map_entries O((s_A + s_B) n), equality O(s_A n), is_zero O(1); ``rows`` is a
+    dense view for rendering and tests, built in O(n^2).  Entries are tested for
+    zero by truthiness, the ring protocol's zero test."""
+
+    __slots__ = ("ring", "n", "bands")
 
     def __init__(self, ring, rows):
-        self.ring = ring
-        self.rows = tuple(tuple(row) for row in rows)
-        n = len(self.rows)
-        if n == 0 or any(len(row) != n for row in self.rows):
+        rows = tuple(tuple(row) for row in rows)
+        n = len(rows)
+        if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("a nonempty square entry grid is required")
+        self.ring, self.n, self.bands = ring, n, {
+            d: band for d in range(1 - n, n)
+            if any(band := tuple(rows[t + max(d, 0)][t - min(d, 0)] for t in range(n - abs(d))))}
+
+    @classmethod
+    def _of_bands(cls, ring, n: int, bands: dict) -> "SquareMatrix":
+        """The matrix with these diagonals (each of length n - |d|; zero ones dropped)."""
+        matrix = cls.__new__(cls)
+        matrix.ring, matrix.n = ring, n
+        matrix.bands = {d: tuple(band) for d, band in bands.items() if any(band)}
+        return matrix
 
     @classmethod
     def identity(cls, ring, n: int) -> "SquareMatrix":
@@ -70,16 +95,19 @@ class SquareMatrix:
         return _divided(ring, lambda i, k: ring.one, n, 0)
 
     @property
-    def n(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple:
+        """The dense entry grid, row by row."""
+        return tuple(tuple(self.entry(i, j) for j in range(self.n)) for i in range(self.n))
 
     def entry(self, i: int, j: int):
-        return self.rows[i][j]
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise IndexError(f"entry ({i}, {j}) is outside the {self.n} x {self.n} grid")
+        band = self.bands.get(i - j)
+        return band[min(i, j)] if band else self.ring.zero
 
     @property
     def is_zero(self) -> bool:
-        zero = self.ring.zero
-        return all(e == zero for row in self.rows for e in row)
+        return not self.bands
 
     def _require_compatible(self, other: "SquareMatrix"):
         if not isinstance(other, SquareMatrix):
@@ -89,34 +117,28 @@ class SquareMatrix:
 
     def __add__(self, other):
         self._require_compatible(other)
-        return SquareMatrix(
-            self.ring,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
+        bands = dict(self.bands)
+        for d, ys in other.bands.items():
+            bands[d] = tuple(x + y for x, y in zip(bands[d], ys)) if d in bands else ys
+        return SquareMatrix._of_bands(self.ring, self.n, bands)
 
     def __mul__(self, other):
-        """Sparse row-by-row product (Gustavson): row i is the sum of
-        a * (row l of other) over the nonzero a = self[i][l].  Every entry
-        starts at the ring's zero and adds a * b for each nonzero pair in
-        ascending l: the ring operations of the dense definition, in its
-        order, without visiting the pairs that have a zero factor."""
+        """Band-pair product: band a of self times band b of other adds into band
+        a + b (see _add_band_product).  Every entry starts at the ring's zero and
+        adds x * y for each pair of nonzero factors: the ring operations of the
+        dense definition, without the pairs that have a zero factor."""
         self._require_compatible(other)
-        zero = self.ring.zero
-        other_terms = [[(j, b) for j, b in enumerate(row) if b != zero] for row in other.rows]
-        out = []
-        for row in self.rows:
-            acc = [zero] * self.n
-            for a, terms in zip(row, other_terms):
-                if terms and a != zero:
-                    for j, b in terms:
-                        acc[j] = acc[j] + a * b
-            out.append(acc)
-        return SquareMatrix(self.ring, out)
+        n, zero, out = self.n, self.ring.zero, {}
+        for a, xs in self.bands.items():
+            for b, ys in other.bands.items():
+                if abs(a + b) < n:
+                    acc = out.get(a + b) or out.setdefault(a + b, [zero] * (n - abs(a + b)))
+                    _add_band_product(acc, n, a, xs, b, ys)
+        return SquareMatrix._of_bands(self.ring, n, out)
 
     def scale(self, c) -> "SquareMatrix":
         """Multiply every nonzero entry by the ring element c."""
-        zero = self.ring.zero
-        return self.map_entries(lambda e: e if e == zero else e * c, self.ring)
+        return self.map_entries(lambda e: e * c if e else e, self.ring)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -131,12 +153,14 @@ class SquareMatrix:
         return result
 
     def map_entries(self, fn, ring) -> "SquareMatrix":
-        return SquareMatrix(ring, [[fn(e) for e in row] for row in self.rows])
+        """fn applied to every stored entry, over ring; fn must send zero to zero."""
+        return SquareMatrix._of_bands(ring, self.n, {d: tuple(map(fn, band))
+                                                     for d, band in self.bands.items()})
 
     def __eq__(self, other):
         if not isinstance(other, SquareMatrix):
             return NotImplemented
-        return self.ring == other.ring and self.rows == other.rows
+        return self.ring == other.ring and self.n == other.n and self.bands == other.bands
 
     def __repr__(self):
         return f"SquareMatrix({self.ring!r}, {self.n}x{self.n})"
@@ -150,50 +174,64 @@ class SquareMatrix:
 
 
 def _pascal(ring, binom, n: int) -> SquareMatrix:
-    """The n x n matrix with binom(i, j) at (i, j) for j <= i, zeros above."""
-    return SquareMatrix(ring, [[binom(i, j) for j in range(i + 1)] + [ring.zero] * (n - 1 - i)
-                               for i in range(n)])
+    """The n x n matrix with binom(i, j) at (i, j) for j <= i, zeros above: band k
+    holds binom(i, i - k), the entries of H_{n,k}."""
+    return SquareMatrix._of_bands(ring, n, {k: tuple(binom(i, i - k) for i in range(k, n))
+                                            for k in range(n)})
 
 
 def _divided(ring, binom, n: int, k: int, m: int = 1) -> SquareMatrix:
     """The n x n matrix with binom(floor(i/m), k) at (i, i - mk), zeros elsewhere."""
-    shift, zero = m * k, ring.zero
-    return SquareMatrix(ring, [[zero] * n] * min(shift, n) + [
-        [zero] * (i - shift) + [binom(i // m, k)] + [zero] * (n - 1 - i + shift)
-        for i in range(shift, n)])
+    return SquareMatrix._of_bands(ring, n, {m * k: tuple(binom(i // m, k)
+                                                         for i in range(m * k, n))})
 
 
 def _blockwise(a: SquareMatrix, b: SquareMatrix) -> list:
     """Entry n (0..a.n) says if the leading n x n blocks of a and b agree: an
-    entry (i, j) where a and b differ is in every block of size n > max(i, j)."""
-    size = a.n
-    for i, (ra, rb) in enumerate(zip(a.rows, b.rows)):
-        if i < size and ra != rb:
-            size = min(size, max(i, next(j for j, (x, y) in enumerate(zip(ra, rb)) if x != y)))
+    entry (i, j) where a and b differ is in every block of size n > max(i, j),
+    which is t + |d| for index t of band d, so the first difference of each band
+    bounds the blocks that agree."""
+    size, zeros = a.n, itertools.repeat(a.ring.zero)
+    for d in a.bands.keys() | b.bands.keys():
+        xs, ys = a.bands.get(d), b.bands.get(d)
+        if xs != ys:
+            t = next(t for t, (x, y) in enumerate(zip(xs or zeros, ys or zeros)) if x != y)
+            size = min(size, t + abs(d))
     return [n <= size for n in range(a.n + 1)]
+
+
+def _add_band_product(acc: list, n: int, a: int, xs: tuple, b: int, ys: tuple) -> None:
+    """Add band a (entries xs) times band b (entries ys) into acc, band a + b of
+    n x n matrices: entry (i, i - a) times entry (i - a, i - a - b) at row i, for the
+    rows max(0, a, a + b) <= i < n + min(0, a, a + b) where both factors exist.  One
+    ring product and one sum per pair of nonzero factors, one pass over the band."""
+    lo, hi, d = max(0, a, a + b), n + min(0, a, a + b), a + b
+    for t, x, y in zip(range(lo - max(d, 0), hi - max(d, 0)), xs[lo - max(a, 0):],
+                       ys[lo - a - max(b, 0):]):
+        if x and y:
+            acc[t] = acc[t] + x * y
 
 
 def _unit_band_step(matrix: SquareMatrix, generator: SquareMatrix, shift: int, c) -> SquareMatrix:
     """matrix * (I + c G) for a generator G that is zero off the band i - j = shift
-    (ConsistencyError otherwise).  Column j of I + c G is e_j + c g_i e_i, g_i the band
-    entry at (i, j = i - shift), so a row of the product is the row plus row[i] (c g_i)
-    at j: the dense product's other terms all have a zero factor, and here every ring
-    product has two nonzero ones.  The sums read the row as it was, never an updated entry."""
+    (ConsistencyError otherwise): the matrix plus matrix * (c G), where band d of the
+    matrix times the one band of c G adds into band d + shift, so each band of the
+    result takes one pass.  The dense product's other terms all have a zero factor,
+    and here every ring product has two nonzero ones.  The sums read the matrix as
+    it was, never an updated entry."""
     matrix._require_compatible(generator)
-    zero, n = matrix.ring.zero, matrix.n
-    band = [(i, i - shift, row[i - shift]) for i, row in enumerate(generator.rows)
-            if 0 <= i - shift < n and row[i - shift] != zero]
-    if sum(row.count(zero) for row in generator.rows) != n * n - len(band):
+    if generator.bands.keys() - {shift}:
         raise ConsistencyError(f"generator is nonzero off the band i - j = {shift}")
-    if c == zero:
+    if not c or shift not in generator.bands:
         return matrix
-    band = [(i, j, c * g) for i, j, g in band]
-    rows = [list(row) for row in matrix.rows]
-    for row, new in zip(matrix.rows, rows):
-        for i, j, cg in band:
-            if row[i] != zero:
-                new[j] = new[j] + row[i] * cg
-    return SquareMatrix(matrix.ring, rows)
+    n, zero, bands = matrix.n, matrix.ring.zero, dict(matrix.bands)
+    cg = tuple(c * g if g else g for g in generator.bands[shift])
+    for d, band in matrix.bands.items():
+        if abs(d + shift) < n:
+            acc = list(matrix.bands.get(d + shift) or [zero] * (n - abs(d + shift)))
+            _add_band_product(acc, n, d, band, shift, cg)
+            bands[d + shift] = acc
+    return SquareMatrix._of_bands(matrix.ring, n, bands)
 
 
 def _factor_greedily(ring, n: int, k_max: int, generator, step: int) -> tuple:
@@ -354,7 +392,7 @@ def _block_rows(ring, binom, factorial, n_max: int) -> tuple:
               *itertools.accumulate([divided[1]] * n_max, SquareMatrix.__mul__)]
     same = [_blockwise(power, d.scale(factorial(k)))
             for k, (power, d) in enumerate(zip(powers, divided))]
-    zero = SquareMatrix(ring, [[ring.zero] * n_max] * n_max)
+    zero = SquareMatrix._of_bands(ring, n_max, {})
     divided_ok = [all(s[n] for s in same[:n]) for n in range(n_max + 1)]
     vanishes = [_blockwise(power, zero)[n] for n, power in enumerate(powers)]
     summed = _blockwise(functools.reduce(SquareMatrix.__add__, divided), p)
@@ -372,13 +410,14 @@ def check_pascal(n_max: int) -> Report:
     # entries of the powers: those off a power's band too, so that a wrong product
     # fails this row as it fails the per-n sum of H^k/k!.
     weights = [math.factorial(n_max) // math.factorial(k) for k in range(n_max + 1)]
-    total = [[0] * n_max for _ in range(n_max)]
+    total = {}
     for weight, power in zip(weights, powers):
-        for row, out in zip(power.rows, total):
-            for j, e in enumerate(row):
+        for d, band in power.bands.items():
+            out = total.setdefault(d, [0] * len(band))
+            for t, e in enumerate(band):
                 if e:
-                    out[j] += weight * e
-    expd = _blockwise(SquareMatrix(ZZ, total), p.scale(weights[0]))
+                    out[t] += weight * e
+    expd = _blockwise(SquareMatrix._of_bands(ZZ, n_max, total), p.scale(weights[0]))
     for n in range(2, n_max + 1):
         rep.add("divided-powers", {"n": n}, divided_ok[n], "H^k/k! == H_(n,k) for k < n",
                 _SAME[not divided_ok[n]])
@@ -513,18 +552,17 @@ def solve_unit_lower(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
     quotient ring; no entry is ever inverted.
     """
     a._require_compatible(b)
-    ring = a.ring
-    n = a.n
-    one, zero, x = ring.one, ring.zero, []
-    if any(a.entry(i, j) != (one if i == j else zero) for i in range(n) for j in range(i, n)):
+    ring, n = a.ring, a.n
+    if a.bands.get(0) != (ring.one,) * n or min(a.bands) < 0:
         raise ConsistencyError("matrix is not unit lower triangular")
-    for i in range(n):
-        acc = list(b.rows[i])
-        for a_il, x_l in zip(a.rows[i][:i], x):
-            if a_il != zero:
-                for j, e in enumerate(x_l):
-                    if e != zero:
-                        acc[j] = acc[j] - a_il * e
+    lower, x = [(d, band) for d, band in a.bands.items() if d > 0], []
+    for i, row in enumerate(b.rows):
+        acc = list(row)
+        for d, band in lower:
+            if i >= d and band[i - d]:
+                for j, e in enumerate(x[i - d]):
+                    if e:
+                        acc[j] = acc[j] - band[i - d] * e
         x.append(acc)
     return SquareMatrix(ring, x)
 

@@ -7,9 +7,13 @@ the same report as ``check_pascal`` and ``check_q_pascal``, row for row.
 
 ``exp_nilpotent`` sums the powers of a nilpotent matrix on a chain of its
 own and divides them by k! itself, where the suites divide nowhere: they
-compare H^k with k! H_(n,k).  ``reduce_matrix`` is the Z[q] route to the eq26/eq28 inputs over
-Z[q]/Phi_m: build the matrix of Gaussian binomials in Z[q], then reduce
-every entry, zeros included."""
+compare H^k with k! H_(n,k).  ``reduce_matrix`` is the Z[q] route to the
+eq26/eq28 inputs over Z[q]/Phi_m: build the matrix of Gaussian binomials in
+Z[q], then reduce every entry, zeros included.
+
+``dense_product`` and ``dense_band_step`` are the schoolbook product and the
+product with I + c G, read from the dense grids: the references for the band
+kernels ``SquareMatrix.__mul__`` and ``pascal._unit_band_step``."""
 
 import functools
 import itertools
@@ -20,6 +24,33 @@ from ppx.pascal import SquareMatrix, _factor_greedily, pascal_matrix, q_pascal
 from ppx.qsequences import qbinom, qfact, qint
 from ppx.report import Report
 from ppx.rings import ConsistencyError, P_ZERO, ZX, ZZ
+
+
+def dense_product(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
+    """Schoolbook reference: every entry sums all n products, zero pairs
+    included, in ascending l."""
+    ring, n, ra, rb = a.ring, a.n, a.rows, b.rows
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = ring.zero
+            for l in range(n):
+                acc = acc + ra[i][l] * rb[l][j]
+            row.append(acc)
+        rows.append(row)
+    return SquareMatrix(ring, rows)
+
+
+def dense_band_step(matrix: SquareMatrix, generator: SquareMatrix, shift: int, c) -> SquareMatrix:
+    """matrix * (I + c G) by the schoolbook product, for G zero off the band
+    i - j = shift (ConsistencyError otherwise)."""
+    ring, n, g = matrix.ring, matrix.n, generator.rows
+    if any(g[i][j] and i - j != shift for i in range(n) for j in range(n)):
+        raise ConsistencyError(f"generator is nonzero off the band i - j = {shift}")
+    factor = SquareMatrix(ring, [[(ring.one if i == j else ring.zero) + c * g[i][j]
+                                  for j in range(n)] for i in range(n)])
+    return dense_product(matrix, factor)
 
 
 def divide_exactly(matrix: SquareMatrix, d: int) -> SquareMatrix:
@@ -148,4 +179,4 @@ def check_q_pascal(n_max: int) -> Report:
 
 
 def reduce_matrix(matrix: SquareMatrix, ring) -> SquareMatrix:
-    return matrix.map_entries(ring.reduce, ring)
+    return SquareMatrix(ring, [[ring.reduce(e) for e in row] for row in matrix.rows])

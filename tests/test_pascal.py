@@ -249,9 +249,12 @@ class TestRootOfUnity:
 
     def test_solve_unit_lower_requires_unit_triangular(self):
         ring = QuotientRing(cyclotomic(2))
+        one, zero = ring.one, ring.zero
         bad = SquareMatrix.identity(ring, 3).scale(ring.from_int(2))
-        with pytest.raises(ConsistencyError):
-            solve_unit_lower(bad, SquareMatrix.identity(ring, 3))
+        above = SquareMatrix(ring, [[one, zero, zero], [zero, one, one], [zero, zero, one]])
+        for a in (bad, above):
+            with pytest.raises(ConsistencyError):
+                solve_unit_lower(a, SquareMatrix.identity(ring, 3))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -295,6 +298,22 @@ class TestSquareMatrix:
         m = q_pascal(2)
         assert m.to_json_obj() == [[["1"], []], [["1"], ["1"]]]
 
+    def test_entry_outside_the_grid_raises(self):
+        m = SquareMatrix(ZZ, [[1, 0], [2, 3]])
+        assert [m.entry(1, 0), m.entry(0, 1)] == [2, 0]
+        for i, j in ((-1, 0), (0, -1), (2, 0), (0, 2)):
+            with pytest.raises(IndexError):
+                m.entry(i, j)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_divided_power_past_the_last_row_is_zero(self, n):
+        for ring, binom in ((ZZ, math.comb), (ZX, qbinom)):
+            for m in (1, 2, 3):
+                for k in range(-(-n // m), n + 2):
+                    divided = pascal._divided(ring, binom, n, k, m)
+                    assert divided.is_zero
+                    assert divided.rows == ((ring.zero,) * n,) * n
+
 
 class TestBandConstructors:
     @pytest.mark.parametrize("n", range(1, 13))
@@ -321,22 +340,6 @@ class TestBandConstructors:
 
 # ---------------------------------------------------------------------------
 # The sparse product against a dense schoolbook reference
-
-
-def dense_product(a, b):
-    """Schoolbook reference: every entry sums all n products, zero pairs
-    included."""
-    ring, n = a.ring, a.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = ring.zero
-            for l in range(n):
-                acc = acc + a.entry(i, l) * b.entry(l, j)
-            row.append(acc)
-        rows.append(row)
-    return SquareMatrix(ring, rows)
 
 
 PRODUCT_RINGS = (ZZ, ZX, QuotientRing(cyclotomic(2)), QuotientRing(cyclotomic(5)),
@@ -399,6 +402,9 @@ class Counted:
     def __eq__(self, other):
         return self.value == other.value
 
+    def __bool__(self):
+        return bool(self.value)
+
 
 class CountingRing:
     def __init__(self, ring):
@@ -425,7 +431,7 @@ class TestSparseProduct:
     def test_matches_dense_reference(self, pair):
         a, b = pair
         product = a * b
-        assert product == dense_product(a, b)
+        assert product == reference.dense_product(a, b)
         assert {type(e) for row in product.rows for e in row} == {type(a.ring.zero)}
 
     @settings(max_examples=60, deadline=None)
@@ -442,6 +448,32 @@ class TestSparseProduct:
         product = ring.wrap(a) * ring.wrap(b)
         assert ring.log == collections.Counter({"mul": pairs, "add": pairs})
         assert product.map_entries(lambda e: e.value, a.ring) == a * b
+
+
+def dense_grid(fn, *grids):
+    """fn applied entry by entry to equally shaped dense grids."""
+    return tuple(tuple(map(fn, *rows)) for rows in zip(*grids))
+
+
+class TestStoredForm:
+    """The diagonals against the dense grid they stand for, over every shape
+    of square_matrices, bands above the diagonal included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrix_pairs(), st.data())
+    def test_matches_dense_grid(self, pair, data):
+        a, b = pair
+        ring, n = a.ring, a.n
+        c = data.draw(st.one_of(st.just(ring.zero), ring_elements(ring)))
+        negated = a.map_entries(lambda e: ring.zero - e, ring)
+        for m in (a, b, a + b, a.scale(c), negated, a + negated, a * b):
+            assert SquareMatrix(ring, m.rows) == m
+            assert [[m.entry(i, j) for j in range(n)] for i in range(n)] == list(map(list, m.rows))
+            assert m.is_zero == all(e == ring.zero for row in m.rows for e in row)
+        assert (a + b).rows == dense_grid(lambda x, y: x + y, a.rows, b.rows)
+        assert a.scale(c).rows == dense_grid(lambda e: e * c, a.rows)
+        assert negated.rows == dense_grid(lambda e: ring.zero - e, a.rows)
+        assert (a + negated).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +502,7 @@ class TestUnitBandStep:
     def test_matches_dense_product(self, step):
         matrix, generator, shift, c = step
         identity = SquareMatrix.identity(matrix.ring, matrix.n)
-        expected = dense_product(matrix, identity + generator.scale(c))
+        expected = reference.dense_product(matrix, identity + generator.scale(c))
         assert pascal._unit_band_step(matrix, generator, shift, c) == expected
 
     @settings(max_examples=60, deadline=None)
@@ -489,7 +521,7 @@ class TestUnitBandStep:
             assert ring.log == collections.Counter()
         else:
             assert ring.log == collections.Counter({"mul": len(band) + pairs, "add": pairs})
-        assert product.map_entries(lambda e: e.value, matrix.ring) == dense_product(
+        assert product.map_entries(lambda e: e.value, matrix.ring) == reference.dense_product(
             matrix, SquareMatrix.identity(matrix.ring, n) + generator.scale(c))
 
     @settings(max_examples=60, deadline=None)
@@ -520,7 +552,7 @@ class TestUnitBandStep:
         n, ring = a.n, a.ring
         unit = SquareMatrix(ring, [[ring.one if i == j else a.entry(i, j) if i > j
                                     else ring.zero for j in range(n)] for i in range(n)])
-        assert solve_unit_lower(unit, dense_product(unit, b)) == b
+        assert solve_unit_lower(unit, reference.dense_product(unit, b)) == b
 
 
 # ---------------------------------------------------------------------------
@@ -852,3 +884,28 @@ class TestMatrixSuitesCanFail:
         out = capsys.readouterr().out
         assert [line.split()[1] for line in out.splitlines() if "FAIL" in line] == [
             "q-divided-powers"]
+
+
+# ---------------------------------------------------------------------------
+# End to end: the band kernels against the dense references
+
+
+@pytest.fixture
+def dense_kernels(monkeypatch):
+    """SquareMatrix.__mul__ and the unit-band step replaced by the schoolbook
+    product and the schoolbook product with I + c G."""
+    monkeypatch.setattr(SquareMatrix, "__mul__", reference.dense_product)
+    monkeypatch.setattr(pascal, "_unit_band_step", reference.dense_band_step)
+
+
+@pytest.mark.parametrize("command", [
+    "verify pascal --max-n 10", "verify qpascal --max-n 8", "verify pascal-m --max-n 10",
+    "verify eq26 --m 5", "verify eq28 --m 5", "pascal 10 --action factor",
+    "pascal 10 --variant m --m 2 --action factor", "pascal 10 --variant q --action factor",
+    "pascal 6", "pascal 6 --format json",
+])
+def test_cli_matches_the_dense_reference_run(command, request, capsys):
+    normal = cli.main(command.split()), capsys.readouterr().out
+    request.getfixturevalue("dense_kernels")
+    assert normal[0] == 0
+    assert (cli.main(command.split()), capsys.readouterr().out) == normal
