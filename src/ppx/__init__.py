@@ -22,7 +22,6 @@ from .rings import (
     QuotientRing,
     RatFunc,
     cyclotomic,
-    poly_gcd,
 )
 from .sequences import a_seq, c_seq, e_seq, r_seq, u_seq
 from .series import TruncatedSeries

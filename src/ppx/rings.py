@@ -9,13 +9,19 @@ Value types:
   Z[q]/(m(q)) for a modulus with leading coefficient +-1 (cyclotomic
   polynomials, powers of q).
 
-Everything is immutable and exact; no floating point anywhere.  The
-polynomial gcd behind every :class:`RatFunc` normalisation is the heuristic
-gcd GCDHEU of Char, Geddes and Gonnet: evaluate at a power of two
-xi > 2 max(|a|, |b|), take the integer gcd, read a candidate back from its
-balanced xi-adic digits and keep it only if it divides both inputs exactly,
-or else retry at a larger xi.  The exact quotients of that check are the
-cofactors that reduce the fraction, so each is computed once.
+Everything is immutable and exact; no floating point anywhere.
+
+A :class:`RatFunc` is a value that commands print; the suites decide their
+identities in Z[q].  ``__init__`` normalises it once.  Each side is split as
+c q^v p (the content signed like the lead, a power of q, and a primitive p
+with p(0) != 0), so contents and powers of q cancel with no polynomial work
+and only the parts p reach the heuristic gcd GCDHEU of Char, Geddes and
+Gonnet: evaluate at a power of two xi > 2 max(|a|, |b|), take the integer
+gcd, read a candidate back from its balanced xi-adic digits and keep it only
+if it divides both inputs exactly, or else retry at a larger xi.  The exact
+quotients of that check are the cofactors that reduce the fraction.
+``RatFunc.__add__`` and ``__mul__`` run in no command; they stay because the
+benchmark's tracer wraps them by name.
 
 ``IntPoly`` products and exact quotients use Kronecker substitution
 (Kronecker 1882; see Harvey, JSC 2009) when the two lengths m, n that set
@@ -407,12 +413,13 @@ Q = IntPoly((0, 1))
 def poly_gcd(a, b) -> IntPoly:
     """Primitive gcd of two integer polynomials, positive leading coefficient.
 
-    The kernel is the heuristic gcd GCDHEU (Char, Geddes and Gonnet, 1989)
-    on the primitive parts a, b.  For an integer xi >= 2 min(|a|, |b|) + 2,
-    where |.| is the largest coefficient magnitude, the primitive part G of
-    the polynomial whose symmetric xi-adic digits are gcd(a(xi), b(xi)) is
-    the gcd as soon as G divides both a and b; that exact division is the
-    check every answer passes.  Here xi is a power of two 2^(8w), above
+    Each nonzero side is split as c q^v p (see :func:`_split`); the gcd is
+    q^min(v) times the heuristic gcd GCDHEU (Char, Geddes and Gonnet, 1989)
+    of the two parts p.  For an integer xi >= 2 min(|a|, |b|) + 2, where |.|
+    is the largest coefficient magnitude, the primitive part G of the
+    polynomial whose symmetric xi-adic digits are gcd(a(xi), b(xi)) is the
+    gcd as soon as G divides both a and b; that exact division is the check
+    every answer passes.  Here xi is a power of two 2^(8w), above
     2^8 max(|a|, |b|), so a(xi) and b(xi) are Kronecker packings (one word
     slot per coefficient when w <= 8) and the digits of the integer gcd are
     one unpacking.  When the check fails, xi grows and the evaluation is
@@ -425,18 +432,30 @@ def poly_gcd(a, b) -> IntPoly:
     a, b = _as_poly(a), _as_poly(b)
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    a = a.primitive_positive()
-    b = b.primitive_positive()
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
-    return _heu_gcd(a, b)[0]
+    if a.is_zero or b.is_zero:
+        return (b if a.is_zero else a).primitive_positive()
+    return _gcd_cofactors(a, b)[0].primitive_positive()
+
+
+def _split(p: IntPoly) -> tuple:
+    # (c, v, f) with p = c q^v f for nonzero p: c the content, signed like
+    # the leading coefficient, v the lowest degree with a nonzero
+    # coefficient, and f primitive with a positive lead and f(0) != 0.
+    cs = p.coeffs
+    v = next(i for i, x in enumerate(cs) if x)
+    c = p.content if cs[-1] > 0 else -p.content
+    return c, v, (p if c == 1 and v == 0 else IntPoly(tuple(x // c for x in cs[v:])))
+
+
+def _join(c: int, v: int, f: IntPoly) -> IntPoly:
+    # c q^v f, the inverse of _split.
+    return IntPoly((0,) * v + (f.coeffs if c == 1 else tuple(c * x for x in f.coeffs)))
 
 
 def _heu_gcd(a: IntPoly, b: IntPoly) -> tuple:
     # GCDHEU on primitive a, b with positive leading coefficients:
-    # (g, a/g, b/g), where the two exact quotients are the check.
+    # (g, a/g, b/g), where the two exact quotients are the check.  A split
+    # part of degree 0 is 1 (from a side c q^k), so the gcd is 1 at once.
     # xi = 2^(8w) with 8w > max(bits|a|, bits|b|) + 8, so a(xi) and
     # b(xi) are one _pack each, and xi > 2 min(|a|, |b|) + 2.  The gcd has at
     # most min(len a, len b) coefficients; a digit expansion that needs more
@@ -460,22 +479,14 @@ def _heu_gcd(a: IntPoly, b: IntPoly) -> tuple:
 
 
 def _gcd_cofactors(a: IntPoly, b: IntPoly) -> tuple:
-    # (g, a/g, b/g) for nonzero a, b, where g is their gcd in Z[q] including
-    # the integer content, with a positive leading coefficient.  The
-    # quotients are those the gcd kernel checked its answer with, scaled by
-    # the signed content that primitive parts leave out; used to reduce
-    # fractions.
-    ca, cb = a.content, b.content
-    c = math.gcd(ca, cb)
-    g, fa, fb = _heu_gcd(a.primitive_positive(), b.primitive_positive())
-    return (g * c if c != 1 else g), _scaled(fa, a, ca // c), _scaled(fb, b, cb // c)
-
-
-def _scaled(f: IntPoly, sign_of: IntPoly, k: int) -> IntPoly:
-    # f times k, negated when sign_of has a negative leading coefficient.
-    if sign_of.lead < 0:
-        k = -k
-    return f if k == 1 else IntPoly(tuple(k * x for x in f.coeffs))
+    # (g, a/g, b/g) for nonzero a, b, where g = gcd(c_a, c_b) q^min(v_a, v_b)
+    # GCDHEU(p_a, p_b) is their gcd in Z[q] with a positive lead, for the
+    # splits a = c_a q^(v_a) p_a and b = c_b q^(v_b) p_b.
+    ca, va, pa = _split(a)
+    cb, vb, pb = _split(b)
+    c, v = math.gcd(ca, cb), min(va, vb)
+    g, fa, fb = _heu_gcd(pa, pb)
+    return _join(c, v, g), _join(ca // c, va - v, fa), _join(cb // c, vb - v, fb)
 
 
 @functools.cache
@@ -499,14 +510,11 @@ def cyclotomic(m: int) -> IntPoly:
 
 
 class RatFunc:
-    """Reduced quotient of two integer polynomials.
+    """Reduced quotient of two integer polynomials, as the q-suites print it.
 
     Invariants: the denominator is nonzero with positive leading coefficient,
     and numerator and denominator share no polynomial or integer content
     factor.  Equality is structural, which the normalization makes canonical.
-    Each operation builds the unreduced fraction and ``__init__`` reduces it;
-    only a negation, a power and a reciprocal, reduced by construction, skip
-    that.
 
     >>> str(RatFunc(IntPoly((0, 1)), IntPoly((1, 1))))
     'q/(1+q)'
@@ -531,14 +539,6 @@ class RatFunc:
         self.num = num
         self.den = den
 
-    @classmethod
-    def _raw(cls, num: IntPoly, den: IntPoly) -> "RatFunc":
-        # num/den already fully normalized.
-        self = object.__new__(cls)
-        self.num = num
-        self.den = den
-        return self
-
     @staticmethod
     def _coerce(value):
         if isinstance(value, RatFunc):
@@ -547,13 +547,7 @@ class RatFunc:
             return RatFunc(value)
         return None
 
-    # -- structure -----------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    # -- arithmetic -----------------------------------------------------------
+    # Run by no command; perfbench/trace_child.py wraps both by name (ROADMAP item 1).
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -563,17 +557,6 @@ class RatFunc:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        if self.is_zero:
-            return self
-        return RatFunc._raw(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -581,28 +564,6 @@ class RatFunc:
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def reciprocal(self) -> "RatFunc":
-        if self.is_zero:
-            raise ZeroDivisionError("reciprocal of zero")
-        num, den = self.den, self.num
-        if den.lead < 0:
-            num, den = -num, -den
-        return RatFunc._raw(num, den)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.reciprocal()
-
-    def __pow__(self, k: int):
-        if k == 0:
-            return RF_ONE
-        if k < 0:
-            return self.reciprocal() ** (-k)
-        # Powers of a reduced fraction stay reduced (Gauss's lemma).
-        return RatFunc._raw(self.num ** k, self.den ** k)
 
     # -- substitution ----------------------------------------------------------
 
@@ -612,7 +573,7 @@ class RatFunc:
         >>> str(RatFunc(IntPoly((0, 1)), IntPoly((1, 1))).subst_inverse())
         '1/(1+q)'
         """
-        if self.is_zero:
+        if self.num.is_zero:
             return self
         m = max(self.num.degree, self.den.degree)
 
@@ -629,12 +590,6 @@ class RatFunc:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
-    def __hash__(self):
-        return hash(("RatFunc", self.num.coeffs, self.den.coeffs))
-
-    def __bool__(self):
-        return not self.is_zero
-
     def __repr__(self):
         return f"RatFunc({self.num!r}, {self.den!r})"
 
@@ -646,10 +601,6 @@ class RatFunc:
             return f"({s})" if ("+" in s or "-" in s[1:]) else s
 
         return f"{wrap(str(self.num))}/{wrap(str(self.den))}"
-
-
-RF_ZERO = RatFunc._raw(P_ZERO, P_ONE)
-RF_ONE = RatFunc._raw(P_ONE, P_ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -695,9 +646,6 @@ class QuotientRing:
         if not isinstance(other, QuotientRing):
             return NotImplemented
         return self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash(("QuotientRing", self.modulus.coeffs))
 
     def __repr__(self):
         return f"QuotientRing({self.modulus!r})"
@@ -775,9 +723,6 @@ class QuotientElem:
         if other is None:
             return NotImplemented
         return self.rep == other.rep
-
-    def __hash__(self):
-        return hash(("QuotientElem", self.ring.modulus.coeffs, self.rep.coeffs))
 
     def __bool__(self):
         return bool(self.rep)

@@ -3,7 +3,7 @@ and ``ppx.products``, sharing no code with either, and the primitive
 pseudo-remainder sequence, for the polynomial gcd of ``ppx.rings``.
 
 A coefficient F_k of a series in the basis of ``binom`` is turned into the
-field element F_k/d_k (a ``Fraction``, or a ``RatFunc`` over Q(q)), with
+field element F_k/d_k (a ``Fraction``, or a ``QFrac`` of Q(q)), with
 d_k = 1, k! or [k]! for ``binom`` = None, ``math.comb`` or ``qbinom``.
 There series are plain lists multiplied by the Cauchy product, the log is
 the O(N^3) power sum, and a product expansion is checked by multiplying its
@@ -15,7 +15,8 @@ import operator
 from fractions import Fraction
 
 from ppx.qsequences import qfact
-from ppx.rings import IntPoly, P_ONE, RatFunc
+from ppx.rings import IntPoly, P_ONE
+from qfunc_series import QFrac
 
 
 def denominator(binom, k: int):
@@ -31,9 +32,9 @@ def field_values(coeffs, binom, start: int = 0) -> list:
     for k, c in enumerate(coeffs, start=start):
         d = denominator(binom, k)
         if isinstance(c, int):
-            out.append(Fraction(c, d) if isinstance(d, int) else RatFunc(c, d))
+            out.append(Fraction(c, d) if isinstance(d, int) else QFrac(c, d))
         else:
-            out.append(RatFunc(c, d) if isinstance(c, IntPoly) else c / d)
+            out.append(QFrac(c, d) if isinstance(c, IntPoly) else c / d)
     return out
 
 

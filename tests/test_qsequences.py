@@ -36,7 +36,7 @@ from ppx.qsequences import (
 from ppx.rings import ConsistencyError, IntPoly, P_ONE, P_ZERO, Q, RatFunc
 from ppx.sequences import c_seq, divisors, e_seq, exp_series, is_prime, r_seq, u_seq
 from ppx.series import TruncatedSeries
-from qfunc_series import cap_expq_series, expq_series
+from qfunc_series import QFrac, cap_expq_series, expq_series
 from schoolbook import prs_gcd
 
 
@@ -60,26 +60,26 @@ def recursion_r_q(n_max: int) -> list:
     """
     u, r = u_q_seq(n_max), []
     for n in range(1, n_max + 1):
-        total = RatFunc(0)
+        total = QFrac(0)
         for d in divisors(n)[1:]:
-            term = RatFunc(u[n - 1], u[n // d - 1] ** d * d) * RatFunc(r[n // d - 1]) ** d
+            term = QFrac(u[n - 1], u[n // d - 1] ** d * d) * QFrac(r[n // d - 1]) ** d
             total = total + term if d % 2 == 0 else total - term
-        total = total + RatFunc(IntPoly((1, -1)) ** (n - 1) * u[n - 1], qint(n) * n)
+        total = total + QFrac(IntPoly((1, -1)) ** (n - 1) * u[n - 1], qint(n) * n)
         assert total.den == P_ONE
         r.append(total.num)
     return r
 
 
 @functools.cache
-def reference_e_q_family(base: IntPoly, n: int) -> RatFunc:
+def reference_e_q_family(base: IntPoly, n: int) -> QFrac:
     """The n-th factor of the expansion whose log has coefficients
     base^(n-1)/(n [n]), by the divisor recursion over Q(q): base 1-q gives
     e_n(q), base q-1 gives E_n(q)."""
-    total = RatFunc(0)
+    total = QFrac(0)
     for d in divisors(n)[1:]:
         term = reference_e_q_family(base, n // d) ** d / d
         total = total + term if d % 2 == 0 else total - term
-    return total + RatFunc(base ** (n - 1), qint(n) * n)
+    return total + QFrac(base ** (n - 1), qint(n) * n)
 
 
 def r_p_closed_form(p: int) -> IntPoly:
@@ -415,14 +415,20 @@ class TestGcdKernelFaults:
         assert c_q_seq(12) == expected
 
     def test_unit_gcd_is_caught(self, monkeypatch, fresh_q_caches):
-        # A gcd that is not greatest leaves fractions unreduced, so the
-        # structural comparisons of the q-oracle must fail.  The patched
-        # kernel is the one behind RatFunc normalisation; c_n(q) uses none.
-        expected = c_q_seq(6)
+        # The q-oracle decides in Z[q], and gcd(r_n(q), u_n(q)) = 1, so a gcd
+        # that is not greatest changes none of its rows.  It is caught where
+        # a fraction must come out reduced: c_6(q)/[6]! stays unreduced and
+        # no longer equals e_6(q).  c_n(q) uses no gcd.
+        def rows(report):
+            return [(c.check_id, c.params, c.passed, c.expected, c.actual)
+                    for c in report.checks]
+
+        expected, oracle = c_q_seq(6), rows(check_q_oracle(6))
         fresh_q_caches()
         monkeypatch.setattr(rings, "_heu_gcd", lambda a, b: (P_ONE, a, b))
-        assert not check_q_oracle(6).passed
+        assert rows(check_q_oracle(6)) == oracle
         assert c_q_seq(6) == expected
+        assert RatFunc(expected[5], qfact(6)) != e_q_seq(6)[5]
 
 
 class TestNoGcdOnTheSequencePath:
@@ -466,6 +472,47 @@ class TestDividedPowerFaults:
                             lambda n: original(n) + extra if n == 7 else original(n))
         assert cli.main(["verify", "roundtrip"]) == 1
         assert self.failures(capsys) == ["FAIL e-q-oracle [n=7]"]
+
+    @staticmethod
+    def failed_rows(report) -> list:
+        return [(c.check_id, c.params) for c in report.checks if not c.passed]
+
+    def test_wrong_g5_prints_the_reduced_fraction(self, monkeypatch, fresh_q_caches):
+        # G_5 + q in both expansions: their oracle rows at n = 5 and their
+        # round trips fail, and the actual value is (G_5 + q)/[5]! reduced.
+        right = products.expand
+        monkeypatch.setattr(products, "expand",
+                            lambda f: (g := right(f))[:4] + (g[4] + Q,) + g[5:])
+        report = check_q_oracle(6)
+        assert self.failed_rows(report) == [
+            ("e-q-oracle", {"n": 5}), ("expq-roundtrip", {"N": 6}),
+            ("E-q-oracle", {"n": 5}), ("cap-expq-roundtrip", {"N": 6})]
+        row = report.checks[4]
+        assert row.expected == str(e_q_seq(5)[4])
+        assert row.actual == str(RatFunc(c_q_seq(5)[4] + Q, qfact(5))) != row.expected
+
+    @pytest.mark.parametrize("method, check, row, wrong", [
+        # M_5 = 5 [5]! (1-q)^4/(5 [5]) = (1-q)^4 [4]!, over 5 [5]!
+        ("log", check_log_coeffs, "log-coefficient",
+         lambda: RatFunc(IntPoly((1, -1)) ** 4 * qfact(4) + 1, qfact(5) * 5)),
+        # coefficient 5 of exp_q(-x) Exp_q(x) is 0, over [5]!
+        ("__mul__", check_reciprocal_identity, "product-coefficient",
+         lambda: RatFunc(1, qfact(5))),
+    ], ids=["log", "product"])
+    def test_wrong_coefficient_prints_the_reduced_fraction(self, monkeypatch, method, check,
+                                                           row, wrong):
+        # One more than the right coefficient 5 of the series log or product.
+        def bumped(series, *args):
+            out = getattr(TruncatedSeries, method)(series, *args)
+            coeffs = out.coeffs[:5] + (out.coeffs[5] + 1,) + out.coeffs[6:]
+            return TruncatedSeries(out.ring, coeffs, out.binom)
+
+        monkeypatch.setattr(qsequences, "TruncatedSeries",
+                            type("Planted", (TruncatedSeries,), {method: bumped}))
+        report = check(6)
+        assert self.failed_rows(report) == [(row, {"n": 5})]
+        failed = next(c for c in report.checks if not c.passed)
+        assert failed.actual == str(wrong()) != failed.expected
 
     @pytest.fixture
     def wrong_q_binomial_6_3(self, monkeypatch, fresh_q_caches):

@@ -23,14 +23,17 @@ from ppx.rings import (
     RatFunc,
     _bits,
     _heu_gcd,
+    _join,
     _pack,
     _pack_pays,
     _slot_bytes,
+    _split,
     _unpack,
     cyclotomic,
     poly_gcd,
     serialize,
 )
+from qfunc_series import QFrac
 from schoolbook import prs_gcd
 
 small_polys = st.builds(IntPoly, st.lists(st.integers(-9, 9), max_size=6))
@@ -572,14 +575,51 @@ class TestRatFunc:
         assert RatFunc(P_ZERO, IntPoly((3, 1))) == RatFunc(0)
 
     def test_field_ops(self):
-        half = RatFunc(1, 2)
-        third = RatFunc(1, 3)
+        # RatFunc adds and multiplies; the rest of the field Q(q) is QFrac,
+        # which only the tests use.
+        half, third = RatFunc(1, 2), RatFunc(1, 3)
         assert half + third == RatFunc(5, 6)
         assert half * third == RatFunc(1, 6)
-        assert (half / third) == RatFunc(3, 2)
-        f = RatFunc(Q, IntPoly((1, 1)))
-        assert f * f.reciprocal() == RatFunc(1)
+        assert QFrac(1, 2) - third == RatFunc(1, 6)
+        assert QFrac(1, 2) / third == RatFunc(3, 2)
+        f = QFrac(Q, IntPoly((1, 1)))
+        assert f / f == RatFunc(1)
         assert f ** 3 == RatFunc(Q ** 3, IntPoly((1, 1)) ** 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kron_polys, kron_polys, nonzero_polys, st.data())
+    def test_split_and_reduction_match_prs(self, x, y, g, data):
+        # Operands +-c q^v x g and +-c q^v y g with random content, sign and
+        # valuation, and a planted common factor g.
+        def scaled_shifted(f):
+            c = data.draw(st.integers(1, 60)) * data.draw(st.sampled_from((1, -1)))
+            return schoolbook_mul(schoolbook_mul(f, g), IntPoly.monomial(c, data.draw(
+                st.integers(0, 6))))
+
+        num, den = scaled_shifted(x), scaled_shifted(y)
+        for p in (num, den):
+            c, v, part = _split(p)
+            assert (c > 0) == (p.lead > 0)
+            assert part.lead > 0 and part.content == 1 and part.coeffs[0] != 0
+            assert _join(c, v, part) == p
+        f = RatFunc(num, den)
+        assert f.den.lead > 0
+        assert math.gcd(f.num.content, f.den.content) == 1
+        assert prs_gcd(f.num.primitive_positive(), f.den.primitive_positive()) == P_ONE
+        assert schoolbook_mul(f.num, den) == schoolbook_mul(num, f.den)
+
+    def test_monomial_over_q_factorial_never_packs(self, monkeypatch):
+        # q^k/[n]! and its q-inverse, the fractions of eq18: after the split
+        # the side q^k is 1, so GCDHEU returns before its loop.
+        facts = [qsequences.qfact(n) for n in range(25)]
+        packed, pack = [], rings._pack
+        monkeypatch.setattr(rings, "_pack", lambda *args: packed.append(args) or pack(*args))
+        for n, fact in enumerate(facts):
+            for k in (0, 1, math.comb(n, 2), math.comb(n, 2) + 1):
+                assert RatFunc(IntPoly.monomial(1, k), fact).den == fact
+                assert RatFunc(IntPoly.monomial(-6, k), fact * 4).den == fact * 2
+            assert RatFunc(P_ONE, fact).subst_inverse().den == fact
+        assert packed == []
 
     def test_subst_inverse_examples(self):
         f = RatFunc(Q, IntPoly((1, 1)))          # q/(1+q) -> 1/(1+q)
