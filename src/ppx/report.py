@@ -7,8 +7,6 @@ The suite passes iff every check passes.
 
 from __future__ import annotations
 
-import json
-
 
 class Check:
     __slots__ = ("check_id", "params", "passed", "expected", "actual")
@@ -68,6 +66,7 @@ class Report:
 
 
 def render_reports_json(reports: list) -> str:
+    import json
     if len(reports) == 1:
         obj = reports[0].to_json_obj()
     else:

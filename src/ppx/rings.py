@@ -228,7 +228,11 @@ class IntPoly:
         return IntPoly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-_as_poly(other))
+        b = _as_poly(other).coeffs
+        out = list(self.coeffs) + [0] * (len(b) - len(self.coeffs))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return IntPoly(out)
 
     def __mul__(self, other):
         """Product in Z[q].

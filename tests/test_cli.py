@@ -1,5 +1,6 @@
 """The ppx command line: formats, exit codes, JSON round trips."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+import ppx
 from ppx import cli
 from ppx.report import Report
 
@@ -231,3 +233,78 @@ class TestSubprocess:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["seq", "cq", "20", "--format", "json"],
+        ["verify", "thm45", "--max-n", "8", "--format", "json"],
+        ["pascal", "6", "--variant", "q", "--action", "factor", "--format", "json"],
+        ["seq", "cq", "64"],  # about 2.4 MB, more than a pipe holds
+    ])
+    def test_process_prints_what_main_prints(self, capsys, argv):
+        # The process ends in os._exit, so nothing is flushed for it at exit,
+        # and buffered output shows what a missing flush loses.  This process
+        # has loaded json already; only a fresh one misses an import.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run([sys.executable, "-m", "ppx", *argv], capture_output=True, env=env)
+        code = cli.main(argv)
+        assert proc.returncode == code == 0
+        assert proc.stdout == capsys.readouterr().out.encode()
+
+    def test_usage_error_line_reaches_stderr(self):
+        proc = subprocess.run([sys.executable, "-m", "ppx", "verify", "thm41", "--max-n", "3"],
+                              capture_output=True)
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: suite 'thm41' does not take --max-n\n"
+
+
+def modules_loaded_by(code: str) -> set:
+    """The modules a fresh interpreter has after running code, less those it
+    had before."""
+    probe = ("import sys; before = set(sys.modules)\n" + code +
+             "\nprint(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    return set(proc.stdout.split())
+
+
+# What ppx/__init__.py exported when it imported every submodule.
+EXPORTS = {
+    "products": ["contract", "expand"],
+    "rings": ["ConsistencyError", "InexactDivisionError", "IntPoly", "QuotientElem",
+              "QuotientRing", "RatFunc", "cyclotomic"],
+    "sequences": ["a_seq", "c_seq", "e_seq", "r_seq", "u_seq"],
+    "series": ["TruncatedSeries"],
+    "qsequences": ["c_q_seq", "cap_e_q_seq", "e_q_seq", "qbinom", "qfact", "qint", "r_q_seq",
+                   "u_q_seq"],
+    "pascal": ["SquareMatrix", "factor_pascal", "factor_pascal_m", "factor_q_pascal", "h_m_nk",
+               "h_nk", "pascal_m", "pascal_matrix", "q_h_nk", "q_pascal"],
+}
+
+
+class TestLoading:
+    def test_cli_import_loads_no_command_module(self):
+        loaded = modules_loaded_by("import ppx.cli")
+        assert "ppx.cli" in loaded
+        assert not loaded & {"ppx.sequences", "ppx.qsequences", "ppx.pascal", "ppx.series",
+                             "ppx.products", "json"}
+
+    def test_classical_seq_loads_no_q_or_matrix_module(self):
+        loaded = modules_loaded_by("from ppx import cli; cli.main(['seq', 'c', '8'])")
+        assert "ppx.sequences" in loaded
+        assert not loaded & {"ppx.qsequences", "ppx.pascal"}
+
+    @pytest.mark.parametrize("module,name", [(m, n) for m, names in EXPORTS.items()
+                                             for n in names])
+    def test_exported_name_is_the_submodules(self, module, name):
+        namespace = {}
+        exec(f"from ppx import {name}", namespace)
+        assert namespace[name] is getattr(importlib.import_module(f"ppx.{module}"), name)
+
+    def test_all_lists_the_exports(self):
+        assert sorted(ppx.__all__) == sorted(n for names in EXPORTS.values() for n in names)
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError):
+            ppx.no_such_name
+        with pytest.raises(ImportError):
+            exec("from ppx import no_such_name", {})

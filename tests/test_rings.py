@@ -84,6 +84,19 @@ class TestIntPoly:
     def test_divexact_roundtrip(self, a, b):
         assert (a * b).divexact(b) == a
 
+    @given(small_polys, st.one_of(small_polys, st.integers(-9, 9)))
+    def test_sub_inverts_add(self, a, b):
+        # An int on the right, and equal operands or equal top coefficients,
+        # which leave a zero or trimmed result.
+        assert a - b == a + (-b)
+        assert (a - b) + b == a
+        assert (a - a).is_zero
+
+    def test_sub_trims(self):
+        assert IntPoly((1, 2, 3)) - IntPoly((0, 2, 3)) == P_ONE
+        assert (IntPoly((4,)) - 4).is_zero
+        assert IntPoly((1, 2)) - IntPoly((1, 2, 5)) == IntPoly((0, 0, -5))
+
     def test_eval_horner(self):
         assert IntPoly((1, 1, 1))(1) == 3
         assert IntPoly((1, -1, 1))(-1) == 3
