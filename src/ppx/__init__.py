@@ -25,7 +25,7 @@ _EXPORTS = {
     "qsequences": ("c_q_seq", "cap_e_q_seq", "e_q_seq", "qbinom", "qfact", "qint", "r_q_seq",
                    "u_q_seq"),
     "pascal": ("SquareMatrix", "factor_pascal", "factor_pascal_m", "factor_q_pascal", "h_m_nk",
-               "h_nk", "pascal_m", "pascal_matrix", "q_h_nk", "q_pascal"),
+               "h_nk", "pascal_m", "pascal_matrix", "q_pascal"),
 }
 __all__ = [name for names in _EXPORTS.values() for name in names]
 

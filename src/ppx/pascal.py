@@ -6,11 +6,11 @@ ZZ, the Gaussian binomials ``qbinom`` over ZX, or their values at a primitive
 m-th root of unity zeta_m over Z[q]/Phi_m(q).  Two builders make them all:
 ``_pascal`` puts binom(i, j) at (i, j), and ``_divided`` puts
 binom(floor(i/m), k) at (i, i - mk), the divided power H_{n,k} for m = 1.
-A matrix is stored by its diagonals, the bands i - j = d: band k of P_n is
-H_{n,k}, and a product of two bands is one pass over their entries into the
-band at the sum of their offsets.  A product of single-band matrices costs O(n),
-a unit-band step O(n) per band of the left factor; the dense grid ``rows`` is a
-view, built to render, and to read the right side in ``solve_unit_lower``.
+Every matrix is lower triangular, stored by its diagonals, the bands i - j =
+d >= 0: band k of P_n is H_{n,k}, and a product of two bands is one pass over
+their entries into the band at the sum of their offsets.  So a product, a
+unit-band step and a solve cost O(n) per pair of bands they multiply; the
+dense grid ``rows`` is a view, built only to render.
 
 With binomials, the n x n Pascal matrix P_n = (C(i,j)) is exp(H_n) for
 H_n = H_{n,1}, entries i at (i, i-1): its powers are H_n^k = k! H_{n,k} and
@@ -58,12 +58,13 @@ from .sequences import is_prime
 
 
 class SquareMatrix:
-    """Immutable n x n matrix over one of the exact coefficient rings, stored by
-    its diagonals: ``bands`` maps each offset d = i - j to the tuple of the
-    entries (i, i - d) in ascending i, n - |d| of them, and leaves out every
-    all-zero diagonal.  Entry (i, j) is at index min(i, j) of band i - j.  A
+    """Immutable lower triangular n x n matrix over one of the exact coefficient
+    rings, stored by its diagonals: ``bands`` maps each offset d = i - j >= 0 to
+    the tuple of the entries (i, i - d) in ascending i, n - d of them, and leaves
+    out every all-zero diagonal.  Entry (i, j) is at index j of band i - j.  A
     Pascal-type matrix is a few such bands (H_{n,k} is one, P_n one per k), and
-    band a of A times band b of B adds into band a + b of A B.
+    band a of A times band b of B adds into band a + b of A B.  A nonzero entry
+    above the diagonal is a ValueError.
 
     Costs, for s_A and s_B stored bands: a product O(s_A s_B n), a sum, scale or
     map_entries O((s_A + s_B) n), equality O(s_A n), is_zero O(1); ``rows`` is a
@@ -77,13 +78,14 @@ class SquareMatrix:
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("a nonempty square entry grid is required")
+        if any(any(row[i + 1:]) for i, row in enumerate(rows)):
+            raise ValueError("a nonzero entry above the diagonal: not lower triangular")
         self.ring, self.n, self.bands = ring, n, {
-            d: band for d in range(1 - n, n)
-            if any(band := tuple(rows[t + max(d, 0)][t - min(d, 0)] for t in range(n - abs(d))))}
+            d: band for d in range(n) if any(band := tuple(rows[t + d][t] for t in range(n - d)))}
 
     @classmethod
     def _of_bands(cls, ring, n: int, bands: dict) -> "SquareMatrix":
-        """The matrix with these diagonals (each of length n - |d|; zero ones dropped)."""
+        """The matrix with these diagonals d >= 0 (each of length n - d; zero ones dropped)."""
         matrix = cls.__new__(cls)
         matrix.ring, matrix.n = ring, n
         matrix.bands = {d: tuple(band) for d, band in bands.items() if any(band)}
@@ -103,7 +105,7 @@ class SquareMatrix:
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError(f"entry ({i}, {j}) is outside the {self.n} x {self.n} grid")
         band = self.bands.get(i - j)
-        return band[min(i, j)] if band else self.ring.zero
+        return band[j] if band else self.ring.zero
 
     @property
     def is_zero(self) -> bool:
@@ -131,9 +133,9 @@ class SquareMatrix:
         n, zero, out = self.n, self.ring.zero, {}
         for a, xs in self.bands.items():
             for b, ys in other.bands.items():
-                if abs(a + b) < n:
-                    acc = out.get(a + b) or out.setdefault(a + b, [zero] * (n - abs(a + b)))
-                    _add_band_product(acc, n, a, xs, b, ys)
+                if a + b < n:
+                    acc = out.get(a + b) or out.setdefault(a + b, [zero] * (n - a - b))
+                    _add_band_product(acc, xs, b, ys)
         return SquareMatrix._of_bands(self.ring, n, out)
 
     def scale(self, c) -> "SquareMatrix":
@@ -188,26 +190,24 @@ def _divided(ring, binom, n: int, k: int, m: int = 1) -> SquareMatrix:
 
 def _blockwise(a: SquareMatrix, b: SquareMatrix) -> list:
     """Entry n (0..a.n) says if the leading n x n blocks of a and b agree: an
-    entry (i, j) where a and b differ is in every block of size n > max(i, j),
-    which is t + |d| for index t of band d, so the first difference of each band
-    bounds the blocks that agree."""
+    entry (i, j) where a and b differ is in every block of size n > i, which is
+    t + d for index t of band d, so the first difference of each band bounds the
+    blocks that agree."""
     size, zeros = a.n, itertools.repeat(a.ring.zero)
     for d in a.bands.keys() | b.bands.keys():
         xs, ys = a.bands.get(d), b.bands.get(d)
         if xs != ys:
             t = next(t for t, (x, y) in enumerate(zip(xs or zeros, ys or zeros)) if x != y)
-            size = min(size, t + abs(d))
+            size = min(size, t + d)
     return [n <= size for n in range(a.n + 1)]
 
 
-def _add_band_product(acc: list, n: int, a: int, xs: tuple, b: int, ys: tuple) -> None:
-    """Add band a (entries xs) times band b (entries ys) into acc, band a + b of
-    n x n matrices: entry (i, i - a) times entry (i - a, i - a - b) at row i, for the
-    rows max(0, a, a + b) <= i < n + min(0, a, a + b) where both factors exist.  One
-    ring product and one sum per pair of nonzero factors, one pass over the band."""
-    lo, hi, d = max(0, a, a + b), n + min(0, a, a + b), a + b
-    for t, x, y in zip(range(lo - max(d, 0), hi - max(d, 0)), xs[lo - max(a, 0):],
-                       ys[lo - a - max(b, 0):]):
+def _add_band_product(acc: list, xs: tuple, b: int, ys: tuple) -> None:
+    """Add band a (entries xs) times band b (entries ys) into acc, band a + b:
+    entry t of acc, at (t + a + b, t), gets (t + a + b, t + b) times (t + b, t),
+    xs[t + b] * ys[t].  One ring product and one sum per pair of nonzero factors,
+    one pass over the band."""
+    for t, (x, y) in enumerate(zip(xs[b:], ys)):
         if x and y:
             acc[t] = acc[t] + x * y
 
@@ -227,11 +227,20 @@ def _unit_band_step(matrix: SquareMatrix, generator: SquareMatrix, shift: int, c
     n, zero, bands = matrix.n, matrix.ring.zero, dict(matrix.bands)
     cg = tuple(c * g if g else g for g in generator.bands[shift])
     for d, band in matrix.bands.items():
-        if abs(d + shift) < n:
-            acc = list(matrix.bands.get(d + shift) or [zero] * (n - abs(d + shift)))
-            _add_band_product(acc, n, d, band, shift, cg)
+        if d + shift < n:
+            acc = list(matrix.bands.get(d + shift) or [zero] * (n - d - shift))
+            _add_band_product(acc, band, shift, cg)
             bands[d + shift] = acc
     return SquareMatrix._of_bands(matrix.ring, n, bands)
+
+
+def _factored(ring, n: int, steps) -> SquareMatrix:
+    """The product (I + c_1 G_1)(I + c_2 G_2)... of n x n matrices over ring, one
+    unit-band step per (G, shift, c) of steps, in order."""
+    product = SquareMatrix.identity(ring, n)
+    for generator, shift, c in steps:
+        product = _unit_band_step(product, generator, shift, c)
+    return product
 
 
 def _factor_greedily(ring, n: int, k_max: int, generator, step: int) -> tuple:
@@ -325,12 +334,9 @@ def pascal_m(n: int, m: int) -> SquareMatrix:
     if not (generator_power * generator if k_max else generator).is_zero:
         raise ConsistencyError(f"sum of divided powers != exp(H) for m={m}, n={n}")
     total = functools.reduce(SquareMatrix.__add__, powers)
-    if k_max >= 1:
-        cs, product = sequences.c_seq(k_max), SquareMatrix.identity(ZZ, n)
-        for k in range(1, k_max + 1):
-            product = _unit_band_step(product, powers[k], m * k, cs[k - 1])
-        if product != total:
-            raise ConsistencyError(f"factored product != P^({m})_{n}")
+    if k_max >= 1 and _factored(ZZ, n, zip(powers[1:], range(m, n, m),
+                                           sequences.c_seq(k_max))) != total:
+        raise ConsistencyError(f"factored product != P^({m})_{n}")
     return total
 
 
@@ -351,14 +357,6 @@ def q_pascal(n: int) -> SquareMatrix:
     if n < 1:
         raise ValueError("dimension must be >= 1")
     return _pascal(ZX, qbinom, n)
-
-
-def q_h_nk(n: int, k: int) -> SquareMatrix:
-    """The q-divided power H_n^k(q)/[k]!, with Gaussian binomial entries at
-    (i, i-k)."""
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
-    return _divided(ZX, qbinom, n, k)
 
 
 def factor_q_pascal(n: int) -> list:
@@ -406,18 +404,12 @@ def check_pascal(n_max: int) -> Report:
         raise ValueError("need n >= 2")
     rep = Report("pascal")
     p, powers, cs, divided_ok, vanishes, summed = _block_rows(ZZ, math.comb, math.factorial, n_max)
-    # exp(H) = P as sum (N!/k!) H^k = N! P, in Z, summed in one pass over the nonzero
-    # entries of the powers: those off a power's band too, so that a wrong product
-    # fails this row as it fails the per-n sum of H^k/k!.
+    # exp(H) = P as sum (N!/k!) H^k = N! P, in Z, over every band of the powers:
+    # those off a power's band too, so that a wrong product fails this row as it
+    # fails the per-n sum of H^k/k!.
     weights = [math.factorial(n_max) // math.factorial(k) for k in range(n_max + 1)]
-    total = {}
-    for weight, power in zip(weights, powers):
-        for d, band in power.bands.items():
-            out = total.setdefault(d, [0] * len(band))
-            for t, e in enumerate(band):
-                if e:
-                    out[t] += weight * e
-    expd = _blockwise(SquareMatrix._of_bands(ZZ, n_max, total), p.scale(weights[0]))
+    total = functools.reduce(SquareMatrix.__add__, map(SquareMatrix.scale, powers, weights))
+    expd = _blockwise(total, p.scale(weights[0]))
     for n in range(2, n_max + 1):
         rep.add("divided-powers", {"n": n}, divided_ok[n], "H^k/k! == H_(n,k) for k < n",
                 _SAME[not divided_ok[n]])
@@ -546,25 +538,25 @@ def _gaussian_basis(n: int, ring: QuotientRing):
 
 
 def solve_unit_lower(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
-    """Solve A X = B by forward substitution for unit lower triangular A.
-
-    Needs only ring multiplication and subtraction, so it stays inside a
-    quotient ring; no entry is ever inverted.
-    """
+    """Solve A X = B for unit lower triangular A, band by band in ascending d:
+    X = B - (A - I) X, so band d of X is band d of B plus band e of -A times band
+    d - e of X, for 0 < e <= d.  Only ring products and sums (each nonzero entry of
+    A is negated once): no entry is inverted, so it stays inside a quotient ring."""
     a._require_compatible(b)
     ring, n = a.ring, a.n
-    if a.bands.get(0) != (ring.one,) * n or min(a.bands) < 0:
+    if a.bands.get(0) != (ring.one,) * n:
         raise ConsistencyError("matrix is not unit lower triangular")
-    lower, x = [(d, band) for d, band in a.bands.items() if d > 0], []
-    for i, row in enumerate(b.rows):
-        acc = list(row)
-        for d, band in lower:
-            if i >= d and band[i - d]:
-                for j, e in enumerate(x[i - d]):
-                    if e:
-                        acc[j] = acc[j] - band[i - d] * e
-        x.append(acc)
-    return SquareMatrix(ring, x)
+    negated = [(e, tuple(ring.zero - v if v else v for v in band))
+               for e, band in a.bands.items() if e]
+    x = {}
+    for d in range(n):
+        acc = list(b.bands.get(d) or [ring.zero] * (n - d))
+        for e, band in negated:
+            if d - e in x:
+                _add_band_product(acc, band, d - e, x[d - e])
+        if any(acc):
+            x[d] = tuple(acc)
+    return SquareMatrix._of_bands(ring, n, x)
 
 
 def _truncated_exp_product(binom, n: int, m: int, ring: QuotientRing) -> tuple:
@@ -572,10 +564,8 @@ def _truncated_exp_product(binom, n: int, m: int, ring: QuotientRing) -> tuple:
     (ring, binom) of the Gaussian binomials at zeta_m."""
     # The bands share no entry: (i, i - j) holds [i, j] when j < m, so the sum is one pass.
     total = _pascal(ring, lambda i, j: binom(i, i - j) if i - j < m else ring.zero, n)
-    product = SquareMatrix.identity(ring, n)
-    for j in range(1, m):
-        product = _unit_band_step(product, _divided(ring, binom, n, j), j,
-                                  ring.reduce(qsequences._c_q(j)))
+    product = _factored(ring, n, ((_divided(ring, binom, n, j), j, ring.reduce(qsequences._c_q(j)))
+                                  for j in range(1, m)))
     rep = Report("eq28")
     rep.add("sum-equals-product", {"n": n, "m": m}, total == product,
             "matrix identity", _SAME[total != product])
@@ -624,9 +614,8 @@ def check_root_of_unity_factorization(n: int, m: int) -> Report:
             "P^(m)_n", _SAME[quotient != m_fold])
 
     cs = sequences.c_seq(k_max) if k_max >= 1 else []
-    product = SquareMatrix.identity(ring, n)
-    for k, generator in enumerate(generators, 1):
-        product = _unit_band_step(product, generator, k * m, ring.from_int(cs[k - 1]))
+    product = _factored(ring, n, ((g, k * m, ring.from_int(c))
+                                  for k, (g, c) in enumerate(zip(generators, cs), 1)))
     rep.add("quotient-factorization", {"n": n, "m": m}, quotient == product,
             "prod (I + c_k H_(n,km)(zeta_m))", _SAME[quotient != product])
     return rep

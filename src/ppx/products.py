@@ -21,32 +21,33 @@ from __future__ import annotations
 from .series import TruncatedSeries
 
 
-def _times_factor(partial: list, n: int, g, binom) -> None:
-    # partial *= 1 + g x^n/d_n; k descends, so each B_(k-n) read is the old one.
-    if not g:
-        return
-    for k in range(len(partial) - 1, n - 1, -1):
-        b = partial[k - n]
-        if b:
-            partial[k] = partial[k] + (g * b if binom is None else binom(k, n) * g * b)
-
-
 def expand(f: TruncatedSeries) -> tuple:
     """G_1..G_N with f = prod (1 + G_n x^n/d_n) + O(x^(N+1)) in f's basis."""
-    ring = f.ring
+    ring, binom = f.ring, f.binom
     if f.coeffs[0] != ring.one:
         raise ValueError("power product expansion requires constant term 1")
     partial, factors = [ring.one] + [ring.zero] * f.order, []
     for n in range(1, len(partial)):
-        factors.append(f.coeffs[n] - partial[n])
-        _times_factor(partial, n, factors[-1], f.binom)
+        g = f.coeffs[n] - partial[n]
+        factors.append(g)
+        if not g:
+            continue
+        # partial *= 1 + g x^n/d_n in place; k descends, so each B_(k-n) read is the old one.
+        for k in range(len(partial) - 1, n - 1, -1):
+            b = partial[k - n]
+            if b:
+                partial[k] = partial[k] + (g * b if binom is None else binom(k, n) * g * b)
     return tuple(factors)
 
 
 def contract(factors, ring, binom=None) -> TruncatedSeries:
     """prod (1 + G_n x^n/d_n) truncated at N = len(factors), over ``ring`` in
-    the basis of ``binom``."""
+    the basis of ``binom``.  Each factor multiplies into a new list, k ascending:
+    a loop of its own, so that a fault in expand's cannot cancel in a round trip."""
     partial = [ring.one] + [ring.zero] * len(factors)
     for n, g in enumerate(factors, start=1):
-        _times_factor(partial, n, g, binom)
+        if g:
+            partial = partial[:n] + [
+                b + (g * a if binom is None else binom(k, n) * g * a) if a else b
+                for k, b, a in zip(range(n, len(partial)), partial[n:], partial)]
     return TruncatedSeries(ring, partial, binom)

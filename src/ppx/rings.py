@@ -780,6 +780,4 @@ def serialize(value):
     if isinstance(value, RatFunc):
         return {"num": [str(c) for c in value.num.coeffs],
                 "den": [str(c) for c in value.den.coeffs]}
-    if isinstance(value, QuotientElem):
-        return [str(c) for c in value.rep.coeffs]
     raise TypeError(f"cannot serialize {value!r}")

@@ -172,40 +172,38 @@ def _a_oracle_checked(n_max: int) -> bool:
     return True
 
 
-def e_seq(n_max: int) -> list:
-    """e_1..e_N of exp(x) = prod (1 + e_n x^n)."""
+def terms(term, n_max: int) -> list:
+    """[term(1), ..., term(N)] for N = n_max >= 1: the body of every *_seq listing."""
     if n_max < 1:
         raise ValueError("need N >= 1")
-    return [_e(n) for n in range(1, n_max + 1)]
+    return [term(n) for n in range(1, n_max + 1)]
+
+
+def e_seq(n_max: int) -> list:
+    """e_1..e_N of exp(x) = prod (1 + e_n x^n)."""
+    return terms(_e, n_max)
 
 
 def c_seq(n_max: int) -> list:
     """c_n = n! e_n, asserted integral."""
-    if n_max < 1:
-        raise ValueError("need N >= 1")
-    return [_c(n) for n in range(1, n_max + 1)]
+    return terms(_c, n_max)
 
 
 def a_seq(n_max: int) -> list:
     """a_n = (-1)^n e_n of exp(-x) = prod (1 + a_n x^n), oracle-checked."""
-    if n_max < 1:
-        raise ValueError("need N >= 1")
+    values = terms(_a, n_max)
     _a_oracle_checked(n_max)
-    return [_a(n) for n in range(1, n_max + 1)]
+    return values
 
 
 def u_seq(n_max: int) -> list:
     """u_n = prod gcd(k, n), computed by both closed formulas."""
-    if n_max < 1:
-        raise ValueError("need N >= 1")
-    return [_u(n) for n in range(1, n_max + 1)]
+    return terms(_u, n_max)
 
 
 def r_seq(n_max: int) -> list:
     """r_n = u_n e_n via the divisor recursion, every division exact."""
-    if n_max < 1:
-        raise ValueError("need N >= 1")
-    return [_r(n) for n in range(1, n_max + 1)]
+    return terms(_r, n_max)
 
 
 # ---------------------------------------------------------------------------

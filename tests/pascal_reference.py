@@ -13,14 +13,16 @@ Z[q], then reduce every entry, zeros included.
 
 ``dense_product`` and ``dense_band_step`` are the schoolbook product and the
 product with I + c G, read from the dense grids: the references for the band
-kernels ``SquareMatrix.__mul__`` and ``pascal._unit_band_step``."""
+kernels ``SquareMatrix.__mul__`` and ``pascal._unit_band_step``.  The suites
+recover the c_k with ``factor_greedily``, a loop of their own over
+``dense_band_step``, so they share no kernel with what they check."""
 
 import functools
 import itertools
 import math
 
 from ppx import qsequences, sequences
-from ppx.pascal import SquareMatrix, _factor_greedily, pascal_matrix, q_pascal
+from ppx.pascal import SquareMatrix, pascal_matrix, q_pascal
 from ppx.qsequences import qbinom, qfact, qint
 from ppx.report import Report
 from ppx.rings import ConsistencyError, P_ZERO, ZX, ZZ
@@ -51,6 +53,16 @@ def dense_band_step(matrix: SquareMatrix, generator: SquareMatrix, shift: int, c
     factor = SquareMatrix(ring, [[(ring.one if i == j else ring.zero) + c * g[i][j]
                                   for j in range(n)] for i in range(n)])
     return dense_product(matrix, factor)
+
+
+def factor_greedily(ring, n: int, generator) -> tuple:
+    """The partial product (I + c_1 G_1)...(I + c_(n-1) G_(n-1)) and its c_k, each
+    forced by the (k, 0) entry of the product before it: c_k = 1 - that entry."""
+    partial, cs = SquareMatrix.identity(ring, n), []
+    for k in range(1, n):
+        cs.append(ring.one - partial.rows[k][0])
+        partial = dense_band_step(partial, generator(k), k, cs[-1])
+    return partial, cs
 
 
 def divide_exactly(matrix: SquareMatrix, d: int) -> SquareMatrix:
@@ -120,7 +132,7 @@ def check_pascal(n_max: int) -> Report:
     if n_max < 2:
         raise ValueError("need n >= 2")
     rep = Report("pascal")
-    partial, cs = _factor_greedily(ZZ, n_max, n_max - 1, lambda k: h_nk(n_max, k), 1)
+    partial, cs = factor_greedily(ZZ, n_max, lambda k: h_nk(n_max, k))
     for n in range(2, n_max + 1):
         h = h_matrix(n)
         powers = list(itertools.accumulate([h] * n, SquareMatrix.__mul__,
@@ -142,8 +154,8 @@ def check_pascal(n_max: int) -> Report:
         expected = sequences.c_seq(n - 1)
         rep.add("factor-recovery", {"n": n}, cs[: n - 1] == expected,
                 ", ".join(map(str, expected)), ", ".join(map(str, cs[: n - 1])))
-    prefix_ok = n_max == 2 or _factor_greedily(
-        ZZ, n_max - 1, n_max - 2, lambda k: h_nk(n_max - 1, k), 1)[1] == cs[:-1]
+    prefix_ok = n_max == 2 or factor_greedily(
+        ZZ, n_max - 1, lambda k: h_nk(n_max - 1, k))[1] == cs[:-1]
     rep.add("factor-prefix-stability", {"n_max": n_max}, prefix_ok,
             "factors independent of matrix size", "as expected" if prefix_ok else "mismatch")
     return rep
@@ -153,7 +165,7 @@ def check_q_pascal(n_max: int) -> Report:
     if n_max < 2:
         raise ValueError("need n >= 2")
     rep = Report("qpascal")
-    partial, cs = _factor_greedily(ZX, n_max, n_max - 1, lambda k: q_h_nk(n_max, k), 1)
+    partial, cs = factor_greedily(ZX, n_max, lambda k: q_h_nk(n_max, k))
     for n in range(2, n_max + 1):
         powers = list(itertools.accumulate([q_h(n)] * n, SquareMatrix.__mul__,
                                            initial=SquareMatrix.identity(ZX, n)))

@@ -267,7 +267,7 @@ def modules_loaded_by(code: str) -> set:
     return set(proc.stdout.split())
 
 
-# What ppx/__init__.py exported when it imported every submodule.
+# What ppx/__init__.py exports, each name from its submodule.
 EXPORTS = {
     "products": ["contract", "expand"],
     "rings": ["ConsistencyError", "InexactDivisionError", "IntPoly", "QuotientElem",
@@ -277,7 +277,7 @@ EXPORTS = {
     "qsequences": ["c_q_seq", "cap_e_q_seq", "e_q_seq", "qbinom", "qfact", "qint", "r_q_seq",
                    "u_q_seq"],
     "pascal": ["SquareMatrix", "factor_pascal", "factor_pascal_m", "factor_q_pascal", "h_m_nk",
-               "h_nk", "pascal_m", "pascal_matrix", "q_h_nk", "q_pascal"],
+               "h_nk", "pascal_m", "pascal_matrix", "q_pascal"],
 }
 
 

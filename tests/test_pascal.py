@@ -24,7 +24,6 @@ from ppx.pascal import (
     h_nk,
     pascal_m,
     pascal_matrix,
-    q_h_nk,
     q_pascal,
     solve_unit_lower,
 )
@@ -42,6 +41,7 @@ from ppx.rings import (
 from ppx.sequences import c_seq
 
 import pascal_reference as reference
+from pascal_reference import q_h_nk
 
 
 class TestClassical:
@@ -249,12 +249,9 @@ class TestRootOfUnity:
 
     def test_solve_unit_lower_requires_unit_triangular(self):
         ring = QuotientRing(cyclotomic(2))
-        one, zero = ring.one, ring.zero
         bad = SquareMatrix.identity(ring, 3).scale(ring.from_int(2))
-        above = SquareMatrix(ring, [[one, zero, zero], [zero, one, one], [zero, zero, one]])
-        for a in (bad, above):
-            with pytest.raises(ConsistencyError):
-                solve_unit_lower(a, SquareMatrix.identity(ring, 3))
+        with pytest.raises(ConsistencyError):
+            solve_unit_lower(bad, SquareMatrix.identity(ring, 3))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -294,6 +291,16 @@ class TestSquareMatrix:
         with pytest.raises(ValueError):
             a * b
 
+    @pytest.mark.parametrize("ring", [ZZ, ZX, QuotientRing(cyclotomic(2))])
+    def test_entry_above_the_diagonal_raises(self, ring):
+        # every matrix is lower triangular, a solve's operand included
+        for n in (2, 3, 4):
+            for i, j in ((i, j) for i in range(n) for j in range(i + 1, n)):
+                rows = [[ring.one if c <= r else ring.zero for c in range(n)] for r in range(n)]
+                rows[i][j] = ring.one
+                with pytest.raises(ValueError, match="above the diagonal"):
+                    SquareMatrix(ring, rows)
+
     def test_json_shape(self):
         m = q_pascal(2)
         assert m.to_json_obj() == [[["1"], []], [["1"], ["1"]]]
@@ -322,10 +329,10 @@ class TestBandConstructors:
         # builders in the binomial, m-fold and Gaussian bases, and the public
         # functions that call them (the zeta_m basis is in TestGaussianRowsInTheRing)
         assert h_nk(n, 1) == reference.h_matrix(n)
-        assert q_h_nk(n, 1) == reference.q_h(n)
+        assert pascal._divided(ZX, qbinom, n, 1) == reference.q_h(n)
         for k in range(n + 3):
             assert h_nk(n, k) == pascal._divided(ZZ, math.comb, n, k) == reference.h_nk(n, k)
-            assert q_h_nk(n, k) == pascal._divided(ZX, qbinom, n, k) == reference.q_h_nk(n, k)
+            assert pascal._divided(ZX, qbinom, n, k) == q_h_nk(n, k)
             for m in (1, 2, 3):
                 assert h_m_nk(n, m, k) == pascal._divided(ZZ, math.comb, n, k, m) == (
                     reference.h_m_nk(n, m, k))
@@ -356,19 +363,19 @@ def ring_elements(ring):
 
 @st.composite
 def square_matrices(draw, ring, n):
-    """From all-zero through one band and a Pascal-factor shape (diagonal
-    plus one band) to lower triangular, a random pattern and full; bands
-    above the diagonal make non-triangular matrices."""
-    shape = draw(st.sampled_from(("zero", "band", "factor", "lower", "pattern", "full")))
-    d = draw(st.integers(1 - n, n - 1))
+    """Lower triangular, every one: from all-zero through one band and a
+    Pascal-factor shape (diagonal plus one band) to strictly lower (a
+    nilpotent generator's shape), full lower and a random pattern."""
+    shape = draw(st.sampled_from(("zero", "band", "factor", "strict", "lower", "pattern")))
+    d = draw(st.integers(0, n - 1))
     pattern = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
     keep = {
         "zero": lambda i, j: False,
         "band": lambda i, j: i - j == d,
         "factor": lambda i, j: i == j or i - j == d,
+        "strict": lambda i, j: i > j,
         "lower": lambda i, j: i >= j,
-        "pattern": lambda i, j: pattern[i * n + j],
-        "full": lambda i, j: True,
+        "pattern": lambda i, j: i >= j and pattern[i * n + j],
     }[shape]
     nonzero = ring_elements(ring).filter(lambda e: e != ring.zero)
     return SquareMatrix(
@@ -457,7 +464,7 @@ def dense_grid(fn, *grids):
 
 class TestStoredForm:
     """The diagonals against the dense grid they stand for, over every shape
-    of square_matrices, bands above the diagonal included."""
+    of square_matrices."""
 
     @settings(max_examples=150, deadline=None)
     @given(matrix_pairs(), st.data())
@@ -482,8 +489,7 @@ class TestStoredForm:
 
 @st.composite
 def band_steps(draw):
-    """A left factor (any shape of square_matrices, lower triangular and
-    full among them), a generator on the band i - j = shift (zeros allowed)
+    """A left factor (any shape of square_matrices), a generator on the band i - j = shift (zeros allowed)
     and a scalar c (zero sometimes)."""
     ring = draw(st.sampled_from(PRODUCT_RINGS))
     n = draw(st.integers(1, 12))
@@ -529,7 +535,7 @@ class TestUnitBandStep:
     def test_rejects_entry_off_the_band(self, step, data):
         matrix, generator, shift, c = step
         n, ring = matrix.n, matrix.ring
-        cells = [(i, j) for i in range(n) for j in range(n) if i - j != shift]
+        cells = [(i, j) for i in range(n) for j in range(i + 1) if i - j != shift]
         if not cells:
             return
         i, j = data.draw(st.sampled_from(cells))
@@ -577,13 +583,15 @@ def lower_triangular_pairs(draw):
 
 @st.composite
 def nearly_equal_pairs(draw):
-    """A matrix and a copy with up to three entries replaced."""
+    """A matrix and a copy with up to three entries on or below the diagonal
+    replaced."""
     ring = draw(st.sampled_from(PRODUCT_RINGS))
     n = draw(st.integers(1, 12))
     a = draw(square_matrices(ring, n))
     rows = [list(row) for row in a.rows]
     for _ in range(draw(st.integers(0, 3))):
-        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, i))
         rows[i][j] = draw(ring_elements(ring))
     return a, SquareMatrix(ring, rows)
 

@@ -2,11 +2,13 @@
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppx import cli, products
 from ppx.products import contract, expand
 from ppx.qsequences import qfact
 from ppx.rings import P_ONE, ZZ, RatFunc
@@ -73,3 +75,35 @@ class TestRoundTrip:
         original = exp_series(8)
         assert perturbed.coeffs[4] != original.coeffs[4]
         assert perturbed.coeffs[:4] == original.coeffs[:4]
+
+
+# ---------------------------------------------------------------------------
+# The round trip fails when the expansion loop is wrong: the mutants are
+# planted in the source of ppx.products, so a loop that contract shared with
+# expand would carry the same fault into both, and the round trip would pass
+
+
+LOOP_MUTANTS = {
+    "shipped": ("", ""),
+    "ascending": ("range(len(partial) - 1, n - 1, -1)", "range(n, len(partial))"),
+    "last-skipped": ("range(len(partial) - 1, n - 1, -1)", "range(len(partial) - 2, n - 1, -1)"),
+    "weight-dropped": ("binom(k, n) * g * b", "g * b"),
+    "term-doubled": ("binom(k, n) * g * b)", "binom(k, n) * g * b) * 2"),
+}
+ROUND_TRIPS = ("exp-roundtrip", "exp-neg-roundtrip", "expq-roundtrip", "cap-expq-roundtrip")
+
+
+@pytest.mark.parametrize("name", LOOP_MUTANTS)
+def test_round_trip_fails_a_wrong_expansion_loop(monkeypatch, capsys, name):
+    old, new = LOOP_MUTANTS[name]
+    source = Path(products.__file__).read_text()
+    assert source.count(old) == 1 or not old
+    mutant = {"__name__": products.__name__, "__package__": products.__package__}
+    exec(compile(source.replace(old, new), products.__file__, "exec"), mutant)
+    monkeypatch.setattr(products, "expand", mutant["expand"])
+    monkeypatch.setattr(products, "contract", mutant["contract"])
+    status = "PASS" if name == "shipped" else "FAIL"
+    assert cli.main(["verify", "roundtrip", "--max-n", "8"]) == (status == "FAIL")
+    rows = {line.split()[1]: line.split()[0] for line in capsys.readouterr().out.splitlines()
+            if line.split()[1:2] and line.split()[1] in ROUND_TRIPS}
+    assert rows == dict.fromkeys(ROUND_TRIPS, status)

@@ -753,5 +753,3 @@ class TestSerialize:
         assert serialize(Fraction(1)) == "1"
         assert serialize(IntPoly((1, 0, -2))) == ["1", "0", "-2"]
         assert serialize(RatFunc(Q, IntPoly((1, 1)))) == {"num": ["0", "1"], "den": ["1", "1"]}
-        ring = QuotientRing(IntPoly((0, 0, 1)))
-        assert serialize(ring.reduce(IntPoly((1, -4)))) == ["1", "-4"]
