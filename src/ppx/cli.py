@@ -23,6 +23,7 @@ ends with ``os._exit``: interpreter finalization takes about 12 ms of the
 from __future__ import annotations
 
 import argparse
+import collections
 import os
 import sys
 from importlib import import_module
@@ -102,28 +103,15 @@ def cmd_seq(args) -> int:
 # verify
 
 
-class Suite:
-    """One ``ppx verify`` suite: every check runs once per parameter set and
-    all their checks are merged, in order, into one report named after the
-    suite.
-
-    ``max_n`` is the default ``--max-n`` (None for a suite that takes no
-    size), ``flag`` the option the suite sweeps (``m`` or ``p``) and
-    ``sweep`` its default values; ``together`` passes the whole sweep to one
-    call.  ``pairs`` are the default (n, m) pairs of eq26/eq28; ``--m``
-    replaces them with one pair whose n defaults to max(3m, 6).
-    """
-
-    __slots__ = ("checks", "max_n", "flag", "sweep", "together", "pairs")
-
-    def __init__(self, checks: tuple, max_n: int | None = None, flag: str | None = None,
-                 sweep: tuple = (), together: bool = False, pairs: tuple = ()):
-        self.checks = checks
-        self.max_n = max_n
-        self.flag = flag
-        self.sweep = sweep
-        self.together = together
-        self.pairs = pairs
+# One ``ppx verify`` suite: every check runs once per parameter set and all
+# their checks are merged, in order, into one report named after the suite.
+# ``max_n`` is the default ``--max-n`` (None for a suite that takes no size),
+# ``flag`` the option the suite sweeps (``m`` or ``p``) and ``sweep`` its
+# default values; ``together`` passes the whole sweep to one call.  ``pairs``
+# are the default (n, m) pairs of eq26/eq28; ``--m`` replaces them with one
+# pair whose n defaults to max(3m, 6).
+Suite = collections.namedtuple("Suite", "checks max_n flag sweep together pairs",
+                               defaults=(None, None, (), False, ()))
 
 
 SUITES = {
@@ -147,32 +135,27 @@ SUITES = {
 }
 
 
-def _read_options(suite: Suite, args) -> set:
-    # The verify options that this suite's parameter sets are built from.
+def _plan(suite: Suite, args) -> tuple:
+    """(the verify options the suite reads, its parameter sets) for args, in
+    which None means the option was not given; runs nothing."""
+    if suite.pairs and args.m is None:
+        return {"m"}, list(suite.pairs)
     if suite.pairs:
-        return {"m", "max_n"} if args.m is not None else {"m"}
-    read = {suite.flag} if suite.flag else set()
-    return read | {"max_n"} if suite.max_n is not None else read
-
-
-def _parameter_sets(suite: Suite, args) -> list:
-    if suite.pairs:
-        if args.m is None:
-            return list(suite.pairs)
-        return [(args.max_n if args.max_n is not None else max(args.m * 3, 6), args.m)]
+        return {"m", "max_n"}, [(max(args.m * 3, 6) if args.max_n is None else args.max_n, args.m)]
     n = args.max_n if args.max_n is not None else suite.max_n
+    read = set() if suite.max_n is None else {"max_n"}
     if suite.flag is None:
-        return [(n,)]
+        return read, [(n,)]
     given = getattr(args, suite.flag)
     values = suite.sweep if given is None else (given,)
-    return [(n, values)] if suite.together else [(n, v) for v in values]
+    return read | {suite.flag}, [(n, values)] if suite.together else [(n, v) for v in values]
 
 
 def run_suite(name: str, args) -> Report:
     """Run the suite with the parameters in args (None means its default);
     an option the suite would not read is a usage error."""
     suite = SUITES[name]
-    read = _read_options(suite, args)
+    read, parameter_sets = _plan(suite, args)
     unread = [opt for opt in ("max_n", "m", "p") if getattr(args, opt) is not None
               and opt not in read]
     if unread:
@@ -180,7 +163,7 @@ def run_suite(name: str, args) -> Report:
         hint = " (it takes --max-n only with --m)" if suite.pairs and "max_n" in unread else ""
         raise UsageError(f"suite {name!r} does not take {flags}{hint}")
     merged = Report(name)
-    for params in _parameter_sets(suite, args):
+    for params in parameter_sets:
         for check in suite.checks:
             merged.checks.extend(check(*params).checks)
     return merged

@@ -53,7 +53,7 @@ import math
 from . import qsequences, sequences
 from .qsequences import qbinom, qfact
 from .report import Report
-from .rings import ConsistencyError, IntPoly, QuotientRing, ZX, ZZ, serialize
+from .rings import ConsistencyError, IntPoly, QuotientRing, ZX, ZZ, power, serialize
 from .sequences import is_prime
 
 
@@ -145,14 +145,7 @@ class SquareMatrix:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative matrix power")
-        result = SquareMatrix.identity(self.ring, self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return power(self, k) if k else SquareMatrix.identity(self.ring, self.n)
 
     def map_entries(self, fn, ring) -> "SquareMatrix":
         """fn applied to every stored entry, over ring; fn must send zero to zero."""

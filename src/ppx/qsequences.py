@@ -452,14 +452,7 @@ def check_q_oracle(n_max: int) -> Report:
     """The q-recursions against the expansions of exp_q and Exp_q (factor n is G_n/[n]!)."""
     if n_max < 1:
         raise ValueError("need N >= 1")
-    rep = Report("roundtrip-q")
-    for check_id, roundtrip_id, name, series, recursion in (
+    return sequences.roundtrip_rows(
+        Report("roundtrip-q"), lambda g, n, expected: _cross_check(g, qfact(n), expected), (
             ("e-q-oracle", "expq-roundtrip", "exp_q", _expq_series(n_max), _e_q),
-            ("E-q-oracle", "cap-expq-roundtrip", "Exp_q", _cap_expq_series(n_max), _cap_e_q)):
-        factors = products.expand(series)
-        for n in range(1, n_max + 1):
-            rep.add(check_id, {"n": n}, *_cross_check(factors[n - 1], qfact(n), recursion(n)))
-        ok = products.contract(factors, ZX, qbinom) == series
-        rep.add(roundtrip_id, {"N": n_max}, ok, f"contract(expand({name})) == {name}",
-                "as expected" if ok else "mismatch")
-    return rep
+            ("E-q-oracle", "cap-expq-roundtrip", "Exp_q", _cap_expq_series(n_max), _cap_e_q)))

@@ -39,6 +39,7 @@ code is ``zero`` and ``one``: the two instances ``ZZ`` and ``ZX`` at the
 bottom hold them for ``int`` and :class:`IntPoly`, and a :class:`QuotientRing`
 holds them for its own elements.  Elements do the rest through their
 operators and are false exactly when zero; none of that code divides.
+:func:`power` is the one power routine, of polynomials and of matrices.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import math
 import sys
 from array import array
 from fractions import Fraction
+from operator import add, neg, sub
 
 
 class InexactDivisionError(ArithmeticError):
@@ -145,6 +147,33 @@ def _unpack(value: int, n: int, w: int) -> list:
     return digits.tolist()
 
 
+def power(base, k: int):
+    """base ** k for k >= 1 by repeated squaring, with no product by one and
+    no square after the last bit of k: the one power routine, of
+    :class:`IntPoly` and of ``pascal.SquareMatrix``."""
+    result = None
+    while True:
+        if k & 1:
+            result = base if result is None else result * base
+        k >>= 1
+        if not k:
+            return result
+        base = base * base
+
+
+def _aligned(op):
+    # IntPoly + or - in one pass: op on each pair of coefficients, the shorter
+    # side padded with 0, past which the longer side's tail is kept as a slice
+    # (negated on the right of -); IntPoly trims the result.
+    def combine(self, other):
+        a, b = self.coeffs, _as_poly(other).coeffs
+        if len(a) >= len(b):
+            return IntPoly([*map(op, a, b), *a[len(b):]])
+        tail = b[len(a):]
+        return IntPoly([*map(op, a, b), *(tail if op is add else map(neg, tail))])
+    return combine
+
+
 class IntPoly:
     """Dense polynomial over Z in the indeterminate q.
 
@@ -160,12 +189,11 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        if isinstance(coeffs, int):
-            coeffs = (coeffs,)
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = (coeffs,) if isinstance(coeffs, int) else tuple(coeffs)
+        n = len(cs)
+        while n and cs[n - 1] == 0:
+            n -= 1
+        self.coeffs = cs if n == len(cs) else cs[:n]
 
     @classmethod
     def monomial(cls, coeff: int, k: int) -> "IntPoly":
@@ -212,27 +240,11 @@ class IntPoly:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other):
-        other = _as_poly(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
-    __radd__ = __add__
+    __add__ = __radd__ = _aligned(add)
+    __sub__ = _aligned(sub)
 
     def __neg__(self):
         return IntPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        b = _as_poly(other).coeffs
-        out = list(self.coeffs) + [0] * (len(b) - len(self.coeffs))
-        for i, c in enumerate(b):
-            out[i] -= c
-        return IntPoly(out)
 
     def __mul__(self, other):
         """Product in Z[q].
@@ -278,20 +290,9 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        # Repeated squaring, with no product by one and no square after the
-        # last bit of k.
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        if k == 0:
-            return P_ONE
-        base, result = self, None
-        while True:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if not k:
-                return result
-            base = base * base
+        return power(self, k) if k else P_ONE
 
     # -- division -----------------------------------------------------------
 

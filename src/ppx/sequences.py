@@ -289,24 +289,32 @@ def check_closed_forms(n_max: int) -> Report:
     return rep
 
 
+def roundtrip_rows(rep: Report, compare, cases) -> Report:
+    """The rows of both halves of the roundtrip suite, added to rep: for each
+    case (check_id, roundtrip_id, name, f, recursion), one check_id row per
+    factor G_n of the unit series f, whose (passed, expected, actual) is
+    compare(G_n, n, recursion(n)), then one roundtrip_id row for
+    contract(expand(f)) == f."""
+    for check_id, roundtrip_id, name, f, recursion in cases:
+        factors = products.expand(f)
+        for n, g in enumerate(factors, start=1):
+            rep.add(check_id, {"n": n}, *compare(g, n, recursion(n)))
+        ok = products.contract(factors, f.ring, f.binom) == f
+        rep.add(roundtrip_id, {"N": f.order}, ok, f"contract(expand({name})) == {name}",
+                "as expected" if ok else "mismatch")
+    return rep
+
+
 def check_oracle_roundtrip(n_max: int) -> Report:
     """The divisor recursions against the generic expansion, plus round trips.
 
-    Covers exp(x) and exp(-x) here; the q-analog halves of the same suite
-    live in :mod:`ppx.qsequences` and are merged by the CLI.
+    Covers exp(x) and exp(-x) here (factor n is G_n/n!); the q-analog halves
+    of the same suite live in :mod:`ppx.qsequences` and are merged by the CLI.
     """
     if n_max < 1:
         raise ValueError("need N >= 1")
-    rep = Report("roundtrip")
-    for check_id, roundtrip_id, name, sign, recursion in (
-            ("e-oracle", "exp-roundtrip", "exp", 1, _e),
-            ("a-oracle", "exp-neg-roundtrip", "exp(-x)", -1, _a)):
-        f = exp_series(n_max, sign)
-        factors = products.expand(f)  # factor n is G_n/n!
-        for n in range(1, n_max + 1):
-            found = Fraction(factors[n - 1], math.factorial(n))
-            rep.add(check_id, {"n": n}, found == recursion(n), str(recursion(n)), str(found))
-        ok = products.contract(factors, ZZ, math.comb) == f
-        rep.add(roundtrip_id, {"N": n_max}, ok, f"contract(expand({name})) == {name}",
-                "as expected" if ok else "mismatch")
-    return rep
+    return roundtrip_rows(
+        Report("roundtrip"),
+        lambda g, n, e: ((found := Fraction(g, math.factorial(n))) == e, str(e), str(found)), (
+            ("e-oracle", "exp-roundtrip", "exp", exp_series(n_max), _e),
+            ("a-oracle", "exp-neg-roundtrip", "exp(-x)", exp_series(n_max, -1), _a)))

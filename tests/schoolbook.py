@@ -1,6 +1,7 @@
 """Schoolbook references: for the weighted series kernel of ``ppx.series``
-and ``ppx.products``, sharing no code with either, and the primitive
-pseudo-remainder sequence, for the polynomial gcd of ``ppx.rings``.
+and ``ppx.products``, sharing no code with either, the primitive
+pseudo-remainder sequence, for the polynomial gcd of ``ppx.rings``, and the
+degree-by-degree sum, for ``IntPoly`` + and -.
 
 A coefficient F_k of a series in the basis of ``binom`` is turned into the
 field element F_k/d_k (a ``Fraction``, or a ``QFrac`` of Q(q)), with
@@ -81,3 +82,14 @@ def prs_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
             r = r * b.lead - b.shifted(r.degree - b.degree) * r.lead
         a, b = b, r.primitive_positive()
     return a
+
+
+def coefficient_sum(a: tuple, b: tuple, sign: int = 1) -> tuple:
+    """The coefficients of a + sign * b, for coefficient tuples a and b
+    (lowest degree first), computed degree by degree and with no trailing
+    zeros."""
+    out = [(a[i] if i < len(a) else 0) + sign * (b[i] if i < len(b) else 0)
+           for i in range(max(len(a), len(b)))]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)

@@ -1,5 +1,6 @@
 """The ppx command line: formats, exit codes, JSON round trips."""
 
+import argparse
 import importlib
 import json
 import os
@@ -149,6 +150,181 @@ class TestVerify:
         assert f"suite {argv[0]!r} does not take {flags}" in err
 
 
+# ---------------------------------------------------------------------------
+# The verify plan: for every suite and each subset of --max-n 7, --m 3 and
+# --p 5 (subset i holds option j when bit j of i is set), the options the
+# suite reads and its parameter sets, or the usage-error line.  Recorded from
+# the two functions that _plan replaced; no suite runs here.
+
+
+PLAN_OPTIONS = (("max_n", 7), ("m", 3), ("p", 5))
+PLANS = {
+    "roundtrip": [(("max_n",), [(14,)]),
+                  (("max_n",), [(7,)]),
+                  "error: suite 'roundtrip' does not take --m",
+                  "error: suite 'roundtrip' does not take --m",
+                  "error: suite 'roundtrip' does not take --p",
+                  "error: suite 'roundtrip' does not take --p",
+                  "error: suite 'roundtrip' does not take --m and --p",
+                  "error: suite 'roundtrip' does not take --m and --p"],
+    "kolberg": [(("max_n",), [(64,)]),
+                (("max_n",), [(7,)]),
+                "error: suite 'kolberg' does not take --m",
+                "error: suite 'kolberg' does not take --m",
+                "error: suite 'kolberg' does not take --p",
+                "error: suite 'kolberg' does not take --p",
+                "error: suite 'kolberg' does not take --m and --p",
+                "error: suite 'kolberg' does not take --m and --p"],
+    "borwein-lou": [(("max_n",), [(64,)]),
+                    (("max_n",), [(7,)]),
+                    "error: suite 'borwein-lou' does not take --m",
+                    "error: suite 'borwein-lou' does not take --m",
+                    "error: suite 'borwein-lou' does not take --p",
+                    "error: suite 'borwein-lou' does not take --p",
+                    "error: suite 'borwein-lou' does not take --m and --p",
+                    "error: suite 'borwein-lou' does not take --m and --p"],
+    "divisibility": [(("max_n",), [(64,)]),
+                     (("max_n",), [(7,)]),
+                     "error: suite 'divisibility' does not take --m",
+                     "error: suite 'divisibility' does not take --m",
+                     "error: suite 'divisibility' does not take --p",
+                     "error: suite 'divisibility' does not take --p",
+                     "error: suite 'divisibility' does not take --m and --p",
+                     "error: suite 'divisibility' does not take --m and --p"],
+    "closed-forms": [(("max_n",), [(64,)]),
+                     (("max_n",), [(7,)]),
+                     "error: suite 'closed-forms' does not take --m",
+                     "error: suite 'closed-forms' does not take --m",
+                     "error: suite 'closed-forms' does not take --p",
+                     "error: suite 'closed-forms' does not take --p",
+                     "error: suite 'closed-forms' does not take --m and --p",
+                     "error: suite 'closed-forms' does not take --m and --p"],
+    "thm41": [((), [(None,)]),
+              "error: suite 'thm41' does not take --max-n",
+              "error: suite 'thm41' does not take --m",
+              "error: suite 'thm41' does not take --max-n and --m",
+              "error: suite 'thm41' does not take --p",
+              "error: suite 'thm41' does not take --max-n and --p",
+              "error: suite 'thm41' does not take --m and --p",
+              "error: suite 'thm41' does not take --max-n and --m and --p"],
+    "thm42": [(("max_n",), [(14,)]),
+              (("max_n",), [(7,)]),
+              "error: suite 'thm42' does not take --m",
+              "error: suite 'thm42' does not take --m",
+              "error: suite 'thm42' does not take --p",
+              "error: suite 'thm42' does not take --p",
+              "error: suite 'thm42' does not take --m and --p",
+              "error: suite 'thm42' does not take --m and --p"],
+    "thm43": [(("m", "max_n"), [(12, 2), (12, 3)]),
+              (("m", "max_n"), [(7, 2), (7, 3)]),
+              (("m", "max_n"), [(12, 3)]),
+              (("m", "max_n"), [(7, 3)]),
+              "error: suite 'thm43' does not take --p",
+              "error: suite 'thm43' does not take --p",
+              "error: suite 'thm43' does not take --p",
+              "error: suite 'thm43' does not take --p"],
+    "cor44": [(("max_n", "p"), [(20, 2), (20, 3), (20, 5)]),
+              (("max_n", "p"), [(7, 2), (7, 3), (7, 5)]),
+              "error: suite 'cor44' does not take --m",
+              "error: suite 'cor44' does not take --m",
+              (("max_n", "p"), [(20, 5)]),
+              (("max_n", "p"), [(7, 5)]),
+              "error: suite 'cor44' does not take --m",
+              "error: suite 'cor44' does not take --m"],
+    "thm45": [(("max_n",), [(32,)]),
+              (("max_n",), [(7,)]),
+              "error: suite 'thm45' does not take --m",
+              "error: suite 'thm45' does not take --m",
+              "error: suite 'thm45' does not take --p",
+              "error: suite 'thm45' does not take --p",
+              "error: suite 'thm45' does not take --m and --p",
+              "error: suite 'thm45' does not take --m and --p"],
+    "eq18": [(("max_n",), [(10,)]),
+             (("max_n",), [(7,)]),
+             "error: suite 'eq18' does not take --m",
+             "error: suite 'eq18' does not take --m",
+             "error: suite 'eq18' does not take --p",
+             "error: suite 'eq18' does not take --p",
+             "error: suite 'eq18' does not take --m and --p",
+             "error: suite 'eq18' does not take --m and --p"],
+    "eq21": [(("max_n",), [(12,)]),
+             (("max_n",), [(7,)]),
+             "error: suite 'eq21' does not take --m",
+             "error: suite 'eq21' does not take --m",
+             "error: suite 'eq21' does not take --p",
+             "error: suite 'eq21' does not take --p",
+             "error: suite 'eq21' does not take --m and --p",
+             "error: suite 'eq21' does not take --m and --p"],
+    "eq26": [(("m",), [(6, 2), (8, 2), (9, 3)]),
+             "error: suite 'eq26' does not take --max-n (it takes --max-n only with --m)",
+             (("m", "max_n"), [(9, 3)]),
+             (("m", "max_n"), [(7, 3)]),
+             "error: suite 'eq26' does not take --p",
+             "error: suite 'eq26' does not take --max-n and --p (it takes --max-n only with --m)",
+             "error: suite 'eq26' does not take --p",
+             "error: suite 'eq26' does not take --p"],
+    "eq28": [(("m",), [(6, 2), (8, 2), (9, 3)]),
+             "error: suite 'eq28' does not take --max-n (it takes --max-n only with --m)",
+             (("m", "max_n"), [(9, 3)]),
+             (("m", "max_n"), [(7, 3)]),
+             "error: suite 'eq28' does not take --p",
+             "error: suite 'eq28' does not take --max-n and --p (it takes --max-n only with --m)",
+             "error: suite 'eq28' does not take --p",
+             "error: suite 'eq28' does not take --p"],
+    "pascal": [(("max_n",), [(12,)]),
+               (("max_n",), [(7,)]),
+               "error: suite 'pascal' does not take --m",
+               "error: suite 'pascal' does not take --m",
+               "error: suite 'pascal' does not take --p",
+               "error: suite 'pascal' does not take --p",
+               "error: suite 'pascal' does not take --m and --p",
+               "error: suite 'pascal' does not take --m and --p"],
+    "qpascal": [(("max_n",), [(12,)]),
+                (("max_n",), [(7,)]),
+                "error: suite 'qpascal' does not take --m",
+                "error: suite 'qpascal' does not take --m",
+                "error: suite 'qpascal' does not take --p",
+                "error: suite 'qpascal' does not take --p",
+                "error: suite 'qpascal' does not take --m and --p",
+                "error: suite 'qpascal' does not take --m and --p"],
+    "pascal-m": [(("m", "max_n"), [(12, (2, 3))]),
+                 (("m", "max_n"), [(7, (2, 3))]),
+                 (("m", "max_n"), [(12, (3,))]),
+                 (("m", "max_n"), [(7, (3,))]),
+                 "error: suite 'pascal-m' does not take --p",
+                 "error: suite 'pascal-m' does not take --p",
+                 "error: suite 'pascal-m' does not take --p",
+                 "error: suite 'pascal-m' does not take --p"],
+}
+
+
+@pytest.mark.parametrize("name", PLANS)
+def test_plan_table(monkeypatch, capsys, name):
+    assert list(PLANS) == list(cli.SUITES)
+    suite, calls = cli.SUITES[name], []
+
+    def recorder(*params):
+        calls.append(params)
+        return Report(name)
+
+    monkeypatch.setitem(cli.SUITES, name, suite._replace(checks=(recorder,) * len(suite.checks)))
+    for subset, expected in enumerate(PLANS[name]):
+        given = {opt: value if subset >> j & 1 else None
+                 for j, (opt, value) in enumerate(PLAN_OPTIONS)}
+        calls.clear()
+        if isinstance(expected, str):
+            argv = [f"--{opt.replace('_', '-')}={value}" for opt, value in given.items()
+                    if value is not None]
+            assert run(capsys, "verify", name, *argv) == (2, "", expected + "\n")
+            assert calls == []
+        else:
+            read, sets = expected
+            args = argparse.Namespace(**given)
+            assert cli._plan(suite, args) == (set(read), sets)
+            assert cli.run_suite(name, args).checks == []
+            assert calls == [params for params in sets for _ in suite.checks]
+
+
 class TestPascal:
     def test_factor_golden(self, capsys):
         code, out, _ = run(capsys, "pascal", "4", "--action", "factor")
@@ -207,12 +383,13 @@ class TestSubprocess:
     def test_closed_pipe_exits_141(self):
         # As in `ppx verify all | head -1`.  The report (about 90 kB) outgrows
         # a 64 KiB pipe, so the write meets the closed end.
-        proc = subprocess.Popen([sys.executable, "-m", "ppx", "verify", "all"],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0)
-        assert proc.stdout.readline() == b"report: roundtrip\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=120) == 141
+        # The with block closes both pipes, also when an assertion fails.
+        with subprocess.Popen([sys.executable, "-m", "ppx", "verify", "all"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0) as proc:
+            assert proc.stdout.readline() == b"report: roundtrip\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 141
         assert err == b""
 
     def test_pipe_closed_before_a_short_output_exits_141(self):

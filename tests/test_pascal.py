@@ -457,6 +457,43 @@ class TestSparseProduct:
         assert product.map_entries(lambda e: e.value, a.ring) == a * b
 
 
+# ---------------------------------------------------------------------------
+# rings.power, the one power routine of IntPoly and SquareMatrix
+
+
+class TestPower:
+    @pytest.mark.parametrize("k, products", [(2, 1), (8, 3), (40, 6)])
+    def test_matrix_products(self, product_calls, k, products):
+        # No product by the identity: 2, 4 and 7 when the loop started from it.
+        h_nk(16, 1) ** k
+        assert len(product_calls) == products
+
+    @pytest.mark.parametrize("k, products", [(2, 1), (8, 3), (40, 6)])
+    def test_polynomial_products(self, monkeypatch, k, products):
+        calls, original = [], IntPoly.__mul__
+        monkeypatch.setattr(IntPoly, "__mul__", lambda a, b: calls.append(1) or original(a, b))
+        IntPoly((1, 1)) ** k
+        assert len(calls) == products
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(st.lists(st.integers(-3, 3), max_size=5).map(IntPoly),
+                     st.integers(1, 6).flatmap(lambda n: square_matrices(ZZ, n))),
+           st.integers(1, 12))
+    def test_equals_left_to_right_products(self, x, k):
+        product = x
+        for _ in range(k - 1):
+            product = product * x
+        assert x ** k == product
+
+    @pytest.mark.parametrize("x, one", [(IntPoly((2, 1)), P_ONE), (P_ZERO, P_ONE),
+                                        (h_nk(4, 1), SquareMatrix.identity(ZZ, 4)),
+                                        (q_pascal(3), SquareMatrix.identity(ZX, 3))])
+    def test_zeroth_and_negative_powers(self, x, one):
+        assert x ** 0 == one
+        with pytest.raises(ValueError, match="negative"):
+            x ** -1
+
+
 def dense_grid(fn, *grids):
     """fn applied entry by entry to equally shaped dense grids."""
     return tuple(tuple(map(fn, *rows)) for rows in zip(*grids))

@@ -34,7 +34,7 @@ from ppx.rings import (
     serialize,
 )
 from qfunc_series import QFrac
-from schoolbook import prs_gcd
+from schoolbook import coefficient_sum, prs_gcd
 
 small_polys = st.builds(IntPoly, st.lists(st.integers(-9, 9), max_size=6))
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero)
@@ -96,6 +96,34 @@ class TestIntPoly:
         assert IntPoly((1, 2, 3)) - IntPoly((0, 2, 3)) == P_ONE
         assert (IntPoly((4,)) - 4).is_zero
         assert IntPoly((1, 2)) - IntPoly((1, 2, 5)) == IntPoly((0, 0, -5))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-9, 9), max_size=12), st.lists(st.integers(-9, 9), max_size=12))
+    def test_add_and_sub_match_the_reference(self, a, b):
+        # Unequal lengths both ways, and trailing zeros that IntPoly trims.
+        p, q = IntPoly(a), IntPoly(b)
+        assert (p + q).coeffs == coefficient_sum(p.coeffs, q.coeffs)
+        assert (p - q).coeffs == coefficient_sum(p.coeffs, q.coeffs, -1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-9, 9), max_size=11).map(lambda cs: cs + [5]), st.data())
+    def test_cancelling_leading_terms_match_the_reference(self, a, data):
+        # Equal lengths that agree (for -) or are opposite (for +) from degree
+        # j up: the result has degree below j, and is zero when j = 0.
+        j = data.draw(st.integers(0, len(a)))
+        low = data.draw(st.lists(st.integers(-9, 9), min_size=j, max_size=j))
+        p, same, opposite = IntPoly(a), IntPoly(low + a[j:]), IntPoly(low + [-c for c in a[j:]])
+        for result, expected in ((p - same, coefficient_sum(p.coeffs, same.coeffs, -1)),
+                                 (p + opposite, coefficient_sum(p.coeffs, opposite.coeffs))):
+            assert result.coeffs == expected
+            assert result.degree < j
+            assert result.is_zero or j > 0
+
+    @given(st.lists(st.integers(-9, 9), max_size=6).map(IntPoly), st.integers(-9, 9))
+    def test_int_operands_match_the_reference(self, p, c):
+        # an int on either side of +, and on the right of -
+        assert (p + c).coeffs == (c + p).coeffs == coefficient_sum(p.coeffs, (c,))
+        assert (p - c).coeffs == coefficient_sum(p.coeffs, (c,), -1)
 
     def test_eval_horner(self):
         assert IntPoly((1, 1, 1))(1) == 3
