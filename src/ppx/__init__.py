@@ -19,7 +19,7 @@ from importlib import import_module
 _EXPORTS = {
     "products": ("contract", "expand"),
     "rings": ("ConsistencyError", "InexactDivisionError", "IntPoly", "QuotientElem",
-              "QuotientRing", "RatFunc", "cyclotomic"),
+              "QuotientRing", "RatFunc", "UsageError", "cyclotomic"),
     "sequences": ("a_seq", "c_seq", "e_seq", "r_seq", "u_seq"),
     "series": ("TruncatedSeries",),
     "qsequences": ("c_q_seq", "cap_e_q_seq", "e_q_seq", "qbinom", "qfact", "qint", "r_q_seq",

@@ -7,8 +7,10 @@
                    [--format text|json]
 
 Sequence names: e c a u r (classical) and eq Eq uq rq cq (q-analogs).
-Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error,
-141 the reader closed standard output early.
+Exit codes: 0 all checks pass; 1 a verification failed, or a bug, which
+Python reports with its traceback; 2 a usage error (argparse's, or a
+``rings.UsageError``, a parameter out of range); 141 the reader closed
+standard output early.
 ``ppx seq`` takes at most 64 terms of any sequence; the environment
 variable PPX_MAX_N overrides that cap.  It bounds ``seq`` only: the verify
 suites take their sizes from their options and defaults.
@@ -29,7 +31,7 @@ import sys
 from importlib import import_module
 
 from .report import Report, render_reports_json
-from .rings import ConsistencyError, InexactDivisionError, serialize
+from .rings import ConsistencyError, InexactDivisionError, UsageError, serialize
 
 SEQ_CAP = 64
 
@@ -61,10 +63,6 @@ SEQ_FUNCS = {
     "rq": qsequences.r_q_seq,
     "cq": qsequences.c_q_seq,
 }
-
-
-class UsageError(Exception):
-    pass
 
 
 def _seq_cap() -> int:
@@ -284,7 +282,7 @@ def main(argv=None) -> int:
         return code
     except BrokenPipeError:
         return _reader_left()
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConsistencyError, InexactDivisionError) as exc:  # inexact: a theory-exact division

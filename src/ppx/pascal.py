@@ -53,7 +53,7 @@ import math
 from . import qsequences, sequences
 from .qsequences import qbinom, qfact
 from .report import Report
-from .rings import ConsistencyError, IntPoly, QuotientRing, ZX, ZZ, power, serialize
+from .rings import ConsistencyError, IntPoly, QuotientRing, UsageError, ZX, ZZ, power, serialize
 from .sequences import is_prime
 
 
@@ -63,33 +63,24 @@ class SquareMatrix:
     the tuple of the entries (i, i - d) in ascending i, n - d of them, and leaves
     out every all-zero diagonal.  Entry (i, j) is at index j of band i - j.  A
     Pascal-type matrix is a few such bands (H_{n,k} is one, P_n one per k), and
-    band a of A times band b of B adds into band a + b of A B.  A nonzero entry
-    above the diagonal is a ValueError.
+    band a of A times band b of B adds into band a + b of A B.  The constructor
+    takes the bands and drops the all-zero ones; n < 1, or a band kept at d < 0
+    (above the diagonal) or d >= n or with other than n - d entries, is a
+    ValueError.
 
     Costs, for s_A and s_B stored bands: a product O(s_A s_B n), a sum, scale or
-    map_entries O((s_A + s_B) n), equality O(s_A n), is_zero O(1); ``rows`` is a
-    dense view for rendering and tests, built in O(n^2).  Entries are tested for
-    zero by truthiness, the ring protocol's zero test."""
+    map_entries O((s_A + s_B) n), equality O(s_A n), the zero test O(1); ``rows``
+    is a dense view for rendering and tests, built in O(n^2).  Entries and
+    matrices are tested for zero by truthiness, the ring protocol's zero test: a
+    matrix is false exactly when it has no band."""
 
     __slots__ = ("ring", "n", "bands")
 
-    def __init__(self, ring, rows):
-        rows = tuple(tuple(row) for row in rows)
-        n = len(rows)
-        if n == 0 or any(len(row) != n for row in rows):
-            raise ValueError("a nonempty square entry grid is required")
-        if any(any(row[i + 1:]) for i, row in enumerate(rows)):
-            raise ValueError("a nonzero entry above the diagonal: not lower triangular")
-        self.ring, self.n, self.bands = ring, n, {
-            d: band for d in range(n) if any(band := tuple(rows[t + d][t] for t in range(n - d)))}
-
-    @classmethod
-    def _of_bands(cls, ring, n: int, bands: dict) -> "SquareMatrix":
-        """The matrix with these diagonals d >= 0 (each of length n - d; zero ones dropped)."""
-        matrix = cls.__new__(cls)
-        matrix.ring, matrix.n = ring, n
-        matrix.bands = {d: tuple(band) for d, band in bands.items() if any(band)}
-        return matrix
+    def __init__(self, ring, n: int, bands: dict):
+        self.ring, self.n = ring, n
+        self.bands = {d: tuple(band) for d, band in bands.items() if any(band)}
+        if n < 1 or any(not 0 <= d < n or len(band) != n - d for d, band in self.bands.items()):
+            raise ValueError("need n >= 1 and bands 0 <= d < n of n - d entries each")
 
     @classmethod
     def identity(cls, ring, n: int) -> "SquareMatrix":
@@ -107,9 +98,8 @@ class SquareMatrix:
         band = self.bands.get(i - j)
         return band[j] if band else self.ring.zero
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.bands
+    def __bool__(self):
+        return bool(self.bands)
 
     def _require_compatible(self, other: "SquareMatrix"):
         if not isinstance(other, SquareMatrix):
@@ -122,7 +112,7 @@ class SquareMatrix:
         bands = dict(self.bands)
         for d, ys in other.bands.items():
             bands[d] = tuple(x + y for x, y in zip(bands[d], ys)) if d in bands else ys
-        return SquareMatrix._of_bands(self.ring, self.n, bands)
+        return SquareMatrix(self.ring, self.n, bands)
 
     def __mul__(self, other):
         """Band-pair product: band a of self times band b of other adds into band
@@ -136,7 +126,7 @@ class SquareMatrix:
                 if a + b < n:
                     acc = out.get(a + b) or out.setdefault(a + b, [zero] * (n - a - b))
                     _add_band_product(acc, xs, b, ys)
-        return SquareMatrix._of_bands(self.ring, n, out)
+        return SquareMatrix(self.ring, n, out)
 
     def scale(self, c) -> "SquareMatrix":
         """Multiply every nonzero entry by the ring element c."""
@@ -149,8 +139,8 @@ class SquareMatrix:
 
     def map_entries(self, fn, ring) -> "SquareMatrix":
         """fn applied to every stored entry, over ring; fn must send zero to zero."""
-        return SquareMatrix._of_bands(ring, self.n, {d: tuple(map(fn, band))
-                                                     for d, band in self.bands.items()})
+        return SquareMatrix(ring, self.n, {d: tuple(map(fn, band))
+                                           for d, band in self.bands.items()})
 
     def __eq__(self, other):
         if not isinstance(other, SquareMatrix):
@@ -171,14 +161,13 @@ class SquareMatrix:
 def _pascal(ring, binom, n: int) -> SquareMatrix:
     """The n x n matrix with binom(i, j) at (i, j) for j <= i, zeros above: band k
     holds binom(i, i - k), the entries of H_{n,k}."""
-    return SquareMatrix._of_bands(ring, n, {k: tuple(binom(i, i - k) for i in range(k, n))
-                                            for k in range(n)})
+    return SquareMatrix(ring, n, {k: tuple(binom(i, i - k) for i in range(k, n))
+                                  for k in range(n)})
 
 
 def _divided(ring, binom, n: int, k: int, m: int = 1) -> SquareMatrix:
     """The n x n matrix with binom(floor(i/m), k) at (i, i - mk), zeros elsewhere."""
-    return SquareMatrix._of_bands(ring, n, {m * k: tuple(binom(i // m, k)
-                                                         for i in range(m * k, n))})
+    return SquareMatrix(ring, n, {m * k: tuple(binom(i // m, k) for i in range(m * k, n))})
 
 
 def _blockwise(a: SquareMatrix, b: SquareMatrix) -> list:
@@ -224,7 +213,7 @@ def _unit_band_step(matrix: SquareMatrix, generator: SquareMatrix, shift: int, c
             acc = list(matrix.bands.get(d + shift) or [zero] * (n - d - shift))
             _add_band_product(acc, band, shift, cg)
             bands[d + shift] = acc
-    return SquareMatrix._of_bands(matrix.ring, n, bands)
+    return SquareMatrix(matrix.ring, n, bands)
 
 
 def _factored(ring, n: int, steps) -> SquareMatrix:
@@ -314,7 +303,7 @@ def pascal_m(n: int, m: int) -> SquareMatrix:
     H^k / k! = H_k of the power chain, with one more product for H^(k_max+1) = 0.
     """
     if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
+        raise UsageError("need n >= 1 and m >= 1")
     k_max = (n - 1) // m
     powers = [h_m_nk(n, m, k) for k in range(k_max + 1)]
     generator = generator_power = h_m_nk(n, m, 1)
@@ -324,7 +313,7 @@ def pascal_m(n: int, m: int) -> SquareMatrix:
         generator_power = generator_power * generator
         if generator_power != powers[k].scale(math.factorial(k)):
             raise ConsistencyError(f"H^k != k! H_k for m={m}, n={n}, k={k}")
-    if not (generator_power * generator if k_max else generator).is_zero:
+    if (generator_power * generator if k_max else generator):
         raise ConsistencyError(f"sum of divided powers != exp(H) for m={m}, n={n}")
     total = functools.reduce(SquareMatrix.__add__, powers)
     if k_max >= 1 and _factored(ZZ, n, zip(powers[1:], range(m, n, m),
@@ -383,7 +372,7 @@ def _block_rows(ring, binom, factorial, n_max: int) -> tuple:
               *itertools.accumulate([divided[1]] * n_max, SquareMatrix.__mul__)]
     same = [_blockwise(power, d.scale(factorial(k)))
             for k, (power, d) in enumerate(zip(powers, divided))]
-    zero = SquareMatrix._of_bands(ring, n_max, {})
+    zero = SquareMatrix(ring, n_max, {})
     divided_ok = [all(s[n] for s in same[:n]) for n in range(n_max + 1)]
     vanishes = [_blockwise(power, zero)[n] for n, power in enumerate(powers)]
     summed = _blockwise(functools.reduce(SquareMatrix.__add__, divided), p)
@@ -394,7 +383,7 @@ def check_pascal(n_max: int) -> Report:
     """Divided powers, nilpotency, exp identity, and factor recovery for P_n,
     each n read from leading blocks at n_max; prefix stability factors n_max - 1."""
     if n_max < 2:
-        raise ValueError("need n >= 2")
+        raise UsageError("need n >= 2")
     rep = Report("pascal")
     p, powers, cs, divided_ok, vanishes, summed = _block_rows(ZZ, math.comb, math.factorial, n_max)
     # exp(H) = P as sum (N!/k!) H^k = N! P, in Z, over every band of the powers:
@@ -422,7 +411,7 @@ def check_pascal(n_max: int) -> Report:
 def check_pascal_m(n_max: int, m_values=(2, 3)) -> Report:
     """The m-fold Pascal identities; m = 1 must reduce to the classical case."""
     if n_max < 2:
-        raise ValueError("need n >= 2")
+        raise UsageError("need n >= 2")
     rep = Report("pascal-m")
     try:
         reduced = pascal_m(n_max, 1) == pascal_matrix(n_max)
@@ -446,7 +435,7 @@ def check_q_pascal(n_max: int) -> Report:
     """q-divided powers, the q-exponential identity, factor recovery, q = 1,
     each n read from leading blocks as in check_pascal."""
     if n_max < 2:
-        raise ValueError("need n >= 2")
+        raise UsageError("need n >= 2")
     rep = Report("qpascal")
     p, _, cs, divided_ok, vanishes, summed = _block_rows(ZX, qbinom, qfact, n_max)
     at_one = _blockwise(p.map_entries(lambda e: e(1), ZZ), pascal_matrix(n_max))
@@ -465,15 +454,15 @@ def check_q_pascal(n_max: int) -> Report:
 def check_cyclotomic_specialization(n_max: int, m: int) -> Report:
     """c_n(q) mod Phi_m(q) is c_{n/m} when m | n and 0 otherwise."""
     if m < 2:
-        raise ValueError("need m >= 2")
+        raise UsageError("need m >= 2")
     if n_max < m:
-        raise ValueError("need n_max >= m")
+        raise UsageError("need n_max >= m")
     rep = Report("thm43")
     ring = QuotientRing.cyclotomic(m)
     for n in range(m, n_max + 1):
         residue = ring.reduce(qsequences._c_q(n))
         if n % m == 0:
-            expected = ring.from_int(sequences._c(n // m))
+            expected = ring.reduce(sequences._c(n // m))
             label = f"c_{n // m} = {sequences._c(n // m)}"
         else:
             expected = ring.zero
@@ -485,9 +474,9 @@ def check_cyclotomic_specialization(n_max: int, m: int) -> Report:
 def check_carlitz(p: int, n_max: int) -> Report:
     """c_n = 0 mod p for n > p coprime to p; c_{pm} = c_m mod p."""
     if not is_prime(p):
-        raise ValueError("p must be prime")
+        raise UsageError("p must be prime")
     if n_max <= p:
-        raise ValueError("need n_max > p")
+        raise UsageError("need n_max > p")
     rep = Report("cor44")
     for n in range(p + 1, n_max + 1):
         c_mod = sequences._c(n) % p
@@ -503,7 +492,7 @@ def check_carlitz(p: int, n_max: int) -> Report:
 
 
 def _embed(matrix: SquareMatrix, ring: QuotientRing) -> SquareMatrix:
-    return matrix.map_entries(lambda e: ring.from_int(e) if e else ring.zero, ring)
+    return matrix.map_entries(ring.reduce, ring)
 
 
 def _rotate(vector: list, k: int) -> list:
@@ -549,7 +538,7 @@ def solve_unit_lower(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
                 _add_band_product(acc, band, d - e, x[d - e])
         if any(acc):
             x[d] = tuple(acc)
-    return SquareMatrix._of_bands(ring, n, x)
+    return SquareMatrix(ring, n, x)
 
 
 def _truncated_exp_product(binom, n: int, m: int, ring: QuotientRing) -> tuple:
@@ -569,7 +558,7 @@ def check_truncated_exp_product(n: int, m: int) -> Report:
     """sum_{j<m} H_{n,j}(zeta_m) equals prod_{j<m} (I + c_j(zeta_m) H_{n,j}(zeta_m)),
     verified symbolically in Z[q]/Phi_m(q)."""
     if m < 2 or n < m:
-        raise ValueError("need n >= m >= 2")
+        raise UsageError("need n >= m >= 2")
     ring = QuotientRing.cyclotomic(m)
     return _truncated_exp_product(_gaussian_basis(n, ring), n, m, ring)[0]
 
@@ -584,12 +573,12 @@ def check_root_of_unity_factorization(n: int, m: int) -> Report:
     matrix with its c_k factorization.
     """
     if m < 2 or n < m:
-        raise ValueError("need n >= m >= 2")
+        raise UsageError("need n >= m >= 2")
     rep = Report("eq26")
     ring = QuotientRing.cyclotomic(m)
     binom = _gaussian_basis(n, ring)
 
-    ok = (_divided(ring, binom, n, 1) ** m).is_zero
+    ok = not _divided(ring, binom, n, 1) ** m
     rep.add("generator-m-nilpotent", {"n": n, "m": m}, ok, "H(zeta)^m == 0", _ZERO[not ok])
 
     eq28, truncated = _truncated_exp_product(binom, n, m, ring)
@@ -607,7 +596,7 @@ def check_root_of_unity_factorization(n: int, m: int) -> Report:
             "P^(m)_n", _SAME[quotient != m_fold])
 
     cs = sequences.c_seq(k_max) if k_max >= 1 else []
-    product = _factored(ring, n, ((g, k * m, ring.from_int(c))
+    product = _factored(ring, n, ((g, k * m, ring.reduce(c))
                                   for k, (g, c) in enumerate(zip(generators, cs), 1)))
     rep.add("quotient-factorization", {"n": n, "m": m}, quotient == product,
             "prod (I + c_k H_(n,km)(zeta_m))", _SAME[quotient != product])

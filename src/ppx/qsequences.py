@@ -53,6 +53,7 @@ from .rings import (
     QuotientElem,
     QuotientRing,
     RatFunc,
+    UsageError,
 )
 from .sequences import divisors, euler_phi
 from .series import TruncatedSeries
@@ -345,7 +346,7 @@ def _cross_check(num: IntPoly, den: IntPoly, expected: RatFunc) -> tuple:
 def check_odd_symmetry(n_max: int) -> Report:
     """For odd n: e_n(q) = E_n(q) and e_n(q) is fixed under q -> 1/q."""
     if n_max < 3:
-        raise ValueError("need N >= 3")
+        raise UsageError("need N >= 3")
     rep = Report("odd-symmetry")
     for n in range(3, n_max + 1, 2):
         e = _e_q(n)
@@ -359,7 +360,7 @@ def check_odd_symmetry(n_max: int) -> Report:
 def check_reciprocal_identity(order: int) -> Report:
     """exp_q(-x) * Exp_q(x) = 1, multiplied in the divided-power basis: P_n/[n]!."""
     if order < 1:
-        raise ValueError("need N >= 1")
+        raise UsageError("need N >= 1")
     rep = Report("eq18")
     product = (TruncatedSeries(ZX, [IntPoly((-1) ** k) for k in range(order + 1)], qbinom)
                * _cap_expq_series(order)).coeffs
@@ -381,7 +382,7 @@ def check_reciprocal_identity(order: int) -> Report:
 def check_log_coeffs(n_max: int) -> Report:
     """Coefficient n of log exp_q(x), M_n/(n [n]!) from the series log, is (1-q)^(n-1)/(n [n])."""
     if n_max < 1:
-        raise ValueError("need N >= 1")
+        raise UsageError("need N >= 1")
     rep = Report("eq21")
     logs, power = _expq_series(n_max).log().coeffs, P_ONE  # (1-q)^(n-1)
     for n in range(1, n_max + 1):
@@ -394,7 +395,7 @@ def check_log_coeffs(n_max: int) -> Report:
 def check_integrality(n_max: int) -> Report:
     """(-1)^n r_n(q) has integer coefficients and leading coefficient 1."""
     if n_max < 2:
-        raise ValueError("need N >= 2")
+        raise UsageError("need N >= 2")
     rep = Report("thm42")
     for n in range(2, n_max + 1):
         r = _r_q(n)  # construction itself raises on a violation
@@ -432,7 +433,7 @@ def check_mod_q2(n_max: int) -> Report:
     """Expansion over Z[q]/(q^2) against the closed form and against
     e_n(q) = r_n(q)/u_n(q) reduced mod q^2, where u_n(0) = 1 is a unit."""
     if n_max < 1:
-        raise ValueError("need N >= 1")
+        raise UsageError("need N >= 1")
     rep = Report("thm45")
     ring = mod_q2_ring()
     factors = mod_q2_expansion(n_max)
@@ -451,7 +452,7 @@ def check_mod_q2(n_max: int) -> Report:
 def check_q_oracle(n_max: int) -> Report:
     """The q-recursions against the expansions of exp_q and Exp_q (factor n is G_n/[n]!)."""
     if n_max < 1:
-        raise ValueError("need N >= 1")
+        raise UsageError("need N >= 1")
     return sequences.roundtrip_rows(
         Report("roundtrip-q"), lambda g, n, expected: _cross_check(g, qfact(n), expected), (
             ("e-q-oracle", "expq-roundtrip", "exp_q", _expq_series(n_max), _e_q),

@@ -7,16 +7,9 @@ The suite passes iff every check passes.
 
 from __future__ import annotations
 
+import collections
 
-class Check:
-    __slots__ = ("check_id", "params", "passed", "expected", "actual")
-
-    def __init__(self, check_id: str, params: dict, passed: bool, expected: str, actual: str):
-        self.check_id = check_id
-        self.params = params
-        self.passed = passed
-        self.expected = expected
-        self.actual = actual
+Check = collections.namedtuple("Check", "check_id params passed expected actual")
 
 
 class Report:

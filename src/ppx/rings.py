@@ -11,6 +11,10 @@ Value types:
 
 Everything is immutable and exact; no floating point anywhere.
 
+A parameter out of range is a :class:`UsageError`, raised only by ``cli``
+and by the functions that take a number from it; any other error that a
+command meets is a bug.
+
 A :class:`RatFunc` is a value that commands print; the suites decide their
 identities in Z[q].  ``__init__`` normalises it once.  Each side is split as
 c q^v p (the content signed like the lead, a power of q, and a primitive p
@@ -63,6 +67,10 @@ class ConsistencyError(RuntimeError):
     divisibility, or closed-form cross-check).  It always signals a bug or a
     genuinely broken hypothesis, never bad user input.
     """
+
+
+class UsageError(ValueError):
+    """A parameter out of range: the one error ``ppx`` reports with exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +211,6 @@ class IntPoly:
     # -- structure ---------------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
@@ -223,7 +227,7 @@ class IntPoly:
 
     def primitive_positive(self) -> "IntPoly":
         """Divide out the content and normalize the leading coefficient > 0."""
-        if self.is_zero:
+        if not self.coeffs:
             return self
         c = self.content
         if self.lead < 0:
@@ -234,7 +238,7 @@ class IntPoly:
 
     def shifted(self, k: int) -> "IntPoly":
         """Multiply by q^k."""
-        if self.is_zero or k == 0:
+        if not self.coeffs or k == 0:
             return self
         return IntPoly((0,) * k + self.coeffs)
 
@@ -271,7 +275,7 @@ class IntPoly:
                 return P_ZERO
             return IntPoly(tuple(other * c for c in self.coeffs))
         other = _as_poly(other)
-        if self.is_zero or other.is_zero:
+        if not self.coeffs or not other.coeffs:
             return P_ZERO
         a, b = self.coeffs, other.coeffs
         if _pack_pays(len(a), len(b)):
@@ -323,9 +327,9 @@ class IntPoly:
         True
         """
         other = _as_poly(other)
-        if other.is_zero:
+        if not other:
             raise ZeroDivisionError("exact division by the zero polynomial")
-        if self.is_zero:
+        if not self.coeffs:
             return P_ZERO
         da, db = self.degree, other.degree
         if da < db:
@@ -386,7 +390,7 @@ class IntPoly:
         return hash(("IntPoly", self.coeffs))
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self.coeffs)
 
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)})"
@@ -435,10 +439,10 @@ def poly_gcd(a, b) -> IntPoly:
     IntPoly([1, 1])
     """
     a, b = _as_poly(a), _as_poly(b)
-    if a.is_zero and b.is_zero:
+    if not a and not b:
         raise ValueError("gcd(0, 0) is undefined")
-    if a.is_zero or b.is_zero:
-        return (b if a.is_zero else a).primitive_positive()
+    if not a or not b:
+        return (a or b).primitive_positive()
     return _gcd_cofactors(a, b)[0].primitive_positive()
 
 
@@ -532,9 +536,9 @@ class RatFunc:
     def __init__(self, num, den=1):
         num = _as_poly(num)
         den = _as_poly(den)
-        if den.is_zero:
+        if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
+        if not num:
             self.num = P_ZERO
             self.den = P_ONE
             return
@@ -578,7 +582,7 @@ class RatFunc:
         >>> str(RatFunc(IntPoly((0, 1)), IntPoly((1, 1))).subst_inverse())
         '1/(1+q)'
         """
-        if self.num.is_zero:
+        if not self.num:
             return self
         m = max(self.num.degree, self.den.degree)
 
@@ -654,9 +658,6 @@ class QuotientRing:
 
     def __repr__(self):
         return f"QuotientRing({self.modulus!r})"
-
-    def from_int(self, n: int) -> "QuotientElem":
-        return QuotientElem(self, IntPoly(n))
 
     def reduce(self, f) -> "QuotientElem":
         """Canonical representative of f modulo the modulus."""

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from . import products
 from .report import Report
-from .rings import ZZ, ConsistencyError
+from .rings import ZZ, ConsistencyError, UsageError
 from .series import TruncatedSeries
 
 
@@ -213,7 +213,7 @@ def r_seq(n_max: int) -> list:
 def check_kolberg(n_max: int) -> Report:
     """0 < a_n < 2/n and (-1)^n e_n > 0, exactly, for 2 <= n <= N."""
     if n_max < 2:
-        raise ValueError("need N >= 2")
+        raise UsageError("need N >= 2")
     rep = Report("kolberg")
     for n in range(2, n_max + 1):
         a = _a(n)
@@ -226,7 +226,7 @@ def check_kolberg(n_max: int) -> Report:
 def check_borwein_lou(n_max: int) -> Report:
     """|c_n| <= (n-1)! for odd n and c_n >= (n-1)! for even n."""
     if n_max < 2:
-        raise ValueError("need N >= 2")
+        raise UsageError("need N >= 2")
     rep = Report("borwein-lou")
     for n in range(2, n_max + 1):
         c = _c(n)
@@ -243,7 +243,7 @@ def check_borwein_lou(n_max: int) -> Report:
 def check_divisibility(n_max: int) -> Report:
     """d * u_{n/d}^d divides u_n for every divisor d > 1 of every n <= N."""
     if n_max < 2:
-        raise ValueError("need N >= 2")
+        raise UsageError("need N >= 2")
     rep = Report("divisibility")
     for n in range(2, n_max + 1):
         u_n = _u(n)
@@ -264,7 +264,7 @@ def check_closed_forms(n_max: int) -> Report:
     r_{pq} = p^(q-1) + q^(p-1) - p^(q-1) q^(p-1).
     """
     if n_max < 3:
-        raise ValueError("need N >= 3")
+        raise UsageError("need N >= 3")
     rep = Report("closed-forms")
     odd_primes = [p for p in primes_up_to(n_max) if p >= 3]
     for p in odd_primes:
@@ -312,7 +312,7 @@ def check_oracle_roundtrip(n_max: int) -> Report:
     of the same suite live in :mod:`ppx.qsequences` and are merged by the CLI.
     """
     if n_max < 1:
-        raise ValueError("need N >= 1")
+        raise UsageError("need N >= 1")
     return roundtrip_rows(
         Report("roundtrip"),
         lambda g, n, e: ((found := Fraction(g, math.factorial(n))) == e, str(e), str(found)), (

@@ -28,6 +28,18 @@ from ppx.report import Report
 from ppx.rings import ConsistencyError, P_ZERO, ZX, ZZ
 
 
+def from_rows(ring, rows) -> SquareMatrix:
+    """The matrix with this dense entry grid, row by row: ValueError unless it
+    is nonempty, square and zero above the diagonal."""
+    rows = tuple(tuple(row) for row in rows)
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
+        raise ValueError("a nonempty square entry grid is required")
+    if any(any(row[i + 1:]) for i, row in enumerate(rows)):
+        raise ValueError("a nonzero entry above the diagonal: not lower triangular")
+    return SquareMatrix(ring, n, {d: [rows[t + d][t] for t in range(n - d)] for d in range(n)})
+
+
 def dense_product(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
     """Schoolbook reference: every entry sums all n products, zero pairs
     included, in ascending l."""
@@ -41,7 +53,7 @@ def dense_product(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
                 acc = acc + ra[i][l] * rb[l][j]
             row.append(acc)
         rows.append(row)
-    return SquareMatrix(ring, rows)
+    return from_rows(ring, rows)
 
 
 def dense_band_step(matrix: SquareMatrix, generator: SquareMatrix, shift: int, c) -> SquareMatrix:
@@ -50,8 +62,8 @@ def dense_band_step(matrix: SquareMatrix, generator: SquareMatrix, shift: int, c
     ring, n, g = matrix.ring, matrix.n, generator.rows
     if any(g[i][j] and i - j != shift for i in range(n) for j in range(n)):
         raise ConsistencyError(f"generator is nonzero off the band i - j = {shift}")
-    factor = SquareMatrix(ring, [[(ring.one if i == j else ring.zero) + c * g[i][j]
-                                  for j in range(n)] for i in range(n)])
+    factor = from_rows(ring, [[(ring.one if i == j else ring.zero) + c * g[i][j]
+                               for j in range(n)] for i in range(n)])
     return dense_product(matrix, factor)
 
 
@@ -73,7 +85,7 @@ def divide_exactly(matrix: SquareMatrix, d: int) -> SquareMatrix:
         if r:
             raise ConsistencyError(f"{e} is not divisible by {d}")
         return q
-    return SquareMatrix(ZZ, [[quotient(e) for e in row] for row in matrix.rows])
+    return from_rows(ZZ, [[quotient(e) for e in row] for row in matrix.rows])
 
 
 def exp_nilpotent(matrix: SquareMatrix) -> SquareMatrix:
@@ -81,7 +93,7 @@ def exp_nilpotent(matrix: SquareMatrix) -> SquareMatrix:
     exact (ConsistencyError otherwise, or when M^n != 0)."""
     total, power = SquareMatrix.identity(matrix.ring, matrix.n), matrix
     for k in range(1, matrix.n + 1):
-        if power.is_zero:
+        if not power:
             return total
         total = total + divide_exactly(power, math.factorial(k))
         power = power * matrix
@@ -98,30 +110,30 @@ def is_exactly(compute, expected) -> bool:
 
 
 def h_matrix(n: int) -> SquareMatrix:
-    return SquareMatrix(ZZ, [[i if i - j == 1 else 0 for j in range(n)] for i in range(n)])
+    return from_rows(ZZ, [[i if i - j == 1 else 0 for j in range(n)] for i in range(n)])
 
 
 def h_nk(n: int, k: int) -> SquareMatrix:
-    return SquareMatrix(
+    return from_rows(
         ZZ, [[math.comb(i, k) if i - j == k else 0 for j in range(n)] for i in range(n)]
     )
 
 
 def h_m_nk(n: int, m: int, k: int) -> SquareMatrix:
-    return SquareMatrix(
+    return from_rows(
         ZZ,
         [[math.comb(i // m, k) if i - j == m * k else 0 for j in range(n)] for i in range(n)],
     )
 
 
 def q_h(n: int) -> SquareMatrix:
-    return SquareMatrix(
+    return from_rows(
         ZX, [[qint(i) if i - j == 1 else P_ZERO for j in range(n)] for i in range(n)]
     )
 
 
 def q_h_nk(n: int, k: int) -> SquareMatrix:
-    return SquareMatrix(
+    return from_rows(
         ZX,
         [[qbinom(i, k) if i - j == k and k <= i else P_ZERO for j in range(n)]
          for i in range(n)],
@@ -141,7 +153,7 @@ def check_pascal(n_max: int) -> Report:
                  for k in range(n))
         rep.add("divided-powers", {"n": n}, ok, "H^k/k! == H_(n,k) for k < n",
                 "as expected" if ok else "mismatch")
-        ok = powers[n].is_zero
+        ok = not powers[n]
         rep.add("nilpotency", {"n": n}, ok, "H^n == 0", "zero" if ok else "nonzero")
         total = functools.reduce(SquareMatrix.__add__, [h_nk(n, k) for k in range(n)])
         p = pascal_matrix(n)
@@ -172,7 +184,7 @@ def check_q_pascal(n_max: int) -> Report:
         ok = all(powers[k] == q_h_nk(n, k).scale(qfact(k)) for k in range(n))
         rep.add("q-divided-powers", {"n": n}, ok, "H^k(q) == [k]! H_(n,k)(q) for k < n",
                 "as expected" if ok else "mismatch")
-        ok = powers[n].is_zero
+        ok = not powers[n]
         rep.add("q-nilpotency", {"n": n}, ok, "H(q)^n == 0", "zero" if ok else "nonzero")
         total = functools.reduce(SquareMatrix.__add__, [q_h_nk(n, k) for k in range(n)])
         p = q_pascal(n)
@@ -191,4 +203,4 @@ def check_q_pascal(n_max: int) -> Report:
 
 
 def reduce_matrix(matrix: SquareMatrix, ring) -> SquareMatrix:
-    return SquareMatrix(ring, [[ring.reduce(e) for e in row] for row in matrix.rows])
+    return from_rows(ring, [[ring.reduce(e) for e in row] for row in matrix.rows])

@@ -19,7 +19,7 @@ class QFrac(RatFunc):
     __slots__ = ()
 
     def __bool__(self):
-        return not self.num.is_zero
+        return bool(self.num)
 
     def __add__(self, other):
         other = self._coerce(other)

@@ -74,11 +74,11 @@ def prs_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     only its primitive part goes on."""
     if a.degree < b.degree:
         a, b = b, a
-    while not b.is_zero:
+    while b:
         if b.degree == 0:
             return P_ONE
         r = a
-        while not r.is_zero and r.degree >= b.degree:
+        while r and r.degree >= b.degree:
             r = r * b.lead - b.shifted(r.degree - b.degree) * r.lead
         a, b = b, r.primitive_positive()
     return a

@@ -1,13 +1,17 @@
 """The ppx command line: formats, exit codes, JSON round trips."""
 
 import argparse
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ppx
 from ppx import cli
@@ -325,6 +329,72 @@ def test_plan_table(monkeypatch, capsys, name):
             assert calls == [params for params in sets for _ in suite.checks]
 
 
+# ---------------------------------------------------------------------------
+# The grammar: every argv either runs and prints or is a usage error
+
+
+SMALL = st.integers(-2, 12)
+# Each command with its name, suite or variant: ``ppx`` and then these words.
+HEADS = ([("seq", name) for name in [*cli.SEQ_FUNCS, "zz"]]
+         + [("verify", suite) for suite in [*cli.SUITES, "all", "nonsense"]]
+         + [("pascal", "--variant", variant) for variant in ("classic", "q", "m")])
+
+
+@pytest.mark.parametrize("head", HEADS, ids=" ".join)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_grammar_runs_or_is_a_usage_error(head, data):
+    # The rest of the argv: N or n from -2 up, each verify option or none,
+    # --m or none for pascal, and every action and format.  A guard that a
+    # command reaches and that raises a plain ValueError escapes main here,
+    # as it would end the process with a traceback.
+    draw = data.draw
+    argv = list(head)
+    if head[0] != "verify":
+        argv.append(str(draw(SMALL)))
+    if head[0] == "pascal":
+        argv += ["--action", draw(st.sampled_from(("print", "factor")))]
+    options = {"seq": (), "verify": ("--max-n", "--m", "--p"), "pascal": ("--m",)}[head[0]]
+    argv += [f"{flag}={draw(SMALL)}" for flag in options if draw(st.booleans())]
+    formats = ("text", "csv", "json") if head[0] == "seq" else ("text", "json")
+    argv += ["--format", draw(st.sampled_from(formats))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        assert out == ""
+        one_line = err.startswith("error: ") and err.count("\n") == 1
+        assert one_line or (err.startswith("usage: ppx") and "error: " in err)
+    else:
+        assert code in (0, 1) and out
+
+
+class TestInternalErrors:
+    """Only a UsageError is a usage error; any other exception is a bug and
+    leaves main."""
+
+    def test_value_error_in_a_check_escapes(self, monkeypatch):
+        def broken(n):
+            raise ValueError("boom")
+
+        monkeypatch.setitem(cli.SUITES, "broken", cli.Suite((broken,)))
+        with pytest.raises(ValueError, match="boom"):
+            cli.main(["verify", "broken"])
+
+    def test_digit_limit_exits_one_with_a_traceback(self):
+        # str() of c_1800 passes CPython's 4,300-digit limit for int-to-str
+        # conversion: an internal limit, not a usage error.
+        proc = subprocess.run([sys.executable, "-m", "ppx", "seq", "c", "1800"], capture_output=True,
+                              text=True, env={**os.environ, "PPX_MAX_N": "1800"})
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1].startswith("ValueError: Exceeds the limit")
+
+    def test_usage_error_is_a_value_error_of_rings(self):
+        assert issubclass(ppx.UsageError, ValueError)
+        assert cli.UsageError is ppx.UsageError
+
+
 class TestPascal:
     def test_factor_golden(self, capsys):
         code, out, _ = run(capsys, "pascal", "4", "--action", "factor")
@@ -448,7 +518,7 @@ def modules_loaded_by(code: str) -> set:
 EXPORTS = {
     "products": ["contract", "expand"],
     "rings": ["ConsistencyError", "InexactDivisionError", "IntPoly", "QuotientElem",
-              "QuotientRing", "RatFunc", "cyclotomic"],
+              "QuotientRing", "RatFunc", "UsageError", "cyclotomic"],
     "sequences": ["a_seq", "c_seq", "e_seq", "r_seq", "u_seq"],
     "series": ["TruncatedSeries"],
     "qsequences": ["c_q_seq", "cap_e_q_seq", "e_q_seq", "qbinom", "qfact", "qint", "r_q_seq",

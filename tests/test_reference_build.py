@@ -1,0 +1,103 @@
+"""The ring kernels against their references, end to end.
+
+Every command of COMMANDS must print the same bytes and exit with the same
+code when the fast ring kernels of ``ppx.rings`` are replaced by their
+references: the schoolbook products and long division for the word-slot
+(Kronecker) kernels, the primitive pseudo-remainder sequence for GCDHEU,
+and dense long division by q^m - 1 for the fold of ``QuotientRing.reduce``.
+Each command runs from empty caches, as in a fresh process, so the
+references compute every value it prints.  A planted fault in a word-slot
+product or in the fold stride must make the comparison fail."""
+
+import contextlib
+import io
+import sys
+
+import pytest
+
+from ppx.cli import main
+from ppx.rings import _fold, _unpack  # the planted faults wrap these two
+from schoolbook import prs_gcd
+from test_rings import clear_caches, long_division_remainder
+
+COMMANDS = [
+    "verify all", "verify all --format json",
+    # each suite at one small scaled size
+    "verify roundtrip --max-n 20", "verify kolberg --max-n 80",
+    "verify borwein-lou --max-n 80", "verify divisibility --max-n 80",
+    "verify closed-forms --max-n 80", "verify thm41", "verify thm42 --max-n 20",
+    "verify thm43 --max-n 30 --m 6", "verify cor44 --max-n 30 --p 7",
+    "verify thm45 --max-n 48", "verify eq18 --max-n 20", "verify eq21 --max-n 24",
+    "verify eq26 --m 10", "verify eq28 --m 12", "verify pascal --max-n 20",
+    "verify qpascal --max-n 18", "verify pascal-m --max-n 20",
+    *(f"seq {name} 12" for name in ("e", "c", "a", "u", "r", "eq", "Eq", "uq", "rq", "cq")),
+    "pascal 8", "pascal 8 --action factor", "pascal 8 --variant q",
+    "pascal 8 --variant q --action factor", "pascal 8 --variant m --m 2",
+    "pascal 8 --variant m --m 2 --action factor",
+]
+
+
+def run_commands() -> dict:
+    """(exit code, standard output) of each command, each from empty caches."""
+    results = {}
+    for command in COMMANDS:
+        clear_caches()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            results[command] = main(command.split()), out.getvalue()
+    clear_caches()
+    return results
+
+
+def prs_gcd_cofactors(a, b) -> tuple:
+    # What _heu_gcd returns, (g, a/g, b/g), from the reference gcd.
+    g = prs_gcd(a, b)
+    return g, a.divexact(g), b.divexact(g)
+
+
+@pytest.fixture(scope="module")
+def reference_build():
+    """The outputs of COMMANDS with the ring references swapped in: no
+    word-slot kernel pays (``_pack_pays`` is false), so every IntPoly product
+    and exact quotient takes the schoolbook loop; GCDHEU is the primitive
+    PRS gcd with long-division cofactors; and the fold mod q^m - 1 is dense
+    long division by q^m - 1."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("ppx.rings._pack_pays", lambda m, n: False)
+        patch.setattr("ppx.rings._heu_gcd", prs_gcd_cofactors)
+        patch.setattr("ppx.rings._fold", lambda coeffs, m: list(
+            long_division_remainder(coeffs, (-1,) + (0,) * (m - 1) + (1,))))
+        return run_commands()
+
+
+def test_normal_build_matches_the_reference_build(reference_build):
+    assert run_commands() == reference_build
+
+
+def negate_one_product_digit(monkeypatch):
+    # The first word-slot IntPoly product with 16 or more coefficients comes
+    # back with its lowest nonzero coefficient negated.
+    flipped = []
+
+    def unpack(value, n, w):
+        digits = _unpack(value, n, w)
+        if (not flipped and w <= 8 and n >= 16 and any(digits)
+                and sys._getframe(1).f_code.co_name == "__mul__"):
+            flipped.append(next(i for i, d in enumerate(digits) if d))
+            digits[flipped[0]] = -digits[flipped[0]]
+        return digits
+
+    monkeypatch.setattr("ppx.rings._unpack", unpack)
+    return flipped
+
+
+def fold_with_wrong_stride(monkeypatch):
+    # Folding mod q^(m+1) - 1 is not a reduction mod Phi_m.
+    monkeypatch.setattr("ppx.rings._fold", lambda coeffs, m: _fold(coeffs, m + 1))
+
+
+@pytest.mark.parametrize("plant", [negate_one_product_digit, fold_with_wrong_stride])
+def test_planted_fault_fails_the_comparison(reference_build, monkeypatch, plant):
+    plant(monkeypatch)
+    faulty = run_commands()
+    assert [command for command in COMMANDS if faulty[command] != reference_build[command]]
