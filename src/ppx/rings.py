@@ -15,8 +15,8 @@ A parameter out of range is a :class:`UsageError`, raised only by ``cli``
 and by the functions that take a number from it; any other error that a
 command meets is a bug.
 
-A :class:`RatFunc` is a value that commands print; the suites decide their
-identities in Z[q].  ``__init__`` normalises it once.  Each side is split as
+A :class:`RatFunc` is a value that commands print and compare; no suite
+computes with one.  ``__init__`` normalises it once.  Each side is split as
 c q^v p (the content signed like the lead, a power of q, and a primitive p
 with p(0) != 0), so contents and powers of q cancel with no polynomial work
 and only the parts p reach the heuristic gcd GCDHEU of Char, Geddes and
@@ -573,23 +573,6 @@ class RatFunc:
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    # -- substitution ----------------------------------------------------------
-
-    def subst_inverse(self) -> "RatFunc":
-        """The rational function f(1/q), cleared of negative powers.
-
-        >>> str(RatFunc(IntPoly((0, 1)), IntPoly((1, 1))).subst_inverse())
-        '1/(1+q)'
-        """
-        if not self.num:
-            return self
-        m = max(self.num.degree, self.den.degree)
-
-        def reverse(p: IntPoly) -> IntPoly:
-            return IntPoly((0,) * (m - p.degree) + tuple(reversed(p.coeffs)))
-
-        return RatFunc(reverse(self.num), reverse(self.den))
 
     # -- comparisons and rendering ---------------------------------------------
 

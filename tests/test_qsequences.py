@@ -39,6 +39,9 @@ from ppx.series import TruncatedSeries
 from qfunc_series import QFrac, cap_expq_series, expq_series
 from schoolbook import prs_gcd
 
+small_polys = st.builds(IntPoly, st.lists(st.integers(-9, 9), max_size=6))
+nonzero_polys = small_polys.filter(bool)
+
 
 def stack_depth() -> int:
     depth, frame = 0, sys._getframe()
@@ -287,7 +290,34 @@ class TestOddSymmetry:
     def test_spot(self, n):
         e = e_q_seq(n)[n - 1]
         assert e == cap_e_q_seq(n)[n - 1]
-        assert e == e.subst_inverse()
+        assert RatFunc(*qsequences._at_inverse_q(e.num, e.den)) == e
+
+
+class TestAtInverseQ:
+    """num(1/q)/den(1/q) as a pair in Z[q], the input of the two q -> 1/q rows."""
+
+    def test_examples(self):
+        at_inverse = qsequences._at_inverse_q
+        assert at_inverse(Q, IntPoly((1, 1))) == (P_ONE, IntPoly((1, 1)))  # q/(1+q) -> 1/(1+q)
+        assert at_inverse(P_ONE, P_ONE) == (P_ONE, P_ONE)
+        assert at_inverse(P_ZERO, qint(3)) == (P_ZERO, qint(3))
+        assert at_inverse(-Q, qint(3)) == (-Q, qint(3))  # e_3(q), fixed under q -> 1/q
+        assert at_inverse(P_ONE, qfact(3)) == (IntPoly.monomial(1, 3), qfact(3))  # eq18, n = 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_polys, nonzero_polys)
+    def test_involution(self, num, den):
+        twice = qsequences._at_inverse_q(*qsequences._at_inverse_q(num, den))
+        assert RatFunc(*twice) == RatFunc(num, den)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_polys, nonzero_polys)
+    def test_is_the_value_at_the_reciprocal(self, num, den):
+        # The reference evaluates num and den at 1/x and reverses nothing.
+        f = RatFunc(*qsequences._at_inverse_q(num, den))
+        for x in (Fraction(2), Fraction(-3), Fraction(1, 2)):
+            if den(1 / x):
+                assert f.num(x) / f.den(x) == num(1 / x) / den(1 / x)
 
 
 class TestReciprocal:
@@ -455,6 +485,23 @@ class TestNoGcdOnTheSequencePath:
     def test_e_q_normalises_once_per_n(self, gcd_calls):
         e_q_seq(36)
         assert 0 < len(gcd_calls) <= 36
+
+
+@pytest.fixture
+def normalisations(monkeypatch, fresh_q_caches):
+    """One entry per call of the kernel behind RatFunc normalisation."""
+    calls, original = [], rings._gcd_cofactors
+    monkeypatch.setattr(rings, "_gcd_cofactors", lambda a, b: calls.append(1) or original(a, b))
+    return calls
+
+
+# 52 and 42 in process with the q -> 1/q rows decided in Z[q]; 80 and 124
+# when each of those rows normalised a fraction of its own.
+@pytest.mark.parametrize("command, bound", [("verify all", 52),
+                                            ("verify eq18 --max-n 40", 42)])
+def test_verify_normalisation_calls(normalisations, capsys, command, bound):
+    assert cli.main(command.split()) == 0
+    assert len(normalisations) <= bound
 
 
 class TestDividedPowerFaults:

@@ -664,21 +664,8 @@ class TestRatFunc:
             for k in (0, 1, math.comb(n, 2), math.comb(n, 2) + 1):
                 assert RatFunc(IntPoly.monomial(1, k), fact).den == fact
                 assert RatFunc(IntPoly.monomial(-6, k), fact * 4).den == fact * 2
-            assert RatFunc(P_ONE, fact).subst_inverse().den == fact
+            assert RatFunc(*qsequences._at_inverse_q(P_ONE, fact)).den == fact
         assert packed == []
-
-    def test_subst_inverse_examples(self):
-        f = RatFunc(Q, IntPoly((1, 1)))          # q/(1+q) -> 1/(1+q)
-        assert f.subst_inverse() == RatFunc(P_ONE, IntPoly((1, 1)))
-        assert RatFunc(1).subst_inverse() == RatFunc(1)
-        e3 = RatFunc(-Q, qint(3))                # fixed under q -> 1/q
-        assert e3.subst_inverse() == e3
-
-    @settings(max_examples=100, deadline=None)
-    @given(small_polys, nonzero_polys)
-    def test_subst_inverse_involution(self, num, den):
-        f = RatFunc(num, den)
-        assert f.subst_inverse().subst_inverse() == f
 
     def test_rational_reduction_structural_equality(self):
         assert Fraction(2, 4) == Fraction(1, 2)
