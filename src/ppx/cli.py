@@ -36,32 +36,22 @@ from .rings import ConsistencyError, InexactDivisionError, UsageError, serialize
 SEQ_CAP = 64
 
 
-class _Late:
-    """ppx.<module>, not yet imported: each name read from it is a function
-    that imports the module when called and calls what the name holds then."""
+def _late(module: str, name: str):
+    """A function that imports ppx.<module> when called and calls its <name>."""
+    return lambda *args: getattr(import_module(f"{__package__}.{module}"), name)(*args)
 
-    def __init__(self, module: str):
-        self._module = f"{__package__}.{module}"
-
-    def __getattr__(self, name: str):
-        if name.startswith("__"):  # a probe such as inspect's for __wrapped__
-            raise AttributeError(name)
-        return lambda *args: getattr(import_module(self._module), name)(*args)
-
-
-pascal, qsequences, sequences = _Late("pascal"), _Late("qsequences"), _Late("sequences")
 
 SEQ_FUNCS = {
-    "e": sequences.e_seq,
-    "c": sequences.c_seq,
-    "a": sequences.a_seq,
-    "u": sequences.u_seq,
-    "r": sequences.r_seq,
-    "eq": qsequences.e_q_seq,
-    "Eq": qsequences.cap_e_q_seq,
-    "uq": qsequences.u_q_seq,
-    "rq": qsequences.r_q_seq,
-    "cq": qsequences.c_q_seq,
+    "e": _late("sequences", "e_seq"),
+    "c": _late("sequences", "c_seq"),
+    "a": _late("sequences", "a_seq"),
+    "u": _late("sequences", "u_seq"),
+    "r": _late("sequences", "r_seq"),
+    "eq": _late("qsequences", "e_q_seq"),
+    "Eq": _late("qsequences", "cap_e_q_seq"),
+    "uq": _late("qsequences", "u_q_seq"),
+    "rq": _late("qsequences", "r_q_seq"),
+    "cq": _late("qsequences", "c_q_seq"),
 }
 
 
@@ -110,26 +100,28 @@ def cmd_seq(args) -> int:
 # pair whose n defaults to max(3m, 6).
 Suite = collections.namedtuple("Suite", "checks max_n flag sweep together pairs",
                                defaults=(None, None, (), False, ()))
+_PAIRS = ((6, 2), (8, 2), (9, 3))
 
 
 SUITES = {
-    "roundtrip": Suite((sequences.check_oracle_roundtrip, qsequences.check_q_oracle), 14),
-    "kolberg": Suite((sequences.check_kolberg,), 64),
-    "borwein-lou": Suite((sequences.check_borwein_lou,), 64),
-    "divisibility": Suite((sequences.check_divisibility,), 64),
-    "closed-forms": Suite((sequences.check_closed_forms,), 64),
-    "thm41": Suite((lambda n: qsequences.check_golden_q_lists(),)),
-    "thm42": Suite((qsequences.check_integrality,), 14),
-    "thm43": Suite((pascal.check_cyclotomic_specialization,), 12, "m", (2, 3)),
-    "cor44": Suite((lambda n, p: pascal.check_carlitz(p, n),), 20, "p", (2, 3, 5)),
-    "thm45": Suite((qsequences.check_mod_q2,), 32),
-    "eq18": Suite((qsequences.check_reciprocal_identity,), 10),
-    "eq21": Suite((qsequences.check_log_coeffs,), 12),
-    "eq26": Suite((pascal.check_root_of_unity_factorization,), pairs=((6, 2), (8, 2), (9, 3))),
-    "eq28": Suite((pascal.check_truncated_exp_product,), pairs=((6, 2), (8, 2), (9, 3))),
-    "pascal": Suite((pascal.check_pascal,), 12),
-    "qpascal": Suite((pascal.check_q_pascal,), 12),
-    "pascal-m": Suite((pascal.check_pascal_m,), 12, "m", (2, 3), together=True),
+    "roundtrip": Suite((_late("sequences", "check_oracle_roundtrip"),
+                        _late("qsequences", "check_q_oracle")), 14),
+    "kolberg": Suite((_late("sequences", "check_kolberg"),), 64),
+    "borwein-lou": Suite((_late("sequences", "check_borwein_lou"),), 64),
+    "divisibility": Suite((_late("sequences", "check_divisibility"),), 64),
+    "closed-forms": Suite((_late("sequences", "check_closed_forms"),), 64),
+    "thm41": Suite((lambda n: _late("qsequences", "check_golden_q_lists")(),)),
+    "thm42": Suite((_late("qsequences", "check_integrality"),), 14),
+    "thm43": Suite((_late("pascal", "check_cyclotomic_specialization"),), 12, "m", (2, 3)),
+    "cor44": Suite((lambda n, p: _late("pascal", "check_carlitz")(p, n),), 20, "p", (2, 3, 5)),
+    "thm45": Suite((_late("qsequences", "check_mod_q2"),), 32),
+    "eq18": Suite((_late("qsequences", "check_reciprocal_identity"),), 10),
+    "eq21": Suite((_late("qsequences", "check_log_coeffs"),), 12),
+    "eq26": Suite((_late("pascal", "check_root_of_unity_factorization"),), pairs=_PAIRS),
+    "eq28": Suite((_late("pascal", "check_truncated_exp_product"),), pairs=_PAIRS),
+    "pascal": Suite((_late("pascal", "check_pascal"),), 12),
+    "qpascal": Suite((_late("pascal", "check_q_pascal"),), 12),
+    "pascal-m": Suite((_late("pascal", "check_pascal_m"),), 12, "m", (2, 3), together=True),
 }
 
 
@@ -185,11 +177,12 @@ def cmd_verify(args) -> int:
 # pascal
 
 
-# --variant: the print builder and the factorizer, each called with (n, m).
+# --variant: the print builder and the factorizer, each called with n, and
+# with m as well for --variant m.
 PASCAL_VARIANTS = {
-    "classic": (lambda n, m: pascal.pascal_matrix(n), lambda n, m: pascal.factor_pascal(n)),
-    "q": (lambda n, m: pascal.q_pascal(n), lambda n, m: pascal.factor_q_pascal(n)),
-    "m": (lambda n, m: pascal.pascal_m(n, m), lambda n, m: pascal.factor_pascal_m(n, m)),
+    "classic": (_late("pascal", "pascal_matrix"), _late("pascal", "factor_pascal")),
+    "q": (_late("pascal", "q_pascal"), _late("pascal", "factor_q_pascal")),
+    "m": (_late("pascal", "pascal_m"), _late("pascal", "factor_pascal_m")),
 }
 
 
@@ -208,12 +201,13 @@ def cmd_pascal(args) -> int:
         raise UsageError("factoring needs n >= 2")
 
     build, factor = PASCAL_VARIANTS[variant]
+    params = (n,) if args.m is None else (n, args.m)
     as_json = args.format == "json"
     if args.action == "print":
-        matrix = build(n, args.m)
+        matrix = build(*params)
         key, out = "entries", matrix.to_json_obj() if as_json else matrix.render_text()
     else:
-        factors = factor(n, args.m)
+        factors = factor(*params)
         key, out = "factors", ([serialize(c) for c in factors] if as_json
                                else ", ".join(str(c) for c in factors))
     if as_json:

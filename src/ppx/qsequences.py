@@ -21,7 +21,8 @@ two exact quotients and no rational function.  Dividing by n is the
 integrality theorem as a postcondition; (-1)^n r_n(q) is asserted monic.
 With q-1 the sum gives u_n(q) E_n(q), and e_n(q), E_n(q) are each one reduced
 fraction over u_n(q).  c_n(q) = [n]! e_n(q) is r_n(q) times the polynomial
-prod_{j<=n} [j]/[gcd(j, n)], whose product with u_n(q) is checked to be [n]!.
+prod_{j<=n} [j]/[gcd(j, n)], one pass over the coefficients per factor, and is
+checked at q = 1 and, against integer products, at q = 2 and q = -2.
 Setting q = 1 recovers the classical sequences, q = 0 the dyadic
 pattern of 1/(1-x) = prod (1 + x^(2^k)), and reduction mod q^2 a closed-form
 expansion checked over the ring Z[q]/(q^2) with no division at all.
@@ -39,7 +40,9 @@ value always, and ``RatFunc(G_n, [n]!)`` only when a row fails.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 
 from . import products, sequences
 from .report import Report
@@ -72,35 +75,46 @@ def qint(n: int) -> IntPoly:
     return IntPoly((1,) * n)
 
 
-@functools.cache
-def qfact(n: int) -> IntPoly:
-    """[n]! = [1][2]...[n]; [0]! = 1.
-
-    Iterative: the cache always holds [0]!, ..., [m]! for some m (each entry
-    is stored after the one below it), so its size is the first missing
-    index.  The missing ones below n are filled bottom-up, each by one
-    product with the cached entry below it, and no call recurses deeper
-    than two levels.
-    """
-    if n < 0:
-        raise ValueError("q-factorial of a negative index")
-    if n == 0:
-        return P_ONE
-    for k in range(qfact.cache_info().currsize, n):
-        qfact(k)
-    return qfact(n - 1) * qint(n)
+def _times_ratio(coeffs, j: int, g: int) -> list:
+    """coeffs times [j]/[g] = (1 - q^j)/(1 - q^g): the list less itself shifted by j,
+    then running sums of stride g; the last g sums are the remainder, and must be 0."""
+    out = list(coeffs) + [0] * j
+    out[j:] = map(operator.sub, out[j:], coeffs)
+    for r in range(g):
+        out[r::g] = itertools.accumulate(out[r::g])
+    if any(out[-g:]):
+        raise ConsistencyError(f"[{j}]/[{g}] times {len(coeffs)} coefficients is inexact")
+    return out[:-g]
 
 
-@functools.cache
-def _q_pascal_row(n: int) -> tuple:
+def _bottom_up(step):
+    """f(n) = step(n, f(n - 1)), f(0) = step(0, None), cached and filled bottom-up, so no
+    call recurses deeper than two levels; f reads its cache by closure, not by its name."""
+    def fill(n: int):
+        if n < 0:
+            raise ValueError(f"{step.__name__} of a negative index")
+        for k in range(f.cache_info().currsize, n):
+            f(k)
+        return step(n, f(n - 1) if n else None)
+
+    fill.__name__, fill.__qualname__, fill.__doc__ = step.__name__, step.__qualname__, step.__doc__
+    f = functools.cache(fill)
+    return f
+
+
+@_bottom_up
+def qfact(n: int, below: IntPoly) -> IntPoly:
+    """[n]! = [1][2]...[n]; [0]! = 1.  [n]! is [n-1]! through one pass of
+    [n]/[1], running sums over the coefficients and no product."""
+    return IntPoly(_times_ratio(below.coeffs, n, 1)) if n else P_ONE
+
+
+@_bottom_up
+def _q_pascal_row(n: int, above: tuple) -> tuple:
     """[n, 0], ..., [n, n] by the q-Pascal rule [n, k] = [n-1, k-1] + q^k [n-1, k]
-    (Andrews, The Theory of Partitions, 1976, ch. 3): additions and shifts only.
-    Rows are filled bottom-up as in qfact, so no call recurses deeper than two levels."""
+    (Andrews, The Theory of Partitions, 1976, ch. 3): additions and shifts only."""
     if n == 0:
         return (P_ONE,)
-    for r in range(_q_pascal_row.cache_info().currsize, n):
-        _q_pascal_row(r)
-    above = _q_pascal_row(n - 1)
     return (P_ONE, *(above[k - 1] + above[k].shifted(k) for k in range(1, n)), P_ONE)
 
 
@@ -133,7 +147,7 @@ def _u_q(n: int) -> IntPoly:
 def _divisor_sum(base: IntPoly, n: int) -> IntPoly:
     # n R_n: the recursion for the n-th factor times n u_n(q), a sum in Z[q].
     u = _u_q(n)
-    total = base ** (n - 1) * u.divexact(qint(n))
+    total = base ** (n - 1) * IntPoly(_times_ratio(u.coeffs, 1, n))
     for d in divisors(n)[1:]:
         m = n // d
         term = u.divexact(_u_q(m) ** d) * _r_q_family(base, m) ** d * m
@@ -171,29 +185,21 @@ def _r_q(n: int) -> IntPoly:
     return r
 
 
-def _u_cofactor(n: int) -> IntPoly:
-    # [n]!/u_n(q) = prod_{j<=n} [j]/[g] with g = gcd(j, n), since
-    # gcd([j], [n]) = [gcd(j, n)]; each factor is 1 + q^g + ... + q^(j-g),
-    # and the factors, in order of degree, are multiplied in a product tree.
-    layer = sorted((IntPoly(((1,) + (0,) * (g - 1)) * (j // g))
-                    for j in range(1, n + 1) if (g := math.gcd(j, n)) != j),
-                   key=lambda f: f.degree)
-    while len(layer) > 1:
-        pairs = [a * b for a, b in zip(layer[::2], layer[1::2])]
-        layer = pairs + layer[2 * len(pairs):]
-    return layer[0] if layer else P_ONE
-
-
 @functools.cache
 def _c_q(n: int) -> IntPoly:
+    # c_n(q) = r_n(q) [n]!/u_n(q), and [n]!/u_n(q) = prod_{j<=n} [j]/[g] with
+    # g = gcd(j, n), since gcd([j], [n]) = [gcd(j, n)]: one pass for each j.
     if n < 1:
         raise ValueError("index must be >= 1")
-    cofactor = _u_cofactor(n)
-    if cofactor * _u_q(n) != qfact(n):
-        raise ConsistencyError(f"[{n}]!/u_{n}(q) cofactor times u_{n}(q) != [{n}]!")
-    c = _r_q(n) * cofactor
+    r = _r_q(n)
+    ratios = [(j, g) for j in range(1, n + 1) if (g := math.gcd(j, n)) != j]
+    c = IntPoly(functools.reduce(lambda cs, jg: _times_ratio(cs, *jg), ratios, r.coeffs))
     if c(1) != sequences._c(n):
         raise ConsistencyError(f"c_{n}(q) at q=1 != c_{n}")
+    for a in (2, -2):  # c_n(a) = r_n(a) prod (a^j - 1)/(a^g - 1), in integers
+        if (c(a) * math.prod(a ** g - 1 for _, g in ratios)
+                != r(a) * math.prod(a ** j - 1 for j, _ in ratios)):
+            raise ConsistencyError(f"c_{n}(q) at q={a} != r_{n}({a}) prod [j]/[gcd(j, {n})]")
     return c
 
 

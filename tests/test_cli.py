@@ -555,3 +555,11 @@ class TestLoading:
             ppx.no_such_name
         with pytest.raises(ImportError):
             exec("from ppx import no_such_name", {})
+
+
+def test_no_cli_value_claims_a_cache_clear_it_lacks():
+    # A stand-in module that answered every name would claim one whose call
+    # raises, and a sweep that empties every cache of ppx would fail on it.
+    for value in vars(cli).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()

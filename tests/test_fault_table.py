@@ -11,7 +11,7 @@ behind.
 import pytest
 
 from ppx import cli, qsequences
-from ppx.qsequences import qfact, qint
+from ppx.qsequences import qint
 from ppx.rings import IntPoly, RatFunc
 
 
@@ -32,9 +32,7 @@ def r5_plus_one_minus_q(monkeypatch):
 
 def skewed_qfact3(monkeypatch):
     # 1 + 2q + 3q^2 + q^3 in place of [3]! = 1 + 2q + 2q^2 + q^3: not fixed
-    # under reversal.  qfact fills its cache through its module name, so the
-    # real one is warmed before the name is patched.
-    qfact(12)
+    # under reversal.
     original = qsequences.qfact
     monkeypatch.setattr(qsequences, "qfact", lambda n: (
         IntPoly((1, 2, 3, 1)) if n == 3 else original(n)))

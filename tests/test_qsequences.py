@@ -120,6 +120,14 @@ class TestQBasics:
         assert value(1) == math.factorial(64)
         assert value == qfact(63) * qint(64)
 
+    def test_cold_fills_ignore_a_patched_name(self, fresh_q_caches, monkeypatch):
+        # Each cache is filled through its own function, not the module name.
+        for name in ("qfact", "_q_pascal_row"):
+            real = getattr(qsequences, name)
+            monkeypatch.setattr(qsequences, name, lambda n, real=real: real(n))
+        assert qsequences.qfact(5) == math.prod(map(qint, range(1, 6)), start=P_ONE)
+        assert qbinom(6, 3) == quotient_qbinom(6, 3)
+
     def test_qbinom_example(self):
         # oracle: exact division [4]!/([2]![2]!) done longhand
         explicit = qfact(4).divexact(qfact(2) * qfact(2))
@@ -213,20 +221,66 @@ class TestCq:
 
     def test_matches_factorial_times_e_q(self):
         # A second derivation: the rational-function product [n]! e_n(q)
-        # against r_n(q) times the [n]!/u_n(q) cofactor.
+        # against r_n(q) run through the passes [j]/[gcd(j, n)].
         for n, c in enumerate(c_q_seq(24), start=1):
             assert RatFunc(qfact(n)) * qsequences._e_q(n) == c
 
-    @pytest.mark.parametrize("wrong", [
-        lambda f: f * IntPoly((1, 1)),   # one factor too many
-        lambda f: f + IntPoly((0, 1, -1)),  # the same value at q = 1
-    ])
-    def test_wrong_cofactor_is_caught(self, monkeypatch, fresh_q_caches, wrong):
-        right = qsequences._u_cofactor
-        monkeypatch.setattr(qsequences, "_u_cofactor",
-                            lambda n: wrong(right(n)) if n == 6 else right(n))
-        with pytest.raises(ConsistencyError, match=r"cofactor times u_6\(q\) != \[6\]!"):
+    @pytest.mark.parametrize("fault, pass_, check", [
+        (lambda cs: (IntPoly(cs) * IntPoly((1, 1))).coeffs, (4, 2), "q=1"),  # a factor too many
+        (lambda cs: (IntPoly(cs) + IntPoly((0, 1, -1))).coeffs, (5, 1), "q=2"),  # same at q = 1
+    ], ids=["extra-factor", "same-value-at-one"])
+    def test_planted_pass_fault_is_caught(self, monkeypatch, fresh_q_caches, fault, pass_, check):
+        # c_6(q) takes the passes [4]/[2] and then [5]/[1], which no c_n(q)
+        # with n < 6 takes.  q - q^2 keeps c_6(1), so only the q = 2 check sees it.
+        right = qsequences._times_ratio
+        monkeypatch.setattr(qsequences, "_times_ratio", lambda cs, j, g: (
+            fault(right(cs, j, g)) if (j, g) == pass_ else right(cs, j, g)))
+        with pytest.raises(ConsistencyError, match=rf"c_6\(q\) at {check} "):
             c_q_seq(6)
+
+    def test_pass_with_a_wrong_stride_is_caught(self, monkeypatch, fresh_q_caches):
+        qsequences._r_q(6)
+        right = qsequences._times_ratio
+        monkeypatch.setattr(qsequences, "_times_ratio", lambda cs, j, g: right(cs, j, g + 1))
+        with pytest.raises(ConsistencyError, match=r"\[4\]/\[3\] times .* is inexact"):
+            qsequences._c_q(6)
+
+    def test_c_q_and_cold_qfact_make_no_product(self, monkeypatch, fresh_q_caches):
+        qsequences._r_q(40)
+        calls, right = [], IntPoly.__mul__
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(IntPoly, name, lambda a, b: calls.append(b) or right(a, b))
+        c, fact = qsequences._c_q(40), qfact(40)
+        assert calls == []
+        monkeypatch.undo()
+        assert c(1) == c_seq(40)[39] and fact(1) == math.factorial(40)
+
+
+class TestTimesRatio:
+    @settings(max_examples=200, deadline=None)
+    @given(small_polys, st.integers(1, 9), st.integers(1, 9), st.booleans())
+    def test_matches_the_product_route(self, p, j, g, times_qint_g):
+        # [j]/[g] is a polynomial when g | j; p [g] [j]/[g] is one for every g.
+        p = p * qint(g) if times_qint_g else p
+        try:
+            expected = (p * qint(j)).divexact(qint(g))
+        except rings.InexactDivisionError:
+            with pytest.raises(ConsistencyError, match=rf"\[{j}\]/\[{g}\]"):
+                qsequences._times_ratio(p.coeffs, j, g)
+        else:
+            assert IntPoly(qsequences._times_ratio(p.coeffs, j, g)) == expected
+
+    @pytest.mark.parametrize("coeffs, j, g, quotient", [
+        ((1,), 6, 3, (1, 0, 0, 1)),
+        ((1, 1), 3, 2, (1, 1, 1)),  # [2] [3]/[2] = [3]: exact though 2 does not divide 3
+        ((1, 1, 1), 1, 3, (1,)),
+    ])
+    def test_exact_examples(self, coeffs, j, g, quotient):
+        assert tuple(qsequences._times_ratio(coeffs, j, g)) == quotient
+
+    def test_inexact_raises(self):
+        with pytest.raises(ConsistencyError, match=r"\[3\]/\[2\]"):
+            qsequences._times_ratio((1,), 3, 2)
 
 
 class TestDegenerations:

@@ -4,7 +4,8 @@ Every command of COMMANDS must print the same bytes and exit with the same
 code when the fast ring kernels of ``ppx.rings`` are replaced by their
 references: the schoolbook products and long division for the word-slot
 (Kronecker) kernels, the primitive pseudo-remainder sequence for GCDHEU,
-and dense long division by q^m - 1 for the fold of ``QuotientRing.reduce``.
+dense long division by q^m - 1 for the fold of ``QuotientRing.reduce``, and
+the product route for the q-integer passes of ``qsequences._times_ratio``.
 Each command runs from empty caches, as in a fresh process, so the
 references compute every value it prints.  A planted fault in a word-slot
 product or in the fold stride must make the comparison fail."""
@@ -16,7 +17,8 @@ import sys
 import pytest
 
 from ppx.cli import main
-from ppx.rings import _fold, _unpack  # the planted faults wrap these two
+from ppx.qsequences import qint
+from ppx.rings import IntPoly, _fold, _unpack  # the planted faults wrap the last two
 from schoolbook import prs_gcd
 from test_rings import clear_caches, long_division_remainder
 
@@ -60,9 +62,12 @@ def reference_build():
     """The outputs of COMMANDS with the ring references swapped in: no
     word-slot kernel pays (``_pack_pays`` is false), so every IntPoly product
     and exact quotient takes the schoolbook loop; GCDHEU is the primitive
-    PRS gcd with long-division cofactors; and the fold mod q^m - 1 is dense
-    long division by q^m - 1."""
+    PRS gcd with long-division cofactors; the fold mod q^m - 1 is dense
+    long division by q^m - 1; and a pass of [j]/[g] over a coefficient list
+    is the product by [j] and the exact quotient by [g]."""
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("ppx.qsequences._times_ratio", lambda coeffs, j, g: (
+            (IntPoly(coeffs) * qint(j)).divexact(qint(g)).coeffs))
         patch.setattr("ppx.rings._pack_pays", lambda m, n: False)
         patch.setattr("ppx.rings._heu_gcd", prs_gcd_cofactors)
         patch.setattr("ppx.rings._fold", lambda coeffs, m: list(

@@ -462,16 +462,17 @@ def flipped_word_digit(monkeypatch):
 
 class TestSuitesNoticeAWordSlotFault:
     # The suites that meet a word-slot result of 16 or more digits and use
-    # it.  Others pass under the fault because they meet no such result:
-    # cor44, thm41, and eq26/eq28 at their default sizes.
+    # it.  Others pass under the fault because they meet no such result or do
+    # not read the flipped digit: cor44, thm41, eq26 below --m 12 and eq28
+    # below --m 11.  eq26 and eq28 run at the smallest --m that exits 1.
     @pytest.mark.parametrize("command, notice", [
         ("verify roundtrip --max-n 18", "FAIL e-q-oracle"),
         ("verify roundtrip", "FAIL e-q-oracle"),
         ("verify eq18", "FAIL product-coefficient"),
         ("verify eq21 --max-n 16", "FAIL log-coefficient"),
         ("verify thm43", "consistency violation"),
-        ("verify eq26 --m 8", "consistency violation"),
-        ("verify eq28 --m 10", "consistency violation"),
+        ("verify eq26 --m 12", "consistency violation"),
+        ("verify eq28 --m 11", "FAIL sum-equals-product"),
         ("verify qpascal --max-n 16", "consistency violation"),
         ("verify thm42", "consistency violation"),
         ("verify thm45", "consistency violation"),
