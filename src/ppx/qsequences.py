@@ -11,17 +11,18 @@ The companion Exp_q(x) = sum q^C(n,2) x^n/[n]! = 1/exp_q(-x) expands with
 E_n(q), same recursion with (q-1)^(n-1) in the tail; for odd n the two
 coefficient families agree and are fixed under q -> 1/q.
 
-With u_n(q) = prod_{j<=n} [gcd(j, n)], which u_{n/d}(q)^d and [n] divide,
-n u_n(q) times the recursion is a sum in Z[q] for r_n(q) = u_n(q) e_n(q):
+With u_n(q) = prod_{j<=n} [gcd(j, n)] and m = n/d, n u_n(q) times the recursion
+is a sum in Z[q] for r_n(q) = u_n(q) e_n(q), each [a]/[g] in it a polynomial:
 
-    n r_n(q) = sum_{d|n, d>1} (-1)^d (n/d) (u_n / u_{n/d}^d) r_{n/d}(q)^d
-               + (1-q)^(n-1) u_n / [n],
+    n r_n(q) = sum_{d|n, d>1} (-1)^d m r_m(q)^d prod_{j<=n} [gcd(j, n)]/[gcd(j, m)]
+               + prod_{j<n} (1 - q^gcd(j, n)),
 
-two exact quotients and no rational function.  Dividing by n is the
-integrality theorem as a postcondition; (-1)^n r_n(q) is asserted monic.
-With q-1 the sum gives u_n(q) E_n(q), and e_n(q), E_n(q) are each one reduced
-fraction over u_n(q).  c_n(q) = [n]! e_n(q) is r_n(q) times the polynomial
-prod_{j<=n} [j]/[gcd(j, n)], one pass over the coefficients per factor, and is
+as j <= n runs d times through the residues mod m and (1-q)[a] = 1 - q^a.  Each
+[a]/[g] is one pass over the coefficients, each 1 - q^a one difference, and no
+u_n(q) is formed.  Dividing by n is the integrality theorem as a postcondition;
+(-1)^n r_n(q) is asserted monic.  With q-1 the tail gains (-1)^(n-1) and the sum
+gives u_n(q) E_n(q); e_n(q), E_n(q) are each one reduced fraction over u_n(q).
+c_n(q) = [n]! e_n(q) is r_n(q) through the passes [j]/[gcd(j, n)], j <= n,
 checked at q = 1 and, against integer products, at q = 2 and q = -2.
 Setting q = 1 recovers the classical sequences, q = 0 the dyadic
 pattern of 1/(1-x) = prod (1 + x^(2^k)), and reduction mod q^2 a closed-form
@@ -75,11 +76,15 @@ def qint(n: int) -> IntPoly:
     return IntPoly((1,) * n)
 
 
+def _times_one_minus(coeffs, j: int) -> list:
+    """coeffs times 1 - q^j: the list less itself shifted by j."""
+    return list(map(operator.sub, [*coeffs, *[0] * j], [*[0] * j, *coeffs]))
+
+
 def _times_ratio(coeffs, j: int, g: int) -> list:
-    """coeffs times [j]/[g] = (1 - q^j)/(1 - q^g): the list less itself shifted by j,
-    then running sums of stride g; the last g sums are the remainder, and must be 0."""
-    out = list(coeffs) + [0] * j
-    out[j:] = map(operator.sub, out[j:], coeffs)
+    """coeffs times [j]/[g] = (1 - q^j)/(1 - q^g): times 1 - q^j, then running sums
+    of stride g; the last g sums are the remainder, and must be 0."""
+    out = _times_one_minus(coeffs, j)
     for r in range(g):
         out[r::g] = itertools.accumulate(out[r::g])
     if any(out[-g:]):
@@ -134,8 +139,7 @@ def qbinom(n: int, k: int) -> IntPoly:
 def _u_q(n: int) -> IntPoly:
     if n < 1:
         raise ValueError("index must be >= 1")
-    via_gcd = math.prod((qint(g) for j in range(1, n + 1) if (g := math.gcd(j, n)) > 1),
-                        start=P_ONE)
+    via_gcd = IntPoly(_times_u_ratio((1,), n, 1))
     via_phi = math.prod((qint(d) ** euler_phi(n // d) for d in divisors(n)), start=P_ONE)
     if via_gcd != via_phi:
         raise ConsistencyError(f"u_{n}(q): gcd product != totient product")
@@ -144,13 +148,19 @@ def _u_q(n: int) -> IntPoly:
     return via_gcd
 
 
+def _times_u_ratio(coeffs, n: int, m: int) -> list:
+    # coeffs times u_n(q)/u_m(q)^(n/m), m | n: the passes [gcd(j, n)]/[gcd(j, m)], j <= n.
+    pairs = [(a, g) for j in range(1, n + 1) if (a := math.gcd(j, n)) != (g := math.gcd(j, m))]
+    return functools.reduce(lambda cs, ag: _times_ratio(cs, *ag), pairs, coeffs)
+
+
 def _divisor_sum(base: IntPoly, n: int) -> IntPoly:
-    # n R_n: the recursion for the n-th factor times n u_n(q), a sum in Z[q].
-    u = _u_q(n)
-    total = base ** (n - 1) * IntPoly(_times_ratio(u.coeffs, 1, n))
+    # n R_n: the recursion for the n-th factor times n u_n(q), by passes; base = +-(1 - q).
+    lags = (math.gcd(j, n) for j in range(1, n))
+    total = IntPoly(functools.reduce(_times_one_minus, lags, [base(0) ** (n - 1)]))
     for d in divisors(n)[1:]:
         m = n // d
-        term = u.divexact(_u_q(m) ** d) * _r_q_family(base, m) ** d * m
+        term = IntPoly(_times_u_ratio((_r_q_family(base, m) ** d).coeffs, n, m)) * m
         total = total + term if d % 2 == 0 else total - term
     return total
 

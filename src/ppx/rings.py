@@ -265,19 +265,19 @@ class IntPoly:
         Word-sized slots are packed and unpacked through ``array`` in one
         call each way, with the sign bit of every slot flipped by one XOR
         (see :func:`_pack`).  Smaller factors, for which packing costs more
-        than it saves, use the schoolbook loop.
+        than it saves, use the schoolbook loop.  A factor with one coefficient
+        c, an int included, scales the other by c, and returns it for c = 1.
 
         >>> str(IntPoly((1, -1) * 8) * IntPoly((1,) * 16))
         '1+q^2+q^4+q^6+q^8+q^10+q^12+q^14-q^16-q^18-q^20-q^22-q^24-q^26-q^28-q^30'
         """
-        if isinstance(other, int):
-            if other == 0:
-                return P_ZERO
-            return IntPoly(tuple(other * c for c in self.coeffs))
         other = _as_poly(other)
         if not self.coeffs or not other.coeffs:
             return P_ZERO
         a, b = self.coeffs, other.coeffs
+        if len(a) == 1 or len(b) == 1:
+            (c,), p = (a, other) if len(a) == 1 else (b, self)
+            return p if c == 1 else IntPoly(tuple(c * x for x in p.coeffs))
         if _pack_pays(len(a), len(b)):
             w = _slot_bytes(_bits(a), _bits(b), min(len(a), len(b)))
             pa = _pack(a, w)

@@ -232,6 +232,8 @@ class TestCq:
     def test_planted_pass_fault_is_caught(self, monkeypatch, fresh_q_caches, fault, pass_, check):
         # c_6(q) takes the passes [4]/[2] and then [5]/[1], which no c_n(q)
         # with n < 6 takes.  q - q^2 keeps c_6(1), so only the q = 2 check sees it.
+        # r_4(q) and r_5(q) take the same passes, so r_1(q)..r_6(q) are built first.
+        r_q_seq(6)
         right = qsequences._times_ratio
         monkeypatch.setattr(qsequences, "_times_ratio", lambda cs, j, g: (
             fault(right(cs, j, g)) if (j, g) == pass_ else right(cs, j, g)))
@@ -334,6 +336,52 @@ class TestRq:
         for n in range(1, 41):
             expected = reference_e_q_family(base, n) * RatFunc(qsequences._u_q(n))
             assert RatFunc(qsequences._r_q_family(base, n)) == expected
+
+
+def product_u_q(n: int) -> IntPoly:
+    """Reference u_n(q) = prod_{j<=n} [gcd(j, n)] by IntPoly products."""
+    return math.prod((qint(math.gcd(j, n)) for j in range(1, n + 1)), start=P_ONE)
+
+
+class TestRqPasses:
+    """r_n(q) by window passes, against the product-and-divexact route."""
+
+    def test_cold_r_q_forms_no_u_q_and_no_quotient(self, monkeypatch, fresh_q_caches):
+        calls, right = [], IntPoly.divexact
+        monkeypatch.setattr(IntPoly, "divexact", lambda a, b: calls.append(b) or right(a, b))
+        monkeypatch.setattr(qsequences, "_u_q", lambda n: calls.append(n) or P_ONE)
+        r = qsequences._r_q(40)
+        assert calls == []
+        monkeypatch.undo()
+        assert r(1) == r_seq(40)[39]
+
+    @pytest.mark.parametrize("fault", [
+        lambda right, cs: list(cs),  # the pass dropped
+        lambda right, cs: right(cs, 12, 1),  # [12]/[1] in place of [12]/[6]
+    ], ids=["dropped", "as-12-over-1"])
+    def test_planted_fault_in_the_12_6_pass(self, monkeypatch, capsys, fresh_q_caches, fault):
+        # [12]/[6] is the pass of j = 12 in u_12/u_6^2, the d = 2 term of r_12(q).
+        right = qsequences._times_ratio
+        monkeypatch.setattr(qsequences, "_times_ratio", lambda cs, j, g: (
+            fault(right, cs) if (j, g) == (12, 6) else right(cs, j, g)))
+        assert cli.main(["seq", "rq", "12"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "consistency violation: r_12(q) did not reduce to a polynomial")
+
+    def test_ratio_passes_match_the_product_route(self):
+        u = [None, *map(product_u_q, range(1, 65))]
+        for n in range(1, 65):
+            for d in divisors(n):
+                expected = u[n].divexact(u[n // d] ** d)
+                assert IntPoly(qsequences._times_u_ratio((1,), n, n // d)) == expected
+
+    @pytest.mark.parametrize("base", [IntPoly((1, -1)), IntPoly((-1, 1))])
+    def test_tail_matches_the_product_route(self, monkeypatch, base):
+        # With every R_m = 0 the divisor sum is its tail, base^(n-1) u_n(q)/[n].
+        monkeypatch.setattr(qsequences, "_r_q_family", lambda b, m: P_ZERO)
+        for n in range(1, 65):
+            expected = base ** (n - 1) * product_u_q(n).divexact(qint(n))
+            assert qsequences._divisor_sum(base, n) == expected
 
 
 class TestOddSymmetry:

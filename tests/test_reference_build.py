@@ -5,7 +5,8 @@ code when the fast ring kernels of ``ppx.rings`` are replaced by their
 references: the schoolbook products and long division for the word-slot
 (Kronecker) kernels, the primitive pseudo-remainder sequence for GCDHEU,
 dense long division by q^m - 1 for the fold of ``QuotientRing.reduce``, and
-the product route for the q-integer passes of ``qsequences._times_ratio``.
+the product route for the q-integer passes of ``qsequences._times_ratio`` and
+the differences of ``qsequences._times_one_minus``.
 Each command runs from empty caches, as in a fresh process, so the
 references compute every value it prints.  A planted fault in a word-slot
 product or in the fold stride must make the comparison fail."""
@@ -18,7 +19,7 @@ import pytest
 
 from ppx.cli import main
 from ppx.qsequences import qint
-from ppx.rings import IntPoly, _fold, _unpack  # the planted faults wrap the last two
+from ppx.rings import IntPoly, P_ONE, _fold, _unpack  # the planted faults wrap the last two
 from schoolbook import prs_gcd
 from test_rings import clear_caches, long_division_remainder
 
@@ -63,11 +64,14 @@ def reference_build():
     word-slot kernel pays (``_pack_pays`` is false), so every IntPoly product
     and exact quotient takes the schoolbook loop; GCDHEU is the primitive
     PRS gcd with long-division cofactors; the fold mod q^m - 1 is dense
-    long division by q^m - 1; and a pass of [j]/[g] over a coefficient list
-    is the product by [j] and the exact quotient by [g]."""
+    long division by q^m - 1; a pass of [j]/[g] over a coefficient list is
+    the product by [j] and the exact quotient by [g], and a difference at lag
+    j the product by 1 - q^j."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("ppx.qsequences._times_ratio", lambda coeffs, j, g: (
             (IntPoly(coeffs) * qint(j)).divexact(qint(g)).coeffs))
+        patch.setattr("ppx.qsequences._times_one_minus", lambda coeffs, j: (
+            (IntPoly(coeffs) * (P_ONE - IntPoly.monomial(1, j))).coeffs))
         patch.setattr("ppx.rings._pack_pays", lambda m, n: False)
         patch.setattr("ppx.rings._heu_gcd", prs_gcd_cofactors)
         patch.setattr("ppx.rings._fold", lambda coeffs, m: list(

@@ -182,6 +182,18 @@ class TestKroneckerKernels:
         assert a * b == expected
         assert b * a == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.sampled_from([1, -1]), kron_coeffs.filter(bool)),
+           st.one_of(kron_polys, st.just(P_ZERO)))
+    def test_one_coefficient_factor(self, c, p):
+        # A factor c scales the other; a factor 1 returns the other itself
+        # (when both factors are constants, either is the one-coefficient one).
+        const = IntPoly((c,))
+        expected = schoolbook_mul(const, p)
+        assert const * p == p * const == p * c == c * p == expected
+        if c == 1 and p.degree > 0:
+            assert const * p is p and p * const is p and p * c is p
+
     @pytest.mark.parametrize("n", [16, 17, 24, 31, 32, 33])
     def test_mul_extreme_coefficients(self, n):
         # Every coefficient at 2^t - 1 (or alternating in sign) puts the
@@ -463,7 +475,7 @@ def flipped_word_digit(monkeypatch):
 class TestSuitesNoticeAWordSlotFault:
     # The suites that meet a word-slot result of 16 or more digits and use
     # it.  Others pass under the fault because they meet no such result or do
-    # not read the flipped digit: cor44, thm41, eq26 below --m 12 and eq28
+    # not read the flipped digit: cor44, thm41, eq26 below --m 14 and eq28
     # below --m 11.  eq26 and eq28 run at the smallest --m that exits 1.
     @pytest.mark.parametrize("command, notice", [
         ("verify roundtrip --max-n 18", "FAIL e-q-oracle"),
@@ -471,7 +483,7 @@ class TestSuitesNoticeAWordSlotFault:
         ("verify eq18", "FAIL product-coefficient"),
         ("verify eq21 --max-n 16", "FAIL log-coefficient"),
         ("verify thm43", "consistency violation"),
-        ("verify eq26 --m 12", "consistency violation"),
+        ("verify eq26 --m 14", "consistency violation"),
         ("verify eq28 --m 11", "FAIL sum-equals-product"),
         ("verify qpascal --max-n 16", "consistency violation"),
         ("verify thm42", "consistency violation"),
@@ -521,13 +533,14 @@ def test_suite_fed_wrong_products_fails_in_bounded_time(command):
 
 def test_failed_exact_division_is_a_consistency_violation(monkeypatch, capsys):
     # An exact division the theory guarantees is an internal check, not a
-    # usage error: it reports like a ConsistencyError, with exit 1.
+    # usage error: it reports like a ConsistencyError, with exit 1.  thm43
+    # divides to build Phi_m(q); thm42 divides nowhere.
     def refuse(self, other):
         raise InexactDivisionError("planted")
 
     clear_caches()
     monkeypatch.setattr(IntPoly, "divexact", refuse)
-    assert cli.main(["verify", "thm42"]) == 1
+    assert cli.main(["verify", "thm43"]) == 1
     assert "consistency violation: planted" in capsys.readouterr().err
     monkeypatch.undo()
     clear_caches()
