@@ -27,16 +27,15 @@ quotients of that check are the cofactors that reduce the fraction.
 ``RatFunc.__add__`` and ``__mul__`` run in no command; they stay because the
 benchmark's tracer wraps them by name.
 
-``IntPoly`` products and exact quotients use Kronecker substitution
-(Kronecker 1882; see Harvey, JSC 2009) when the two lengths m, n that set
-the schoolbook cost (the factors; the divisor and the quotient) have
+``IntPoly`` products use Kronecker substitution (Kronecker 1882; see
+Harvey, JSC 2009) when the lengths m, n of the factors have
 m n >= 4 (m + n): evaluate at q = 2^k, with k a whole number of bytes wide
-enough that every coefficient of the result is one balanced base-2^k digit,
-do one C big-integer multiply or ``divmod``, and read the digits back.
-Slots of at most 8 bytes are rounded up to 1, 2, 4 or 8 bytes, the machine
-integers that ``array`` converts in one C call.  A quotient is accepted only
-when a bound on its digits proves it exact; otherwise, and for smaller
-operands, the schoolbook loops decide.
+enough that every coefficient of the product is one balanced base-2^k digit,
+do one C big-integer multiply, and read the digits back.  Slots of at most
+8 bytes are rounded up to 1, 2, 4 or 8 bytes, the machine integers that
+``array`` converts in one C call.  Smaller factors use the schoolbook loop.
+GCDHEU evaluates through the same packing.  Exact quotients are schoolbook
+long division.
 
 The coefficient-ring protocol of the generic series, expansion and matrix
 code is ``zero`` and ``one``: the two instances ``ZZ`` and ``ZX`` at the
@@ -96,12 +95,13 @@ def _as_poly(value) -> "IntPoly":
 # per coefficient.
 #
 # Packing and unpacking cost about as much per coefficient as _PACK_COST
-# schoolbook coefficient products, so the kernel is used when lengths m, n
-# with m n schoolbook products have m n >= _PACK_COST (m + n): from 8 x 8
-# up for equal lengths, never with a factor of 4 or fewer coefficients.
-# Timed call by call on the operands of the perfbench workloads, this rule
-# costs at most 3% more than the best single constant and 7% more than
-# picking the faster kernel for every call.
+# schoolbook coefficient products, so a product takes the kernel when the
+# lengths m, n of its factors have m n >= _PACK_COST (m + n): from 8 x 8 up
+# for equal lengths, never with a factor of 4 or fewer coefficients.  Timed
+# call by call on the operands of the perfbench workloads, this rule costs
+# at most 3% more than the best single constant and 7% more than picking the
+# faster kernel for every call.  GCDHEU packs its inputs at any size: the
+# integers a(xi), b(xi) are what it works on.
 _PACK_COST = 4
 _WORD_CODES = {array(code).itemsize: code for code in "bhilq"}
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -304,24 +304,9 @@ class IntPoly:
         """Exact division over Z; raises :class:`InexactDivisionError` if the
         quotient does not exist with integer coefficients.
 
-        When the lengths of the divisor b and of the quotient pass the size
-        test of :meth:`__mul__` the kernel is Kronecker substitution: a and
-        b are evaluated at q = 2^k, where k is bits|a| + bits|b| +
-        bitlen(len b) + 1 rounded up to whole bytes, and to a word width, as
-        in :meth:`__mul__`, and divided once with ``divmod``.  A nonzero
-        remainder proves b does not divide a, since b | a in Z[q] implies
-        b(2^k) | a(2^k).  Otherwise the quotient is read back as balanced
-        base-2^k digits q and accepted only if bits|q| + bits|b| +
-        bitlen(len b) <= k.  Then q * b = a: both take the value a(2^k) at
-        2^k, so where they first differ their coefficients would differ by
-        a nonzero multiple of 2^k, yet there |(q b)_j| + |a_j| < 2^k.  If
-        the bound holds with equality, |(q b)_j| < 2^k - 2^(bits|q| +
-        bits|b|) and, by the choice of k, |a_j| < 2^(bits|q| - 1);
-        otherwise |(q b)_j| < 2^(k-1) and |a_j| < 2^(k-2).  One bit looser
-        and the check would accept wrong quotients.  The argument only uses
-        bits|a| + bits|b| + bitlen(len b) < k, so it holds for any k at least
-        that wide, the rounded word widths included.  In every other case
-        the schoolbook long division decides.
+        Schoolbook long division: each quotient coefficient, from the top,
+        is an exact division by the lead of the divisor, and the remainder
+        left at the end must be zero.
 
         >>> (IntPoly((1,) * 16) ** 2).divexact(IntPoly((1,) * 16)) == IntPoly((1,) * 16)
         True
@@ -335,18 +320,6 @@ class IntPoly:
         if da < db:
             raise InexactDivisionError(f"({self}) is not divisible by ({other})")
         a, b = self.coeffs, other.coeffs
-        if _pack_pays(len(b), da - db + 1):
-            bits_b = _bits(b)
-            w = _slot_bytes(_bits(a), bits_b, len(b))
-            quo, leftover = divmod(_pack(a, w), _pack(b, w))
-            if leftover:
-                raise InexactDivisionError(f"({self}) is not divisible by ({other})")
-            try:
-                digits = _unpack(quo, da - db + 1, w)
-            except OverflowError:  # the quotient needs more digits
-                digits = None
-            if digits is not None and _bits(digits) + bits_b + len(b).bit_length() <= 8 * w:
-                return IntPoly(digits)
         lb = other.lead
         rem = list(a)
         quo = [0] * (da - db + 1)

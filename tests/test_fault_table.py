@@ -3,23 +3,28 @@
 Each row plants one fault at a seam that a check reads (a sequence builder
 or a cached kernel, never the ``Report``), runs the smallest command that
 reaches it, and names every FAIL line that the command prints, in order.
-The command must exit 1.  The q-sequence caches are empty before and after
-each row, so a planted value is really computed with and leaves nothing
-behind.
+The command must exit 1.  The caches of the sequence modules are empty
+before and after each row, so a planted value is really computed with and
+leaves nothing behind.
 """
 
 import pytest
 
-from ppx import cli, qsequences
+from ppx import cli, qsequences, sequences
 from ppx.qsequences import qint
 from ppx.rings import IntPoly, RatFunc
 
 
+def replace_at(monkeypatch, module, name, n, wrong):
+    # module.name(n) returns wrong(right) for the right value, every other
+    # index the right value.
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda k: wrong(original(k)) if k == n else original(k))
+
+
 def wrong_cap_e5(monkeypatch):
     # 2q/[5] in place of E_5(q) = -q(1 - q + q^2)/[5].
-    original = qsequences._cap_e_q
-    monkeypatch.setattr(qsequences, "_cap_e_q", lambda n: (
-        RatFunc(IntPoly((0, 2)), qint(5)) if n == 5 else original(n)))
+    replace_at(monkeypatch, qsequences, "_cap_e_q", 5, lambda e: RatFunc(IntPoly((0, 2)), qint(5)))
 
 
 def r5_plus_one_minus_q(monkeypatch):
@@ -33,9 +38,32 @@ def r5_plus_one_minus_q(monkeypatch):
 def skewed_qfact3(monkeypatch):
     # 1 + 2q + 3q^2 + q^3 in place of [3]! = 1 + 2q + 2q^2 + q^3: not fixed
     # under reversal.
-    original = qsequences.qfact
-    monkeypatch.setattr(qsequences, "qfact", lambda n: (
-        IntPoly((1, 2, 3, 1)) if n == 3 else original(n)))
+    replace_at(monkeypatch, qsequences, "qfact", 3, lambda f: IntPoly((1, 2, 3, 1)))
+
+
+def negated_e4(monkeypatch):
+    # -e_4 = -5/8 breaks both the bound on a_4 and the sign law.
+    replace_at(monkeypatch, sequences, "_e", 4, lambda e: -e)
+
+
+def c4_is_five(monkeypatch):
+    # 5 in place of c_4 = 9, below the bound 3! = 6.
+    replace_at(monkeypatch, sequences, "_c", 4, lambda c: 5)
+
+
+def u4_is_seven(monkeypatch):
+    # 7 in place of u_4 = 8: neither 2 u_2^2 = 8 nor 4 u_1^4 = 4 divides it.
+    replace_at(monkeypatch, sequences, "_u", 4, lambda u: 7)
+
+
+def doubled_r4(monkeypatch):
+    # 2 r_4(q) has integer coefficients but leading coefficient 2.
+    replace_at(monkeypatch, qsequences, "_r_q", 4, lambda r: r * 2)
+
+
+def closed_form3_is_q(monkeypatch):
+    # q in place of the closed form -q of the third factor mod q^2.
+    replace_at(monkeypatch, qsequences, "mod_q2_closed_form", 3, lambda f: IntPoly((0, 1)))
 
 
 FAULTS = {
@@ -45,12 +73,20 @@ FAULTS = {
                             ["FAIL golden-e [n=5]", "FAIL golden-r [n=5]",
                              "FAIL odd-e-equals-E [n=5]", "FAIL odd-inversion-fixed [n=5]"]),
     "skewed-qfact3": (skewed_qfact3, "verify eq18", ["FAIL q-inverse-coefficient [n=3]"]),
+    "negated-e4": (negated_e4, "verify kolberg --max-n 4",
+                   ["FAIL a-bounds [n=4]", "FAIL sign-law [n=4]"]),
+    "c4-is-five": (c4_is_five, "verify borwein-lou --max-n 4", ["FAIL even-lower [n=4]"]),
+    "u4-is-seven": (u4_is_seven, "verify divisibility --max-n 4",
+                    ["FAIL u-divisibility [n=4 d=2]", "FAIL u-divisibility [n=4 d=4]"]),
+    "doubled-r4": (doubled_r4, "verify thm42 --max-n 4", ["FAIL monic-leading-coefficient [n=4]"]),
+    "closed-form3-is-q": (closed_form3_is_q, "verify thm45 --max-n 4", ["FAIL closed-form [n=3]"]),
 }
 
 
 @pytest.fixture
-def empty_q_caches():
-    cached = [value for value in vars(qsequences).values() if hasattr(value, "cache_clear")]
+def empty_caches():
+    cached = [value for module in (sequences, qsequences) for value in vars(module).values()
+              if hasattr(value, "cache_clear")]
     for function in cached:
         function.cache_clear()
     yield
@@ -59,7 +95,7 @@ def empty_q_caches():
 
 
 @pytest.mark.parametrize("plant, command, failures", FAULTS.values(), ids=FAULTS)
-def test_fault_prints_its_failures(empty_q_caches, monkeypatch, capsys, plant, command, failures):
+def test_fault_prints_its_failures(empty_caches, monkeypatch, capsys, plant, command, failures):
     plant(monkeypatch)
     assert cli.main(command.split()) == 1
     assert [line.split(" |")[0].strip() for line in capsys.readouterr().out.splitlines()

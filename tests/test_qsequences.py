@@ -225,6 +225,19 @@ class TestCq:
         for n, c in enumerate(c_q_seq(24), start=1):
             assert RatFunc(qfact(n)) * qsequences._e_q(n) == c
 
+    @pytest.mark.parametrize("n", [*range(1, 11), 24, 40, 64])
+    def test_reduction_by_factorial_gives_e_q(self, n):
+        # RatFunc(c_n(q), [n]!) is the reduction a failing q-row prints, and
+        # the one place where a command meets a nontrivial GCDHEU gcd and
+        # exact quotients of many coefficients.  Up to n = 10 the
+        # pseudo-remainder gcd, times the content gcd, reduces it the same way.
+        c, fact = qsequences._c_q(n), qfact(n)
+        f = RatFunc(c, fact)
+        assert f == qsequences._e_q(n)
+        if n <= 10:
+            g = prs_gcd(c.primitive_positive(), fact) * math.gcd(c.content, fact.content)
+            assert (f.num, f.den) == (c.divexact(g), fact.divexact(g))
+
     @pytest.mark.parametrize("fault, pass_, check", [
         (lambda cs: (IntPoly(cs) * IntPoly((1, 1))).coeffs, (4, 2), "q=1"),  # a factor too many
         (lambda cs: (IntPoly(cs) + IntPoly((0, 1, -1))).coeffs, (5, 1), "q=2"),  # same at q = 1

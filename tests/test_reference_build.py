@@ -2,10 +2,10 @@
 
 Every command of COMMANDS must print the same bytes and exit with the same
 code when the fast ring kernels of ``ppx.rings`` are replaced by their
-references: the schoolbook products and long division for the word-slot
-(Kronecker) kernels, the primitive pseudo-remainder sequence for GCDHEU,
-dense long division by q^m - 1 for the fold of ``QuotientRing.reduce``, and
-the product route for the q-integer passes of ``qsequences._times_ratio`` and
+references: the schoolbook products for the word-slot (Kronecker) product
+kernel, the primitive pseudo-remainder sequence for GCDHEU, dense long
+division by q^m - 1 for the fold of ``QuotientRing.reduce``, and the
+product route for the q-integer passes of ``qsequences._times_ratio`` and
 the differences of ``qsequences._times_one_minus``.
 Each command runs from empty caches, as in a fresh process, so the
 references compute every value it prints.  A planted fault in a word-slot
@@ -62,11 +62,11 @@ def prs_gcd_cofactors(a, b) -> tuple:
 def reference_build():
     """The outputs of COMMANDS with the ring references swapped in: no
     word-slot kernel pays (``_pack_pays`` is false), so every IntPoly product
-    and exact quotient takes the schoolbook loop; GCDHEU is the primitive
-    PRS gcd with long-division cofactors; the fold mod q^m - 1 is dense
-    long division by q^m - 1; a pass of [j]/[g] over a coefficient list is
-    the product by [j] and the exact quotient by [g], and a difference at lag
-    j the product by 1 - q^j."""
+    takes the schoolbook loop (exact quotients are always long division);
+    GCDHEU is the primitive PRS gcd with long-division cofactors; the fold
+    mod q^m - 1 is dense long division by q^m - 1; a pass of [j]/[g] over a
+    coefficient list is the product by [j] and the exact quotient by [g],
+    and a difference at lag j the product by 1 - q^j."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("ppx.qsequences._times_ratio", lambda coeffs, j, g: (
             (IntPoly(coeffs) * qint(j)).divexact(qint(g)).coeffs))

@@ -165,9 +165,10 @@ def schoolbook_divexact(a: IntPoly, b: IntPoly) -> IntPoly:
     return IntPoly(quo)
 
 
-# Lengths 1..40 straddle the Kronecker size test m n >= 4 (m + n), which
-# first passes at 5 x 20 and 8 x 8; small coefficients give interior
-# zeros, large ones reach about 10^60.
+# Lengths 1..40 straddle the Kronecker size test m n >= 4 (m + n) of
+# products, which first passes at 5 x 20 and 8 x 8; small coefficients give
+# interior zeros, large ones reach about 10^60.  Exact quotients, always a
+# long division, are checked on the same shapes.
 kron_coeffs = st.one_of(st.integers(-3, 3), st.integers(-10**60, 10**60))
 kron_polys = st.builds(
     IntPoly, st.lists(kron_coeffs, min_size=1, max_size=40)
@@ -234,12 +235,11 @@ class TestKroneckerKernels:
         else:
             assert a.divexact(b) == expected
 
-    def test_quotient_wider_than_slot_falls_back(self):
+    def test_quotient_wider_than_its_operands(self):
         # a = prod_{j<8} (1 + q^(3^j)) has 0/1 coefficients and is divisible
-        # by b = (1+q)^8, whose quotient has 34-bit coefficients.  The slot
-        # for a and b is 1 + 7 + bitlen(9) + 1 = 13 bits, rounded up to 16,
-        # so the quotient's digits overflow it: the digit-width check must
-        # reject them and the long division must answer.
+        # by b = (1+q)^8, whose quotient has 34-bit coefficients: far wider
+        # than a and b (1 and 7 bits), and than the 16-bit slot their product
+        # would take.  The long division must build them exactly.
         a = P_ONE
         for j in range(8):
             a = schoolbook_mul(a, IntPoly.monomial(1, 3 ** j) + 1)
@@ -248,14 +248,14 @@ class TestKroneckerKernels:
         assert max(map(abs, expected.coeffs)) >= 2 ** 15
         assert a.divexact(b) == expected
 
-    def test_quotient_width_check_is_tight(self):
+    def test_divisible_values_do_not_make_a_quotient(self):
         # q b is -2^16 q^31 plus small terms, so at 2^16 it takes the value
         # of the polynomial a of its balanced base-2^16 digits, which are all
         # small: a(2^16) = q(2^16) b(2^16), yet b does not divide a.  a and b
-        # pack into 2-byte slots, the divmod leaves no remainder and gives
-        # back q, whose digits miss the width bound by exactly one bit; a
-        # check one bit looser would return q.  (q is -2^16 times the
-        # two-sided inverse of b, rounded and cut where it falls below 64.)
+        # pack into 2-byte slots, and q is one bit too wide to be read back
+        # from them: the integers at 2^16 divide, and the long division must
+        # still raise.  (q is -2^16 times the two-sided inverse of b, rounded
+        # and cut where it falls below 64.)
         b = IntPoly((-3, 3, -3, -3, 3, -3, -3, -3, 3, -3, -3, -3, 3, 3, 3))
         q = IntPoly((
             124, 46, 72, -122, -73, -174, 60, -35, 119, -177, 19, -150, 367,
@@ -389,6 +389,9 @@ class TestWordSlots:
     @settings(max_examples=300, deadline=None)
     @given(straddling_pairs)
     def test_divexact_across_the_widest_word(self, pair):
+        # The same pairs as long-division cases: a quotient of 25..36-bit
+        # coefficients times a divisor like it, and that product plus a
+        # remainder of lower degree than the divisor.
         q, b = pair
         a = schoolbook_mul(q, b)
         assert a.divexact(b) == q
