@@ -39,9 +39,9 @@ product must show even where n_max puts that entry off every band.
 Specializing q at zeta_m -- done symbolically in Z[q]/Phi_m(q), never with
 complex floats -- collapses the q-Pascal matrix onto the m-fold one and
 yields the congruences c_n = 0 resp. c_{pm} = c_m mod p.  The Gaussian
-binomials of those suites are built in the ring: the q-Pascal rule runs on
-length-m coefficient vectors mod q^m - 1, where q^k is a rotation, and each
-entry is reduced by Phi_m once; the m-fold side stays on math.comb.
+binomials of those suites are built in the ring by qbinom's q-Pascal step,
+each q^k times an entry reduced as it is formed; the m-fold side stays on
+math.comb.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import math
 from . import qsequences, sequences
 from .qsequences import qbinom, qfact
 from .report import Report
-from .rings import ConsistencyError, IntPoly, QuotientRing, UsageError, ZX, ZZ, power, serialize
+from .rings import ConsistencyError, QuotientRing, UsageError, ZX, ZZ, power, serialize
 from .sequences import is_prime
 
 
@@ -495,27 +495,12 @@ def _embed(matrix: SquareMatrix, ring: QuotientRing) -> SquareMatrix:
     return matrix.map_entries(ring.reduce, ring)
 
 
-def _rotate(vector: list, k: int) -> list:
-    """q^k times a coefficient vector mod q^m - 1, m = len(vector)."""
-    s = k % len(vector)
-    return vector[-s:] + vector[:-s]
-
-
-def _gaussian_rows(n: int, ring: QuotientRing) -> list:
-    """[i, 0], ..., [i, i] in Z[q]/Phi_m for i < n, built in the ring: the q-Pascal
-    rule [i, k] = [i-1, k-1] + q^k [i-1, k] runs on coefficient vectors mod q^m - 1,
-    where q^k is a rotation, and each entry is reduced by Phi_m once."""
-    vectors, rows = [[1] + [0] * (ring.period - 1)], []
-    for i in range(n):
-        rows.append([ring.reduce(IntPoly(v)) for v in vectors])
-        vectors = [vectors[0], *([a + b for a, b in zip(vectors[k - 1], _rotate(vectors[k], k))]
-                                 for k in range(1, i + 1)), vectors[0]]
-    return rows
-
-
 def _gaussian_basis(n: int, ring: QuotientRing):
-    """The weights binom(i, k) = [i, k] at zeta_m, k <= i < n, read from _gaussian_rows."""
-    rows = _gaussian_rows(n, ring)
+    """binom(i, k) = [i, k] in ring (at zeta_m in Z[q]/Phi_m), k <= i < n: qbinom's
+    q-Pascal step run in the ring from (1,), each q^k times an entry reduced as formed."""
+    rows = [(ring.one,)]
+    while len(rows) < n:
+        rows.append(qsequences._q_pascal_step(rows[-1]))
     return lambda i, k: rows[i][k]
 
 

@@ -114,13 +114,18 @@ def qfact(n: int, below: IntPoly) -> IntPoly:
     return IntPoly(_times_ratio(below.coeffs, n, 1)) if n else P_ONE
 
 
+def _q_pascal_step(above: tuple) -> tuple:
+    """[n, 0..n] from the row [n-1, 0..n-1] above it by the q-Pascal rule [n, k] =
+    [n-1, k-1] + q^k [n-1, k] (Andrews, The Theory of Partitions, 1976, ch. 3):
+    additions and shifts only, in the ring of the entries, Z[q] or Z[q]/Phi_m."""
+    return (above[0], *(above[k - 1] + above[k].shifted(k) for k in range(1, len(above))),
+            above[0])
+
+
 @_bottom_up
 def _q_pascal_row(n: int, above: tuple) -> tuple:
-    """[n, 0], ..., [n, n] by the q-Pascal rule [n, k] = [n-1, k-1] + q^k [n-1, k]
-    (Andrews, The Theory of Partitions, 1976, ch. 3): additions and shifts only."""
-    if n == 0:
-        return (P_ONE,)
-    return (P_ONE, *(above[k - 1] + above[k].shifted(k) for k in range(1, n)), P_ONE)
+    """[n, 0], ..., [n, n]: the q-Pascal step run n times from (1,)."""
+    return _q_pascal_step(above) if n else (P_ONE,)
 
 
 @functools.cache

@@ -41,7 +41,8 @@ The coefficient-ring protocol of the generic series, expansion and matrix
 code is ``zero`` and ``one``: the two instances ``ZZ`` and ``ZX`` at the
 bottom hold them for ``int`` and :class:`IntPoly`, and a :class:`QuotientRing`
 holds them for its own elements.  Elements do the rest through their
-operators and are false exactly when zero; none of that code divides.
+operators, are false exactly when zero and, in Z[q] and its quotients, give
+q^k times themselves as ``shifted(k)``; none of that code divides.
 :func:`power` is the one power routine, of polynomials and of matrices.
 """
 
@@ -671,6 +672,10 @@ class QuotientElem:
         if other is None:
             return NotImplemented
         return QuotientElem(self.ring, self.rep - other.rep)
+
+    def shifted(self, k: int) -> "QuotientElem":
+        """Multiply by q^k."""
+        return self.ring.reduce(self.rep.shifted(k))
 
     def __mul__(self, other):
         other = self._coerce(other)

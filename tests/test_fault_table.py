@@ -10,9 +10,11 @@ leaves nothing behind.
 
 import pytest
 
-from ppx import cli, qsequences, sequences
+from ppx import cli, pascal, qsequences, sequences
+from ppx.pascal import SquareMatrix
 from ppx.qsequences import qint
 from ppx.rings import IntPoly, RatFunc
+from ppx.series import TruncatedSeries
 
 
 def replace_at(monkeypatch, module, name, n, wrong):
@@ -66,6 +68,38 @@ def closed_form3_is_q(monkeypatch):
     replace_at(monkeypatch, qsequences, "mod_q2_closed_form", 3, lambda f: IntPoly((0, 1)))
 
 
+def u4_times_one_plus_q(monkeypatch):
+    # (1 + q) u_4(q) is still a unit mod q^2, but its inverse has the wrong
+    # q-coefficient, so r_4(q)/u_4(q) leaves the expansion's factor.
+    replace_at(monkeypatch, qsequences, "_u_q", 4, lambda u: u * IntPoly((1, 1)))
+
+
+def exp_x2_negated(monkeypatch):
+    # exp(+-x) with -x^2/2! in place of x^2/2!: exp(-x) exp(x) is 1 - 4x^2/2! + ...
+    original = sequences.exp_series
+
+    def wrong(order, sign=1):
+        right = original(order, sign)
+        coeffs = [-c if k == 2 else c for k, c in enumerate(right.coeffs)]
+        return TruncatedSeries(right.ring, coeffs, right.binom)
+
+    monkeypatch.setattr(sequences, "exp_series", wrong)
+
+
+def pascal_last_entry_plus_one(monkeypatch):
+    # C(n-1, n-2) + 1 at (n-1, n-2) of P_n, the last entry of its band 1: every
+    # leading block smaller than n is still right.
+    original = pascal.pascal_matrix
+
+    def wrong(n):
+        right = original(n)
+        bands = dict(right.bands)
+        bands[1] = (*bands[1][:-1], bands[1][-1] + 1)
+        return SquareMatrix(right.ring, n, bands)
+
+    monkeypatch.setattr(pascal, "pascal_matrix", wrong)
+
+
 FAULTS = {
     "wrong-E5": (wrong_cap_e5, "verify thm41",
                  ["FAIL golden-E [n=5]", "FAIL odd-e-equals-E [n=5]"]),
@@ -80,6 +114,11 @@ FAULTS = {
                     ["FAIL u-divisibility [n=4 d=2]", "FAIL u-divisibility [n=4 d=4]"]),
     "doubled-r4": (doubled_r4, "verify thm42 --max-n 4", ["FAIL monic-leading-coefficient [n=4]"]),
     "closed-form3-is-q": (closed_form3_is_q, "verify thm45 --max-n 4", ["FAIL closed-form [n=3]"]),
+    "u4-times-one-plus-q": (u4_times_one_plus_q, "verify thm45 --max-n 5",
+                            ["FAIL rational-reduction [n=4]"]),
+    "exp-x2-negated": (exp_x2_negated, "verify eq18 --max-n 4", ["FAIL q1-specialization [N=4]"]),
+    "pascal-last-entry-plus-one": (pascal_last_entry_plus_one, "verify qpascal --max-n 4",
+                                   ["FAIL q1-specialization [n=4]"]),
 }
 
 

@@ -258,15 +258,35 @@ class TestRootOfUnity:
             check_root_of_unity_factorization(3, 4)
 
 
+def assert_basis_is_reduced_qbinom(n, ring):
+    # [i, 0], ..., [i, i] of the basis, for i < n, are the elements of ring that
+    # qbinom's entries reduce to; rows end at the diagonal and the basis at row n - 1
+    binom = pascal._gaussian_basis(n, ring)
+    for i in range(n):
+        row = [binom(i, k) for k in range(i + 1)]
+        assert all(e.ring is ring for e in row)
+        assert [e.rep for e in row] == [ring.reduce(qbinom(i, k)).rep for k in range(i + 1)]
+        with pytest.raises(IndexError):
+            binom(i, i + 1)
+    with pytest.raises(IndexError):
+        binom(n, 0)
+
+
 class TestGaussianRowsInTheRing:
     @pytest.mark.parametrize("m", range(2, 13))
     def test_rows_match_reduced_gaussian_binomials(self, m):
-        ring = QuotientRing.cyclotomic(m)
-        rows = pascal._gaussian_rows(40, ring)
-        assert [len(row) for row in rows] == list(range(1, 41))
-        for i, row in enumerate(rows):
-            assert all(e.ring is ring for e in row)
-            assert [e.rep for e in row] == [ring.reduce(qbinom(i, k)).rep for k in range(i + 1)]
+        assert_basis_is_reduced_qbinom(40, QuotientRing.cyclotomic(m))
+
+    def test_rows_in_the_dual_numbers(self):
+        # Z[q]/(q^2): each q^k times an entry is reduced by long division alone
+        assert_basis_is_reduced_qbinom(40, qsequences.mod_q2_ring())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 40), st.booleans(), st.integers(1, 60))
+    def test_rows_match_reduced_gaussian_binomials_at_any_size(self, m, folded, n):
+        # folded: the shared ring of period m, else the same modulus with no period
+        ring = QuotientRing.cyclotomic(m) if folded else QuotientRing(cyclotomic(m))
+        assert_basis_is_reduced_qbinom(n, ring)
 
     @pytest.mark.parametrize("n,m", [(6, 2), (8, 2), (9, 3), (12, 4), (18, 6), (30, 10)])
     def test_suite_inputs_match_the_z_q_route(self, n, m):
@@ -749,8 +769,9 @@ def reduce_calls(monkeypatch):
     return calls
 
 
-# 793 and 915 calls with the rows built in the ring and zeros never reduced;
-# 9,208 and 9,480 when every entry of the Z[q] matrices, zeros included, was.
+# 820 and 856 calls with qbinom's q-Pascal step run in the ring and zeros never
+# reduced; 9,208 and 9,480 when every entry of the Z[q] matrices, zeros
+# included, was.
 @pytest.mark.parametrize("command, bound", [("verify eq26 --m 8", 990),
                                             ("verify eq28 --m 10", 1145)])
 def test_root_of_unity_suites_reduce_calls(reduce_calls, capsys, command, bound):
@@ -760,12 +781,15 @@ def test_root_of_unity_suites_reduce_calls(reduce_calls, capsys, command, bound)
 
 def test_eq28_sums_its_bands_in_one_pass(monkeypatch):
     # 306 ring additions, all in the unit-band steps of the product; 8,406
-    # when the m bands were summed by m - 1 dense matrix additions.
+    # when the m bands were summed by m - 1 dense matrix additions.  The basis,
+    # whose q-Pascal steps add in the ring too, is built before counting.
+    ring = QuotientRing.cyclotomic(10)
+    binom = pascal._gaussian_basis(30, ring)
     calls = []
     original = rings.QuotientElem.__add__
     monkeypatch.setattr(rings.QuotientElem, "__add__",
                         lambda a, b: calls.append(1) or original(a, b))
-    assert check_truncated_exp_product(30, 10).passed
+    assert pascal._truncated_exp_product(binom, 30, 10, ring)[0].passed
     assert len(calls) <= 400
 
 
@@ -884,12 +908,14 @@ class TestMatrixSuitesCanFail:
         assert f"FAIL {failing}" in out
         assert "status: fail" in out
 
-    def test_rotation_off_by_one_fails_eq26(self, monkeypatch, capsys):
-        original = pascal._rotate
-        monkeypatch.setattr(pascal, "_rotate", lambda vector, k: original(vector, k + 1))
+    def test_shift_off_by_one_fails_eq26(self, monkeypatch, capsys):
+        # q^(k+1) in place of q^k in every q-Pascal step of the zeta_m basis
+        original = rings.QuotientElem.shifted
+        monkeypatch.setattr(rings.QuotientElem, "shifted", lambda e, k: original(e, k + 1))
         assert cli.main(["verify", "eq26"]) == 1
         out = capsys.readouterr().out
-        assert "FAIL generator-m-nilpotent" in out
+        fails = [line.split(" | ")[0].strip() for line in out.splitlines() if "FAIL" in line]
+        assert fails[0] == "FAIL generator-m-nilpotent [n=6 m=2]"
         assert "status: fail" in out
 
     def test_wrong_product_keeps_the_report(self, monkeypatch, capsys):

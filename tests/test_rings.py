@@ -782,6 +782,19 @@ class TestQuotientReduce:
         assert QuotientRing(cyclotomic(40)).period is None
         assert ring == QuotientRing(cyclotomic(40))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2), signed_polys(80), st.data())
+    def test_shifted_is_a_product_by_a_power_of_q(self, m, kind, f, data):
+        # the shared ring of period m, the same modulus with no period, and q^2;
+        # k on both sides of the period and of the modulus degree
+        ring = (QuotientRing.cyclotomic(m), QuotientRing(cyclotomic(m)), mod_q2_ring())[kind]
+        k = data.draw(st.integers(0, 3 * m + 2))
+        e = ring.reduce(f)
+        shifted = e.shifted(k)
+        assert shifted.ring is ring
+        assert shifted.rep == (e * ring.reduce(IntPoly.monomial(1, k))).rep
+        assert shifted.rep == ring.reduce(f.shifted(k)).rep
+
     def test_zero_and_one_are_held_once(self):
         ring = QuotientRing.cyclotomic(5)
         assert ring.zero is ring.zero and ring.one is ring.one
