@@ -1,6 +1,5 @@
 """The ppx command line: formats, exit codes, JSON round trips."""
 
-import argparse
 import contextlib
 import importlib
 import io
@@ -8,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 import ppx
 from ppx import cli
 from ppx.report import Report
+
+import argparse_reference
 
 
 def run(capsys, *argv):
@@ -323,7 +325,7 @@ def test_plan_table(monkeypatch, capsys, name):
             assert calls == []
         else:
             read, sets = expected
-            args = argparse.Namespace(**given)
+            args = types.SimpleNamespace(**given)
             assert cli._plan(suite, args) == (set(read), sets)
             assert cli.run_suite(name, args).checks == []
             assert calls == [params for params in sets for _ in suite.checks]
@@ -364,10 +366,99 @@ def test_grammar_runs_or_is_a_usage_error(head, data):
     out, err = out.getvalue(), err.getvalue()
     if code == 2:
         assert out == ""
-        one_line = err.startswith("error: ") and err.count("\n") == 1
-        assert one_line or (err.startswith("usage: ppx") and "error: " in err)
+        assert err.startswith("error: ") and err.count("\n") == 1
     else:
         assert code in (0, 1) and out
+
+
+@pytest.mark.parametrize("argv, line", [
+    ((), "missing command (see ppx --help)"),
+    (("frob",), "command must be one of seq, verify, pascal, got 'frob'"),
+    (("seq", "zz", "3"), "name must be one of e, c, a, u, r, eq, Eq, uq, rq, cq, got 'zz'"),
+    (("seq", "c", "x"), "count must be an integer, got 'x'"),
+    (("seq", "c", "8", "9"), "unexpected argument '9'"),
+    (("verify", "all", "--m"), "--m needs a value"),
+    (("pascal", "5", "--zz", "1"), "unrecognized option '--zz'"),
+    (("pascal", "5", "--help=1"), "--help takes no value"),
+])
+def test_usage_error_line(capsys, argv, line):
+    # One line per way parse_args rejects an argv.
+    assert run(capsys, *argv) == (2, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["seq", "--he", "zz"],
+                                  ["pascal", "--zz", "5", "--m", "-3", "-h", "--zz"]])
+def test_help_prints_the_synopsis(capsys, argv):
+    # Before any token at fault, or after a fault that argparse reported only
+    # at the end, a help flag prints the synopsis.
+    synopsis = cli.__doc__.split("\n\n")[1]
+    assert synopsis.startswith("    ppx seq <name> <N>") and "    ppx verify <suite>" in synopsis
+    assert run(capsys, *argv) == (0, synopsis + "\n", "")
+
+
+# ---------------------------------------------------------------------------
+# parse_args against the argparse parser it replaced: the same attributes, or
+# a rejection by both, or help on both.
+
+INTS = [str(i) for i in range(-3, 101)]
+WORDS = [*cli.SEQ_FUNCS, *cli.SUITES, "all", *cli.PASCAL_VARIANTS, "text", "csv", "json",
+         "print", "factor", "zz", "nonsense", "-", ""]
+FLAG_VALUES = {"--format": ["text", "csv", "json", "zz"], "--max-n": INTS, "--m": INTS,
+               "--p": INTS, "--variant": ["classic", "q", "m", "zz"],
+               "--action": ["print", "factor", "zz"], "--help": [""]}
+# Each flag and each prefix of it with a letter, unique within any one command,
+# and flags of no command, each with the values its flag takes.
+PREFIXES = {flag[:k]: values for flag, values in FLAG_VALUES.items()
+            for k in range(3, len(flag) + 1)}
+UNKNOWN = {flag: INTS + WORDS for flag in ("--zz", "-x", "-m", "--formats", "--max-nn", "--M")}
+FLAGS = {"-h": [""], **PREFIXES, **UNKNOWN}
+TOKENS = st.one_of(st.sampled_from([*cli.GRAMMAR, *WORDS, *FLAGS]), st.sampled_from(INTS),
+                   st.sampled_from(sorted(FLAGS)).flatmap(
+                       lambda flag: st.sampled_from(INTS + WORDS).map(f"{flag}={{}}".format)))
+POSITIONALS = {"seq": [list(cli.SEQ_FUNCS), INTS], "verify": [[*cli.SUITES, "all"]],
+               "pascal": [INTS]}
+OWN_FLAGS = {"seq": ["--format", "--help"],
+             "verify": ["--max-n", "--m", "--p", "--format", "--help"],
+             "pascal": ["--variant", "--m", "--action", "--format", "--help"]}
+
+
+@st.composite
+def near_grammar(draw):
+    """A command, its positionals and up to four options (mostly its own
+    flags or their prefixes, each with a value its flag takes) or stray
+    words, these at random places after the command."""
+    command = draw(st.sampled_from(sorted(POSITIONALS)))
+    items = [[draw(st.sampled_from(values))] for values in POSITIONALS[command]]
+    own = sorted(p for p in PREFIXES if any(f.startswith(p) for f in OWN_FLAGS[command]))
+    for _ in range(draw(st.integers(0, 4))):
+        flag = draw(st.sampled_from(own) | st.sampled_from(own) | st.sampled_from(sorted(FLAGS)))
+        value = draw(st.sampled_from(FLAGS[flag]))
+        item = [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+        items.insert(draw(st.integers(0, len(items))),
+                     item if draw(st.integers(0, 3)) else [draw(st.sampled_from(INTS + WORDS))])
+    return [command, *(token for item in items for token in item)]
+
+
+def reference_outcome(argv):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(argparse_reference.build_parser().parse_args(argv))
+    except SystemExit as exc:
+        return {0: "help", 2: "rejected"}[exc.code]
+
+
+def parse_args_outcome(argv):
+    try:
+        args = cli.parse_args(argv)
+    except cli.UsageError:
+        return "rejected"
+    return "help" if args.command == "help" else vars(args)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=st.one_of(st.lists(TOKENS, max_size=7), near_grammar()))
+def test_parse_args_matches_argparse(argv):
+    assert parse_args_outcome(argv) == reference_outcome(argv)
 
 
 class TestInternalErrors:
@@ -497,6 +588,13 @@ class TestSubprocess:
         assert proc.returncode == code == 0
         assert proc.stdout == capsys.readouterr().out.encode()
 
+    def test_help_survives_stripped_docstrings(self):
+        # -OO drops docstrings; what --help prints is assigned to __doc__.
+        proc = subprocess.run([sys.executable, "-OO", "-m", "ppx", "--help"], capture_output=True,
+                              text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == cli.__doc__.split("\n\n")[1] + "\n"
+
     def test_usage_error_line_reaches_stderr(self):
         proc = subprocess.run([sys.executable, "-m", "ppx", "verify", "thm41", "--max-n", "3"],
                               capture_output=True)
@@ -539,6 +637,18 @@ class TestLoading:
         loaded = modules_loaded_by("from ppx import cli; cli.main(['seq', 'c', '8'])")
         assert "ppx.sequences" in loaded
         assert not loaded & {"ppx.qsequences", "ppx.pascal"}
+
+    @pytest.mark.parametrize("code, ran", [
+        ("import ppx.cli", "ppx.cli"),
+        ("from ppx import cli; cli.main(['seq', 'c', '8'])", "ppx.sequences"),
+        ("from ppx import cli; cli.main(['verify', 'eq26', '--m', '8'])", "ppx.pascal"),
+        ("from ppx import cli; cli.main(['pascal', '12', '--action', 'factor'])", "ppx.pascal"),
+    ])
+    def test_no_argument_parser_is_loaded(self, code, ran):
+        # argparse with gettext and locale cost a few ms of every process.
+        loaded = modules_loaded_by(code)
+        assert ran in loaded
+        assert not loaded & {"argparse", "gettext", "locale"}
 
     @pytest.mark.parametrize("module,name", [(m, n) for m, names in EXPORTS.items()
                                              for n in names])
