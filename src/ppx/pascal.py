@@ -355,13 +355,14 @@ def factor_q_pascal(n: int) -> list:
 _SAME, _ZERO = ("as expected", "mismatch"), ("zero", "nonzero")
 
 
-def _block_rows(ring, binom, factorial, n_max: int) -> tuple:
+def _block_rows(ring, binom, factorial, sequence, n_max: int) -> tuple:
     """What the pascal and qpascal suites share, in the basis (ring, binom) with
     factorials factorial(k), all at N = n_max: P_N, the powers H^0..H^N of
-    H = H_(N,1), the greedily recovered c_1..c_(N-1), and per n = 0..N (from
+    H = H_(N,1), the greedily recovered c_1..c_(N-1), per n = 0..N (from
     the leading n x n blocks) whether H^k == factorial(k) H_(n,k) for every
-    k < n, whether H^n == 0 and whether the H_(n,k) sum to P_n.  The recovered
-    factors must multiply back to P (ConsistencyError at the first n where not)."""
+    k < n, whether H^n == 0 and whether the H_(n,k) sum to P_n, and per n >= 2
+    the factor-recovery row against sequence(n - 1).  The recovered factors
+    must multiply back to P (ConsistencyError at the first n where not)."""
     p = _pascal(ring, binom, n_max)
     divided = [_divided(ring, binom, n_max, k) for k in range(n_max)]
     partial, cs = _factor_greedily(ring, n_max, n_max - 1, divided.__getitem__, 1)
@@ -376,7 +377,12 @@ def _block_rows(ring, binom, factorial, n_max: int) -> tuple:
     divided_ok = [all(s[n] for s in same[:n]) for n in range(n_max + 1)]
     vanishes = [_blockwise(power, zero)[n] for n, power in enumerate(powers)]
     summed = _blockwise(functools.reduce(SquareMatrix.__add__, divided), p)
-    return p, powers, cs, divided_ok, vanishes, summed
+    # The expected factors are rendered once, and a row that holds prints its text twice.
+    expected, recovered = sequence(n_max - 1), {}
+    for n, text in enumerate(itertools.accumulate(map(str, expected), "{}, {}".format), 2):
+        ok = cs[: n - 1] == expected[: n - 1]
+        recovered[n] = ok, text, text if ok else ", ".join(map(str, cs[: n - 1]))
+    return p, powers, cs, divided_ok, vanishes, summed, recovered
 
 
 def check_pascal(n_max: int) -> Report:
@@ -385,7 +391,8 @@ def check_pascal(n_max: int) -> Report:
     if n_max < 2:
         raise UsageError("need n >= 2")
     rep = Report("pascal")
-    p, powers, cs, divided_ok, vanishes, summed = _block_rows(ZZ, math.comb, math.factorial, n_max)
+    p, powers, cs, divided_ok, vanishes, summed, recovered = _block_rows(
+        ZZ, math.comb, math.factorial, sequences.c_seq, n_max)
     # exp(H) = P as sum (N!/k!) H^k = N! P, in Z, over every band of the powers:
     # those off a power's band too, so that a wrong product fails this row as it
     # fails the per-n sum of H^k/k!.
@@ -398,9 +405,7 @@ def check_pascal(n_max: int) -> Report:
         rep.add("nilpotency", {"n": n}, vanishes[n], "H^n == 0", _ZERO[not vanishes[n]])
         rep.add("sum-of-divided-powers", {"n": n}, summed[n], "P_n", _SAME[not summed[n]])
         rep.add("matrix-exponential", {"n": n}, expd[n], "P_n", _SAME[not expd[n]])
-        expected = sequences.c_seq(n - 1)
-        rep.add("factor-recovery", {"n": n}, cs[: n - 1] == expected,
-                ", ".join(map(str, expected)), ", ".join(map(str, cs[: n - 1])))
+        rep.add("factor-recovery", {"n": n}, *recovered[n])
     prefix_ok = n_max == 2 or _factor_greedily(
         ZZ, n_max - 1, n_max - 2, lambda k: h_nk(n_max - 1, k), 1)[1] == cs[:-1]
     rep.add("factor-prefix-stability", {"n_max": n_max}, prefix_ok,
@@ -437,7 +442,8 @@ def check_q_pascal(n_max: int) -> Report:
     if n_max < 2:
         raise UsageError("need n >= 2")
     rep = Report("qpascal")
-    p, _, cs, divided_ok, vanishes, summed = _block_rows(ZX, qbinom, qfact, n_max)
+    p, _, _, divided_ok, vanishes, summed, recovered = _block_rows(
+        ZX, qbinom, qfact, qsequences.c_q_seq, n_max)
     at_one = _blockwise(p.map_entries(lambda e: e(1), ZZ), pascal_matrix(n_max))
     for n in range(2, n_max + 1):
         rep.add("q-divided-powers", {"n": n}, divided_ok[n],
@@ -445,9 +451,7 @@ def check_q_pascal(n_max: int) -> Report:
         rep.add("q-nilpotency", {"n": n}, vanishes[n], "H(q)^n == 0", _ZERO[not vanishes[n]])
         rep.add("q-exp-identity", {"n": n}, summed[n], "P_n(q)", _SAME[not summed[n]])
         rep.add("q1-specialization", {"n": n}, at_one[n], "P_n", _SAME[not at_one[n]])
-        expected = qsequences.c_q_seq(n - 1)
-        rep.add("q-factor-recovery", {"n": n}, cs[: n - 1] == expected,
-                ", ".join(map(str, expected)), ", ".join(map(str, cs[: n - 1])))
+        rep.add("q-factor-recovery", {"n": n}, *recovered[n])
     return rep
 
 

@@ -32,20 +32,10 @@ class Report:
         return "pass" if self.passed else "fail"
 
     def to_json_obj(self) -> dict:
-        return {
-            "report": self.suite,
-            "checks": [
-                {
-                    "id": c.check_id,
-                    "params": c.params,
-                    "pass": c.passed,
-                    "expected": c.expected,
-                    "actual": c.actual,
-                }
-                for c in self.checks
-            ],
-            "status": self.status,
-        }
+        # The JSON names of the fields of Check, in their order.
+        keys = ("id", "params", "pass", "expected", "actual")
+        return {"report": self.suite, "checks": [dict(zip(keys, c)) for c in self.checks],
+                "status": self.status}
 
     def render_text(self) -> str:
         lines = [f"report: {self.suite}"]

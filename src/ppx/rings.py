@@ -15,8 +15,8 @@ A parameter out of range is a :class:`UsageError`, raised only by ``cli``
 and by the functions that take a number from it; any other error that a
 command meets is a bug.
 
-A :class:`RatFunc` is a value that commands print and compare; no suite
-computes with one.  ``__init__`` normalises it once.  Each side is split as
+A :class:`RatFunc` is a value that commands print; no suite computes with one.
+``__init__`` normalises it once.  Each side is split as
 c q^v p (the content signed like the lead, a power of q, and a primitive p
 with p(0) != 0), so contents and powers of q cancel with no polynomial work
 and only the parts p reach the heuristic gcd GCDHEU of Char, Geddes and
@@ -734,13 +734,10 @@ def serialize(value):
     """
     if isinstance(value, bool):
         raise TypeError("booleans are not ring values")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
+    if isinstance(value, (int, Fraction)):
         return str(value)
     if isinstance(value, IntPoly):
         return [str(c) for c in value.coeffs]
     if isinstance(value, RatFunc):
-        return {"num": [str(c) for c in value.num.coeffs],
-                "den": [str(c) for c in value.den.coeffs]}
+        return {"num": serialize(value.num), "den": serialize(value.den)}
     raise TypeError(f"cannot serialize {value!r}")

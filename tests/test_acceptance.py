@@ -42,7 +42,7 @@ from ppx.qsequences import (
     r_q_seq,
     u_q_seq,
 )
-from ppx.rings import ZZ, IntPoly
+from ppx.rings import ZZ, IntPoly, RatFunc
 from ppx.sequences import (
     a_seq,
     c_seq,
@@ -98,8 +98,8 @@ def test_criterion_2_q_golden_lists(capsys):
     with criterion(2, "q-golden-lists", 5.0):
         e, cap_e, r = e_q_seq(7), cap_e_q_seq(7), r_q_seq(7)
         for n in range(1, 6):  # n <= 5 must match the source lists exactly
-            assert e[n - 1] == GOLDEN_E_Q[n - 1]
-            assert cap_e[n - 1] == GOLDEN_CAP_E_Q[n - 1]
+            assert e[n - 1] == RatFunc(*GOLDEN_E_Q[n - 1])
+            assert cap_e[n - 1] == RatFunc(*GOLDEN_CAP_E_Q[n - 1])
             assert r[n - 1] == GOLDEN_R_Q[n - 1]
         # n = 6, 7 are compared; a mismatch is logged as a transcription
         # discrepancy, with the expansion oracle (criterion 4) as the gate.

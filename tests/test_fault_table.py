@@ -8,6 +8,8 @@ before and after each row, so a planted value is really computed with and
 leaves nothing behind.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from ppx import cli, pascal, qsequences, sequences
@@ -53,6 +55,17 @@ def c4_is_five(monkeypatch):
     replace_at(monkeypatch, sequences, "_c", 4, lambda c: 5)
 
 
+def c5_is_25(monkeypatch):
+    # 25 in place of c_5 = -24, above the bound 4! = 24.
+    replace_at(monkeypatch, sequences, "_c", 5, lambda c: 25)
+
+
+def r_is_zero(n):
+    # 0 in place of r_n: -1 for an odd prime n, 1 - p^(p-1) for n = p^2 and
+    # p^(q-1) + q^(p-1) - p^(q-1) q^(p-1) for n = pq.
+    return lambda monkeypatch: replace_at(monkeypatch, sequences, "_r", n, lambda r: 0)
+
+
 def u4_is_seven(monkeypatch):
     # 7 in place of u_4 = 8: neither 2 u_2^2 = 8 nor 4 u_1^4 = 4 divides it.
     replace_at(monkeypatch, sequences, "_u", 4, lambda u: 7)
@@ -61,6 +74,13 @@ def u4_is_seven(monkeypatch):
 def doubled_r4(monkeypatch):
     # 2 r_4(q) has integer coefficients but leading coefficient 2.
     replace_at(monkeypatch, qsequences, "_r_q", 4, lambda r: r * 2)
+
+
+def r4_fraction_lead(monkeypatch):
+    # r_4(q) with its leading coefficient 1 given as Fraction(1): still monic,
+    # but not in Z[q].
+    replace_at(monkeypatch, qsequences, "_r_q", 4,
+               lambda r: IntPoly((*r.coeffs[:-1], Fraction(r.lead))))
 
 
 def closed_form3_is_q(monkeypatch):
@@ -110,9 +130,17 @@ FAULTS = {
     "negated-e4": (negated_e4, "verify kolberg --max-n 4",
                    ["FAIL a-bounds [n=4]", "FAIL sign-law [n=4]"]),
     "c4-is-five": (c4_is_five, "verify borwein-lou --max-n 4", ["FAIL even-lower [n=4]"]),
+    "c5-is-25": (c5_is_25, "verify borwein-lou --max-n 5", ["FAIL odd-upper [n=5]"]),
+    "r3-is-zero": (r_is_zero(3), "verify closed-forms --max-n 8", ["FAIL r-prime [p=3]"]),
+    "r9-is-zero": (r_is_zero(9), "verify closed-forms --max-n 9",
+                   ["FAIL r-prime-squared [p=3]"]),
+    "r15-is-zero": (r_is_zero(15), "verify closed-forms --max-n 15",
+                    ["FAIL r-two-primes [p=3 q=5]"]),
     "u4-is-seven": (u4_is_seven, "verify divisibility --max-n 4",
                     ["FAIL u-divisibility [n=4 d=2]", "FAIL u-divisibility [n=4 d=4]"]),
     "doubled-r4": (doubled_r4, "verify thm42 --max-n 4", ["FAIL monic-leading-coefficient [n=4]"]),
+    "r4-fraction-lead": (r4_fraction_lead, "verify thm42 --max-n 4",
+                         ["FAIL integer-coefficients [n=4]"]),
     "closed-form3-is-q": (closed_form3_is_q, "verify thm45 --max-n 4", ["FAIL closed-form [n=3]"]),
     "u4-times-one-plus-q": (u4_times_one_plus_q, "verify thm45 --max-n 5",
                             ["FAIL rational-reduction [n=4]"]),

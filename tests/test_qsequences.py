@@ -2,6 +2,7 @@
 
 import functools
 import math
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -158,10 +159,10 @@ class TestQBasics:
 
 class TestGoldenLists:
     def test_e_q_matches_source_list(self):
-        assert e_q_seq(7) == list(GOLDEN_E_Q)
+        assert e_q_seq(7) == [RatFunc(*pair) for pair in GOLDEN_E_Q]
 
     def test_cap_e_q_matches_source_list(self):
-        assert cap_e_q_seq(7) == list(GOLDEN_CAP_E_Q)
+        assert cap_e_q_seq(7) == [RatFunc(*pair) for pair in GOLDEN_CAP_E_Q]
 
     def test_r_q_matches_source_list(self):
         assert r_q_seq(7) == list(GOLDEN_R_Q)
@@ -170,10 +171,10 @@ class TestGoldenLists:
         assert transcription_discrepancies() == []
 
     def test_transcription_discrepancy_reported(self, monkeypatch):
-        wrong = RatFunc(P_ONE, qint(6))
+        wrong = (P_ONE, qint(6))
         monkeypatch.setattr(qsequences, "GOLDEN_E_Q", GOLDEN_E_Q[:5] + (wrong,) + GOLDEN_E_Q[6:])
         assert transcription_discrepancies() == [
-            ("golden-e", 6, str(wrong), str(GOLDEN_E_Q[5]))]
+            ("golden-e", 6, str(RatFunc(*wrong)), str(RatFunc(*GOLDEN_E_Q[5])))]
         assert check_golden_q_lists().passed
 
     def test_report(self):
@@ -617,6 +618,24 @@ def normalisations(monkeypatch, fresh_q_caches):
 def test_verify_normalisation_calls(normalisations, capsys, command, bound):
     assert cli.main(command.split()) == 0
     assert len(normalisations) <= bound
+
+
+def test_import_normalises_no_fraction():
+    """In a fresh process: importing qsequences reduces no fraction (the golden
+    lists are unreduced pairs), and ``seq eq 8`` then reduces each e_n(q) once."""
+    probe = ("import contextlib, io\n"
+             "from ppx import rings\n"
+             "calls, original = [], rings._gcd_cofactors\n"
+             "rings._gcd_cofactors = lambda a, b: calls.append(1) or original(a, b)\n"
+             "import ppx.qsequences\n"
+             "imported = len(calls)\n"
+             "from ppx import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    assert cli.main(['seq', 'eq', '8']) == 0\n"
+             "print(imported, len(calls))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.split() == ["0", "8"]
 
 
 class TestDividedPowerFaults:
