@@ -8,9 +8,9 @@ m-th root of unity zeta_m over Z[q]/Phi_m(q).  Two builders make them all:
 binom(floor(i/m), k) at (i, i - mk), the divided power H_{n,k} for m = 1.
 Every matrix is lower triangular, stored by its diagonals, the bands i - j =
 d >= 0: band k of P_n is H_{n,k}, and a product of two bands is one pass over
-their entries into the band at the sum of their offsets.  So a product, a
-unit-band step and a solve cost O(n) per pair of bands they multiply; the
-dense grid ``rows`` is a view, built only to render.
+their entries into the band at the sum of their offsets.  So a product and a
+unit-band step cost O(n) per pair of bands they multiply; the dense grid
+``rows`` is a view, built only to render.
 
 With binomials, the n x n Pascal matrix P_n = (C(i,j)) is exp(H_n) for
 H_n = H_{n,1}, entries i at (i, i-1): its powers are H_n^k = k! H_{n,k} and
@@ -26,8 +26,9 @@ agreement of the two is a genuine cross-check.  Each factor is the identity
 plus one band, so it is applied by a unit-band step, not a matrix product.
 The q-basis puts [k]! where k! was, and the m-fold matrices (m = 2 is the
 "doubled" Pascal triangle, OEIS A178112) factor the same way, row mk playing
-the role of row k.  No matrix code divides: a power is compared with k! (or
-[k]!) times a divided power, and exp(H) = P as sum (N!/k!) H^k = N! P.
+the role of row k.  No matrix code divides or inverts: a power is compared
+with k! (or [k]!) times a divided power, exp(H) = P as sum (N!/k!) H^k = N! P,
+and a quotient by multiplying it back.
 
 All these matrices are lower triangular, and the leading n x n block of a
 product (sum) of such matrices is the product (sum) of their blocks.  So the
@@ -508,28 +509,6 @@ def _gaussian_basis(n: int, ring: QuotientRing):
     return lambda i, k: rows[i][k]
 
 
-def solve_unit_lower(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
-    """Solve A X = B for unit lower triangular A, band by band in ascending d:
-    X = B - (A - I) X, so band d of X is band d of B plus band e of -A times band
-    d - e of X, for 0 < e <= d.  Only ring products and sums (each nonzero entry of
-    A is negated once): no entry is inverted, so it stays inside a quotient ring."""
-    a._require_compatible(b)
-    ring, n = a.ring, a.n
-    if a.bands.get(0) != (ring.one,) * n:
-        raise ConsistencyError("matrix is not unit lower triangular")
-    negated = [(e, tuple(ring.zero - v if v else v for v in band))
-               for e, band in a.bands.items() if e]
-    x = {}
-    for d in range(n):
-        acc = list(b.bands.get(d) or [ring.zero] * (n - d))
-        for e, band in negated:
-            if d - e in x:
-                _add_band_product(acc, band, d - e, x[d - e])
-        if any(acc):
-            x[d] = tuple(acc)
-    return SquareMatrix(ring, n, x)
-
-
 def _truncated_exp_product(binom, n: int, m: int, ring: QuotientRing) -> tuple:
     """The eq28 report, and the sum_{j<m} H_{n,j}(zeta_m) it checks, in the basis
     (ring, binom) of the Gaussian binomials at zeta_m."""
@@ -557,9 +536,9 @@ def check_root_of_unity_factorization(n: int, m: int) -> Report:
 
     Over Z[q]/Phi_m(q): the q-generator is m-step nilpotent, the truncated
     q-exponential factors as in the eq28 suite, the q-divided powers at
-    indices km collapse onto the m-fold integer divided powers, and the
-    unit-triangular quotient of P_n(zeta_m) is exactly the m-fold Pascal
-    matrix with its c_k factorization.
+    indices km collapse onto the m-fold integer divided powers, and P_n(zeta_m)
+    is the truncated q-exponential T times the m-fold Pascal matrix, and T times
+    its c_k factorization: both are decided by multiplying back.
     """
     if m < 2 or n < m:
         raise UsageError("need n >= m >= 2")
@@ -579,14 +558,16 @@ def check_root_of_unity_factorization(n: int, m: int) -> Report:
     rep.add("gaussian-specialization", {"n": n, "m": m}, ok,
             "H_(n,km)(zeta_m) == m-fold divided power", _SAME[not ok])
 
-    quotient = solve_unit_lower(truncated, _pascal(ring, binom, n))
-    m_fold = _embed(pascal_m(n, m), ring)
-    rep.add("quotient-is-m-fold-pascal", {"n": n, "m": m}, quotient == m_fold,
-            "P^(m)_n", _SAME[quotient != m_fold])
+    p, m_fold = _pascal(ring, binom, n), _embed(pascal_m(n, m), ring)
+    quotient_ok = truncated * m_fold == p
+    rep.add("quotient-is-m-fold-pascal", {"n": n, "m": m}, quotient_ok,
+            "P^(m)_n", _SAME[not quotient_ok])
 
     cs = sequences.c_seq(k_max) if k_max >= 1 else []
     product = _factored(ring, n, ((g, k * m, ring.reduce(c))
                                   for k, (g, c) in enumerate(zip(generators, cs), 1)))
-    rep.add("quotient-factorization", {"n": n, "m": m}, quotient == product,
-            "prod (I + c_k H_(n,km)(zeta_m))", _SAME[quotient != product])
+    # T is unit lower triangular, so T X = P has one solution, and T M == P makes it M.
+    ok = product == m_fold if quotient_ok else truncated * product == p
+    rep.add("quotient-factorization", {"n": n, "m": m}, ok,
+            "prod (I + c_k H_(n,km)(zeta_m))", _SAME[not ok])
     return rep

@@ -120,6 +120,56 @@ def pascal_last_entry_plus_one(monkeypatch):
     monkeypatch.setattr(pascal, "pascal_matrix", wrong)
 
 
+def m_fold_plus_one(monkeypatch):
+    # The m-fold P_n with 1 added to the last entry of its band m.
+    original = pascal.pascal_m
+
+    def wrong(n, m):
+        right = original(n, m)
+        bands = dict(right.bands)
+        bands[m] = (*bands[m][:-1], bands[m][-1] + 1)
+        return SquareMatrix(right.ring, n, bands)
+
+    monkeypatch.setattr(pascal, "pascal_m", wrong)
+
+
+def zeta_binomial_5_2_plus_one(monkeypatch):
+    # [5, 2] + 1 at zeta_m in the Gaussian basis of eq26 and eq28.
+    original = pascal._gaussian_basis
+
+    def wrong(n, ring):
+        binom = original(n, ring)
+        return lambda i, k: binom(i, k) + ring.one if (i, k) == (5, 2) else binom(i, k)
+
+    monkeypatch.setattr(pascal, "_gaussian_basis", wrong)
+
+
+def c1_q_plus_q(monkeypatch):
+    # c_1(q) + q = 1 + q in the truncated q-exponential's product.
+    replace_at(monkeypatch, qsequences, "_c_q", 1, lambda c: c + IntPoly((0, 1)))
+
+
+def sum_drops_band_n_minus_1(monkeypatch):
+    # A + B without B's band n - 1, the bottom-left entry of an n x n matrix.
+    original = SquareMatrix.__add__
+    monkeypatch.setattr(SquareMatrix, "__add__", lambda a, b: original(a, SquareMatrix(
+        b.ring, b.n, {d: band for d, band in b.bands.items() if d != b.n - 1})))
+
+
+def e3_after_c3_r3(monkeypatch):
+    # 2/3 in place of e_3 = -1/3, once c_3 and r_3 are cached: with them
+    # computed from it, r_3 3! != c_3 u_3 would stop the suite.
+    sequences._c(3), sequences._r(3)
+    replace_at(monkeypatch, sequences, "_e", 3, lambda e: Fraction(2, 3))
+
+
+def u5_after_r5(monkeypatch):
+    # 6 in place of u_5 = 5, once r_5 is cached: with it computed from u_5,
+    # 5 u_1^5 not dividing u_5 would stop the suite.
+    sequences._r(5)
+    replace_at(monkeypatch, sequences, "_u", 5, lambda u: 6)
+
+
 FAULTS = {
     "wrong-E5": (wrong_cap_e5, "verify thm41",
                  ["FAIL golden-E [n=5]", "FAIL odd-e-equals-E [n=5]"]),
@@ -147,6 +197,20 @@ FAULTS = {
     "exp-x2-negated": (exp_x2_negated, "verify eq18 --max-n 4", ["FAIL q1-specialization [N=4]"]),
     "pascal-last-entry-plus-one": (pascal_last_entry_plus_one, "verify qpascal --max-n 4",
                                    ["FAIL q1-specialization [n=4]"]),
+    "m-fold-plus-one": (m_fold_plus_one, "verify eq26 --m 2",
+                        ["FAIL quotient-is-m-fold-pascal [n=6 m=2]"]),
+    "zeta-binomial-5-2-plus-one": (zeta_binomial_5_2_plus_one, "verify eq26 --m 2",
+                                   ["FAIL gaussian-specialization [n=6 m=2]",
+                                    "FAIL quotient-is-m-fold-pascal [n=6 m=2]",
+                                    "FAIL quotient-factorization [n=6 m=2]"]),
+    "c1-q-plus-q": (c1_q_plus_q, "verify eq26 --m 2", ["FAIL sum-equals-product [n=6 m=2]"]),
+    "sum-drops-band-n-minus-1-pascal": (sum_drops_band_n_minus_1, "verify pascal --max-n 4",
+                                        ["FAIL sum-of-divided-powers [n=4]",
+                                         "FAIL matrix-exponential [n=4]"]),
+    "sum-drops-band-n-minus-1-qpascal": (sum_drops_band_n_minus_1, "verify qpascal --max-n 4",
+                                         ["FAIL q-exp-identity [n=4]"]),
+    "e3-after-c3-r3": (e3_after_c3_r3, "verify closed-forms --max-n 3", ["FAIL e-prime [p=3]"]),
+    "u5-after-r5": (u5_after_r5, "verify closed-forms --max-n 5", ["FAIL u-prime [p=5]"]),
 }
 
 

@@ -25,7 +25,6 @@ from ppx.pascal import (
     pascal_m,
     pascal_matrix,
     q_pascal,
-    solve_unit_lower,
 )
 from ppx.qsequences import c_q_seq, qbinom, qfact, qint
 from ppx.rings import (
@@ -247,11 +246,11 @@ class TestRootOfUnity:
     def test_truncated_exp_product(self, n, m):
         assert check_truncated_exp_product(n, m).passed
 
-    def test_solve_unit_lower_requires_unit_triangular(self):
-        ring = QuotientRing(cyclotomic(2))
-        bad = SquareMatrix.identity(ring, 3).scale(ring.reduce(2))
-        with pytest.raises(ConsistencyError):
-            solve_unit_lower(bad, SquareMatrix.identity(ring, 3))
+    def test_full_factorization_at_every_size(self):
+        # 2 <= m <= 12, m <= n <= 3m: the 165 pairs take the shortcut of
+        # quotient-factorization, product == P^(m)_n once T P^(m)_n == P_n held
+        assert all(check_root_of_unity_factorization(n, m).passed
+                   for m in range(2, 13) for n in range(m, 3 * m + 1))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -313,7 +312,7 @@ class TestSquareMatrix:
 
     @pytest.mark.parametrize("ring", [ZZ, ZX, QuotientRing(cyclotomic(2))])
     def test_entry_above_the_diagonal_raises(self, ring):
-        # every matrix is lower triangular, a solve's operand included
+        # every matrix is lower triangular
         for n in (2, 3, 4):
             for i, j in ((i, j) for i in range(n) for j in range(i + 1, n)):
                 rows = [[ring.one if c <= r else ring.zero for c in range(n)] for r in range(n)]
@@ -627,15 +626,6 @@ class TestUnitBandStep:
         assert scaled.map_entries(lambda e: e.value, ZX) == q_h_nk(6, 2).map_entries(
             lambda e: e * qint(3), ZX)
 
-    @settings(max_examples=40, deadline=None)
-    @given(matrix_pairs())
-    def test_solve_unit_lower_inverts_the_product(self, pair):
-        a, b = pair
-        n, ring = a.n, a.ring
-        unit = from_rows(ring, [[ring.one if i == j else a.entry(i, j) if i > j
-                                 else ring.zero for j in range(n)] for i in range(n)])
-        assert solve_unit_lower(unit, reference.dense_product(unit, b)) == b
-
 
 # ---------------------------------------------------------------------------
 # Reading every n from the leading blocks of the n_max matrices
@@ -769,9 +759,10 @@ def reduce_calls(monkeypatch):
     return calls
 
 
-# 820 and 856 calls with qbinom's q-Pascal step run in the ring and zeros never
-# reduced; 9,208 and 9,480 when every entry of the Z[q] matrices, zeros
-# included, was.
+# 868 and 856 calls with qbinom's q-Pascal step run in the ring, zeros never
+# reduced and eq26's quotient rows decided by multiplying back (820 for eq26
+# when they solved T X = P_n); 9,208 and 9,480 when every entry of the Z[q]
+# matrices, zeros included, was reduced.
 @pytest.mark.parametrize("command, bound", [("verify eq26 --m 8", 990),
                                             ("verify eq28 --m 10", 1145)])
 def test_root_of_unity_suites_reduce_calls(reduce_calls, capsys, command, bound):
