@@ -187,17 +187,10 @@ PASCAL_VARIANTS = {
 
 def cmd_pascal(args) -> int:
     n, variant = args.n, args.variant
-    if n < 1:
-        raise UsageError("n must be >= 1")
-    if variant == "m":
-        if args.m is None:
-            raise UsageError("--m is required with --variant m")
-        if args.m < 1:
-            raise UsageError("--m must be >= 1")
-    elif args.m is not None:
+    if variant == "m" and args.m is None:
+        raise UsageError("--m is required with --variant m")
+    if variant != "m" and args.m is not None:
         raise UsageError("--m only applies to --variant m")
-    if args.action == "factor" and n < 2:
-        raise UsageError("factoring needs n >= 2")
 
     build, factor = PASCAL_VARIANTS[variant]
     params = (n,) if args.m is None else (n, args.m)

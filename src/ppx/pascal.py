@@ -105,7 +105,7 @@ class SquareMatrix:
     def _require_compatible(self, other: "SquareMatrix"):
         if not isinstance(other, SquareMatrix):
             raise TypeError("expected a SquareMatrix")
-        if self.ring != other.ring or self.n != other.n:
+        if self.ring is not other.ring or self.n != other.n:
             raise ValueError("mixing matrix rings or dimensions")
 
     def __add__(self, other):
@@ -146,7 +146,7 @@ class SquareMatrix:
     def __eq__(self, other):
         if not isinstance(other, SquareMatrix):
             return NotImplemented
-        return self.ring == other.ring and self.n == other.n and self.bands == other.bands
+        return self.ring is other.ring and self.n == other.n and self.bands == other.bands
 
     def __repr__(self):
         return f"SquareMatrix({self.ring!r}, {self.n}x{self.n})"
@@ -266,7 +266,7 @@ def _factor(ring, binom, n: int, m: int, target: SquareMatrix, sequence) -> list
 def pascal_matrix(n: int) -> SquareMatrix:
     """P_n with entries C(i, j), lower triangular."""
     if n < 1:
-        raise ValueError("dimension must be >= 1")
+        raise UsageError("dimension must be >= 1")
     return _pascal(ZZ, math.comb, n)
 
 
@@ -280,7 +280,7 @@ def h_nk(n: int, k: int) -> SquareMatrix:
 def factor_pascal(n: int) -> list:
     """Recover c_1..c_{n-1} from P_n = prod (I + c_k H_{n,k}) greedily."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise UsageError("need n >= 2")
     return _factor(ZZ, math.comb, n, 1, pascal_matrix(n), sequences.c_seq)
 
 
@@ -327,7 +327,7 @@ def factor_pascal_m(n: int, m: int) -> list:
     """Recover the c_k from the m-fold Pascal matrix; row mk plays the role
     row k plays in the classical recovery."""
     if n < 2 or m < 1:
-        raise ValueError("need n >= 2 and m >= 1")
+        raise UsageError("need n >= 2 and m >= 1")
     return _factor(ZZ, math.comb, n, m, pascal_m(n, m), sequences.c_seq)
 
 
@@ -338,14 +338,14 @@ def factor_pascal_m(n: int, m: int) -> list:
 def q_pascal(n: int) -> SquareMatrix:
     """P_n(q) with Gaussian binomial entries."""
     if n < 1:
-        raise ValueError("dimension must be >= 1")
+        raise UsageError("dimension must be >= 1")
     return _pascal(ZX, qbinom, n)
 
 
 def factor_q_pascal(n: int) -> list:
     """Recover c_1(q)..c_{n-1}(q) from P_n(q) = prod (I + c_k(q) H_{n,k}(q))."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise UsageError("need n >= 2")
     return _factor(ZX, qbinom, n, 1, q_pascal(n), qsequences.c_q_seq)
 
 
@@ -478,10 +478,10 @@ def check_cyclotomic_specialization(n_max: int, m: int) -> Report:
 
 def check_carlitz(p: int, n_max: int) -> Report:
     """c_n = 0 mod p for n > p coprime to p; c_{pm} = c_m mod p."""
-    if not is_prime(p):
-        raise UsageError("p must be prime")
     if n_max <= p:
         raise UsageError("need n_max > p")
+    if not is_prime(p):
+        raise UsageError("p must be prime")
     rep = Report("cor44")
     for n in range(p + 1, n_max + 1):
         c_mod = sequences._c(n) % p

@@ -285,8 +285,9 @@ GOLDEN_R_Q = (
 # Closed forms and specializations
 
 
+@functools.cache
 def mod_q2_ring() -> QuotientRing:
-    """The ring Z[q]/(q^2) of dual numbers over Z."""
+    """The ring Z[q]/(q^2) of dual numbers over Z, one instance."""
     return QuotientRing(IntPoly((0, 0, 1)))
 
 

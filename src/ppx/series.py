@@ -90,7 +90,7 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (self.ring == other.ring and self.binom == other.binom
+        return (self.ring is other.ring and self.binom == other.binom
                 and self.coeffs == other.coeffs)
 
     def __repr__(self):

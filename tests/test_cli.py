@@ -531,6 +531,17 @@ class TestPascal:
         code, _, _ = run(capsys, "pascal", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, line", [
+        ("pascal 0", "dimension must be >= 1"),
+        ("pascal 1 --action factor", "need n >= 2"),
+        ("pascal 0 --variant q", "dimension must be >= 1"),
+        ("pascal 5 --variant m --m 0", "need n >= 1 and m >= 1"),
+        ("pascal 1 --variant m --m 2 --action factor", "need n >= 2 and m >= 1"),
+    ])
+    def test_builder_reports_a_size_out_of_range(self, capsys, argv, line):
+        # cmd_pascal checks only the --m grammar; the builder checks the sizes.
+        assert run(capsys, *argv.split()) == (2, "", f"error: {line}\n")
+
 
 class TestSubprocess:
     def test_module_invocation(self):

@@ -33,6 +33,7 @@ from ppx.rings import (
     P_ONE,
     P_ZERO,
     QuotientRing,
+    UsageError,
     ZX,
     ZZ,
     cyclotomic,
@@ -87,6 +88,22 @@ class TestClassical:
 
     def test_prefix_stability(self):
         assert factor_pascal(6) == factor_pascal(7)[:5]
+
+    @pytest.mark.parametrize("build, params, line", [
+        (pascal_matrix, (0,), "dimension must be >= 1"),
+        (q_pascal, (0,), "dimension must be >= 1"),
+        (pascal_m, (5, 0), "need n >= 1 and m >= 1"),
+        (factor_pascal, (1,), "need n >= 2"),
+        (factor_q_pascal, (1,), "need n >= 2"),
+        (factor_pascal_m, (1, 2), "need n >= 2 and m >= 1"),
+        (factor_pascal_m, (5, 0), "need n >= 2 and m >= 1"),
+    ], ids=lambda x: getattr(x, "__name__", None))
+    def test_builders_check_the_sizes_pascal_passes(self, build, params, line):
+        # ppx pascal hands n and m to these unchecked: a size out of range is
+        # a UsageError, which is also a ValueError.
+        with pytest.raises(UsageError, match=f"^{line}$") as raised:
+            build(*params)
+        assert isinstance(raised.value, ValueError)
 
     def test_report(self):
         assert check_pascal(10).passed
@@ -216,6 +233,16 @@ class TestCarlitz:
             check_carlitz(4, 20)
         with pytest.raises(ValueError):
             check_carlitz(5, 5)
+
+    def test_bound_is_checked_before_primality(self, monkeypatch):
+        # Trial division of a prime near 10^18 would take minutes; n_max <= p
+        # is decided first, at constant cost.
+        def no_primality_test(p):
+            raise AssertionError("is_prime called")
+
+        monkeypatch.setattr(pascal, "is_prime", no_primality_test)
+        with pytest.raises(UsageError, match=r"^need n_max > p$"):
+            check_carlitz(10 ** 18 + 3, 20)
 
 
 class TestRootOfUnity:

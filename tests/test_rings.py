@@ -722,6 +722,20 @@ class TestQuotientRing:
         with pytest.raises(ValueError):
             r1.one + r2.one
 
+    def test_a_ring_equals_only_itself(self):
+        # The same modulus in two instances still makes two rings; the shared
+        # instances are those of QuotientRing.cyclotomic and mod_q2_ring.
+        shared, other = QuotientRing.cyclotomic(7), QuotientRing(cyclotomic(7))
+        assert shared != other and shared == shared
+        for a, b in ((shared.one, other.one), (other.one, shared.one)):
+            with pytest.raises(ValueError, match="mixing"):
+                a + b
+            with pytest.raises(ValueError, match="mixing"):
+                a * b
+            with pytest.raises(ValueError, match="mixing"):
+                a == b
+        assert mod_q2_ring() is mod_q2_ring()
+
 
 def long_division_remainder(coeffs, modulus) -> tuple:
     """Dense schoolbook reference on coefficient sequences, lowest degree
@@ -780,7 +794,6 @@ class TestQuotientReduce:
         assert ring is QuotientRing.cyclotomic(40)
         assert (ring.period, ring.modulus) == (40, cyclotomic(40))
         assert QuotientRing(cyclotomic(40)).period is None
-        assert ring == QuotientRing(cyclotomic(40))
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 40), st.integers(0, 2), signed_polys(80), st.data())

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ppx import cli, products, qsequences, rings, sequences
 from ppx.sequences import (
@@ -37,6 +39,59 @@ class TestHelpers:
     def test_primes(self):
         assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
         assert not is_prime(1) and is_prime(2) and not is_prime(91)
+
+
+# Brute-force definitions, side by side with the one factorization behind
+# divisors, euler_phi and is_prime.  Each divisor d <= sqrt(n) pairs with n/d.
+def brute_divisors(n):
+    return sorted({d for k in range(1, math.isqrt(n) + 1) if n % k == 0 for d in (k, n // k)})
+
+
+def brute_phi(n):
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def brute_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def sieve(n):
+    flags = [False, False] + [True] * (n - 1)
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p::p] = [False] * len(flags[p * p::p])
+    return [p for p, prime in enumerate(flags) if prime]
+
+
+BIG_PRIME, BIG_SEMIPRIME = 10 ** 9 + 7, (10 ** 4 + 7) * (10 ** 4 + 9)
+
+
+class TestNumberTheoryAgainstBruteForce:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3000))
+    @example(1)
+    @example(2)
+    def test_small(self, n):
+        assert divisors(n) == brute_divisors(n)
+        assert euler_phi(n) == brute_phi(n)
+        assert is_prime(n) == brute_is_prime(n)
+        assert primes_up_to(n) == sieve(n)
+
+    @pytest.mark.parametrize("n", [BIG_PRIME, BIG_SEMIPRIME])
+    def test_large(self, n):
+        divs = divisors(n)
+        assert divs == brute_divisors(n)
+        assert is_prime(n) == brute_is_prime(n) == (n == BIG_PRIME)
+        # Gauss: the totients of the divisors of n sum to n.
+        assert sum(euler_phi(d) for d in divs) == n
+        assert euler_phi(n) == (n - 1 if n == BIG_PRIME else (10 ** 4 + 6) * (10 ** 4 + 8))
+
+    @pytest.mark.parametrize("n", [0, -1, -12])
+    def test_below_one(self, n):
+        for helper in (divisors, euler_phi):
+            with pytest.raises(ValueError):
+                helper(n)
+        assert not is_prime(n) and primes_up_to(n) == []
 
 
 class TestGoldenValues:
