@@ -17,14 +17,9 @@ which check the sizes that ``pascal`` passes them; any other error that a
 command meets is a bug.
 
 A :class:`RatFunc` is a value that commands print; no suite computes with one.
-``__init__`` normalises it once.  Each side is split as
-c q^v p (the content signed like the lead, a power of q, and a primitive p
-with p(0) != 0), so contents and powers of q cancel with no polynomial work
-and only the parts p reach the heuristic gcd GCDHEU of Char, Geddes and
-Gonnet: evaluate at a power of two xi > 2 max(|a|, |b|), take the integer
-gcd, read a candidate back from its balanced xi-adic digits and keep it only
-if it divides both inputs exactly, or else retry at a larger xi.  The exact
-quotients of that check are the cofactors that reduce the fraction.
+``__init__`` normalises it once: it divides both sides by :func:`poly_gcd`,
+the one gcd (GCDHEU of Char, Geddes and Gonnet, after powers of q and
+contents are taken off), then by their common integer content.
 ``RatFunc.__add__`` and ``__mul__`` run in no command; they stay because the
 benchmark's tracer wraps them by name.
 
@@ -35,8 +30,8 @@ enough that every coefficient of the product is one balanced base-2^k digit,
 do one C big-integer multiply, and read the digits back.  Slots of at most
 8 bytes are rounded up to 1, 2, 4 or 8 bytes, the machine integers that
 ``array`` converts in one C call.  Smaller factors use the schoolbook loop.
-GCDHEU evaluates through the same packing.  Exact quotients are schoolbook
-long division.
+:func:`poly_gcd` evaluates through the same packing.  Exact quotients are
+schoolbook long division.
 
 The coefficient-ring protocol of the generic series, expansion and matrix
 code is ``zero`` and ``one``: the two instances ``ZZ`` and ``ZX`` at the
@@ -105,8 +100,8 @@ def _as_poly(value) -> "IntPoly":
 # for equal lengths, never with a factor of 4 or fewer coefficients.  Timed
 # call by call on the operands of the perfbench workloads, this rule costs
 # at most 3% more than the best single constant and 7% more than picking the
-# faster kernel for every call.  GCDHEU packs its inputs at any size: the
-# integers a(xi), b(xi) are what it works on.
+# faster kernel for every call.  GCDHEU in poly_gcd packs its inputs at any
+# size: the integers a(xi), b(xi) are what it works on.
 _PACK_COST = 4
 _WORD_CODES = {array(code).itemsize: code for code in "bhilq"}
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -400,18 +395,23 @@ Q = IntPoly((0, 1))
 def poly_gcd(a, b) -> IntPoly:
     """Primitive gcd of two integer polynomials, positive leading coefficient.
 
-    Each nonzero side is split as c q^v p (see :func:`_split`); the gcd is
-    q^min(v) times the heuristic gcd GCDHEU (Char, Geddes and Gonnet, 1989)
-    of the two parts p.  For an integer xi >= 2 min(|a|, |b|) + 2, where |.|
-    is the largest coefficient magnitude, the primitive part G of the
-    polynomial whose symmetric xi-adic digits are gcd(a(xi), b(xi)) is the
-    gcd as soon as G divides both a and b; that exact division is the check
-    every answer passes.  Here xi is a power of two 2^(8w), above
-    2^8 max(|a|, |b|), so a(xi) and b(xi) are Kronecker packings (one word
-    slot per coefficient when w <= 8) and the digits of the integer gcd are
-    one unpacking.  When the check fails, xi grows and the evaluation is
-    repeated until it passes (see :func:`_heu_gcd` for why it does).  The
-    result divides both inputs exactly.
+    Each nonzero side is written c q^v p, with c its content, v its lowest
+    degree and p primitive with p(0) != 0; the gcd is q^min(v) times the gcd
+    of the two parts p, which is 1 at once when either has degree 0 (a side
+    c q^k).  Otherwise it is the heuristic gcd GCDHEU (Char, Geddes and
+    Gonnet, 1989): for an integer xi >= 2 min(|a|, |b|) + 2, where |.| is the
+    largest coefficient magnitude, the primitive part G of the polynomial
+    whose balanced xi-adic digits are gcd(a(xi), b(xi)) is the gcd as soon as
+    G divides both a and b; that exact division is the check every answer
+    passes.  Here xi is a power of two 2^(8w), above 2^8 max(|a|, |b|), so
+    a(xi) and b(xi) are Kronecker packings (one word slot per coefficient
+    when w <= 8) and the digits of the integer gcd are one unpacking of at
+    most min(len a, len b) coefficients; a candidate that needs more fails.
+    On a failed candidate xi grows to about xi^(5/4), as in SymPy's
+    dup_zz_heu_gcd, and the evaluation is repeated.  The loop ends:
+    gcd(a(xi), b(xi)) = g(xi) s, where the integer s divides
+    Res(a/g, b/g), which does not depend on xi; once xi/2 > s |g|, the
+    balanced digits spell s g, whose primitive part is g.
 
     >>> poly_gcd(IntPoly((1, 1)), IntPoly((1, 0, -1)))
     IntPoly([1, 1])
@@ -421,59 +421,23 @@ def poly_gcd(a, b) -> IntPoly:
         raise ValueError("gcd(0, 0) is undefined")
     if not a or not b:
         return (a or b).primitive_positive()
-    return _gcd_cofactors(a, b)[0].primitive_positive()
-
-
-def _split(p: IntPoly) -> tuple:
-    # (c, v, f) with p = c q^v f for nonzero p: c the content, signed like
-    # the leading coefficient, v the lowest degree with a nonzero
-    # coefficient, and f primitive with a positive lead and f(0) != 0.
-    cs = p.coeffs
-    v = next(i for i, x in enumerate(cs) if x)
-    c = p.content if cs[-1] > 0 else -p.content
-    return c, v, (p if c == 1 and v == 0 else IntPoly(tuple(x // c for x in cs[v:])))
-
-
-def _join(c: int, v: int, f: IntPoly) -> IntPoly:
-    # c q^v f, the inverse of _split.
-    return IntPoly((0,) * v + (f.coeffs if c == 1 else tuple(c * x for x in f.coeffs)))
-
-
-def _heu_gcd(a: IntPoly, b: IntPoly) -> tuple:
-    # GCDHEU on primitive a, b with positive leading coefficients:
-    # (g, a/g, b/g), where the two exact quotients are the check.  A split
-    # part of degree 0 is 1 (from a side c q^k), so the gcd is 1 at once.
-    # xi = 2^(8w) with 8w > max(bits|a|, bits|b|) + 8, so a(xi) and
-    # b(xi) are one _pack each, and xi > 2 min(|a|, |b|) + 2.  The gcd has at
-    # most min(len a, len b) coefficients; a digit expansion that needs more
-    # is a failed candidate.  xi grows to about xi^(5/4), as in SymPy's
-    # dup_zz_heu_gcd.  The loop ends: gcd(a(xi), b(xi)) = g(xi) s, where the
-    # integer s divides Res(a/g, b/g), which does not depend on xi.  Once
-    # xi/2 > s |g|, the balanced digits spell s g, whose primitive part is g.
-    if a.degree == 0 or b.degree == 0:
-        return P_ONE, a, b
-    n = min(len(a.coeffs), len(b.coeffs))
-    w = _slot_bytes(max(_bits(a.coeffs), _bits(b.coeffs)), 8, 0)
-    while True:
-        h = math.gcd(_pack(a.coeffs, w), _pack(b.coeffs, w))
-        try:
-            g = IntPoly(_unpack(h, n, w)).primitive_positive()
-            if g.degree == 0:
-                return P_ONE, a, b
-            return g, a.divexact(g), b.divexact(g)
-        except (OverflowError, InexactDivisionError):  # a failed candidate
-            w = _slot_bytes(10 * w, 0, 0)
-
-
-def _gcd_cofactors(a: IntPoly, b: IntPoly) -> tuple:
-    # (g, a/g, b/g) for nonzero a, b, where g = gcd(c_a, c_b) q^min(v_a, v_b)
-    # GCDHEU(p_a, p_b) is their gcd in Z[q] with a positive lead, for the
-    # splits a = c_a q^(v_a) p_a and b = c_b q^(v_b) p_b.
-    ca, va, pa = _split(a)
-    cb, vb, pb = _split(b)
-    c, v = math.gcd(ca, cb), min(va, vb)
-    g, fa, fb = _heu_gcd(pa, pb)
-    return _join(c, v, g), _join(ca // c, va - v, fa), _join(cb // c, vb - v, fb)
+    va, vb = (next(i for i, x in enumerate(p.coeffs) if x) for p in (a, b))
+    a, b = (IntPoly(p.coeffs[v:]).primitive_positive() for p, v in ((a, va), (b, vb)))
+    g = P_ONE
+    if a.degree > 0 and b.degree > 0:
+        n = min(len(a.coeffs), len(b.coeffs))
+        w = _slot_bytes(max(_bits(a.coeffs), _bits(b.coeffs)), 8, 0)
+        while True:
+            h = math.gcd(_pack(a.coeffs, w), _pack(b.coeffs, w))
+            try:
+                g = IntPoly(_unpack(h, n, w)).primitive_positive()
+                if g.degree > 0:  # the check: g divides both parts exactly
+                    a.divexact(g)
+                    b.divexact(g)
+                break
+            except (OverflowError, InexactDivisionError):  # a failed candidate
+                w = _slot_bytes(10 * w, 0, 0)
+    return g.shifted(min(va, vb))
 
 
 @functools.cache
@@ -520,9 +484,14 @@ class RatFunc:
             self.num = P_ZERO
             self.den = P_ONE
             return
-        _, num, den = _gcd_cofactors(num, den)
+        g = poly_gcd(num, den)
+        if g.degree > 0:
+            num, den = num.divexact(g), den.divexact(g)
+        c = math.gcd(num.content, den.content)
         if den.lead < 0:
-            num, den = -num, -den
+            c = -c
+        if c != 1:
+            num, den = IntPoly(x // c for x in num.coeffs), IntPoly(x // c for x in den.coeffs)
         self.num = num
         self.den = den
 
@@ -566,11 +535,14 @@ class RatFunc:
     def __str__(self):
         if self.den == P_ONE:
             return str(self.num)
-
-        def wrap(s: str) -> str:
-            return f"({s})" if ("+" in s or "-" in s[1:]) else s
-
-        return f"{wrap(str(self.num))}/{wrap(str(self.den))}"
+        num, den = str(self.num), str(self.den)
+        if "+" in num or "-" in num[1:]:
+            num = f"({num})"
+        # The lead of den is positive.  A sum, or c q^k with c != 1, is
+        # bracketed: 3/2q would read as (3/2)q.
+        if "+" in den or "-" in den or "q" in den[1:]:
+            den = f"({den})"
+        return f"{num}/{den}"
 
 
 # ---------------------------------------------------------------------------

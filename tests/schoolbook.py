@@ -84,6 +84,15 @@ def prs_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     return a
 
 
+def prs_poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """The gcd of nonzero a, b as ``rings.poly_gcd`` returns it, from
+    prs_gcd: q^min(v) times prs_gcd of the two sides with their lowest power
+    q^v and their content taken off."""
+    v = [next(i for i, x in enumerate(p.coeffs) if x) for p in (a, b)]
+    a, b = (IntPoly(p.coeffs[k:]).primitive_positive() for p, k in zip((a, b), v))
+    return prs_gcd(a, b).shifted(min(v))
+
+
 def coefficient_sum(a: tuple, b: tuple, sign: int = 1) -> tuple:
     """The coefficients of a + sign * b, for coefficient tuples a and b
     (lowest degree first), computed degree by degree and with no trailing

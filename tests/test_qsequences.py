@@ -38,7 +38,7 @@ from ppx.rings import ConsistencyError, IntPoly, P_ONE, P_ZERO, Q, RatFunc
 from ppx.sequences import c_seq, divisors, e_seq, exp_series, is_prime, r_seq, u_seq
 from ppx.series import TruncatedSeries
 from qfunc_series import QFrac, cap_expq_series, expq_series
-from schoolbook import prs_gcd
+from schoolbook import prs_gcd, prs_poly_gcd
 
 small_polys = st.builds(IntPoly, st.lists(st.integers(-9, 9), max_size=6))
 nonzero_polys = small_polys.filter(bool)
@@ -547,16 +547,12 @@ class TestGcdKernelFaults:
     def test_prs_fallback_alone(self, monkeypatch, fresh_q_caches):
         # The reference pseudo-remainder sequence, in place of GCDHEU,
         # gives the same gcds and the same results.
-        def prs_kernel(a, b):
-            g = prs_gcd(a, b)
-            return g, a.divexact(g), b.divexact(g)
-
         expected = c_q_seq(12)
         fresh_q_caches()
         for j in range(1, 31):
             for n in range(1, 31):
                 assert prs_gcd(qint(j), qint(n)) == qint(math.gcd(j, n))
-        monkeypatch.setattr(rings, "_heu_gcd", prs_kernel)
+        monkeypatch.setattr(rings, "poly_gcd", prs_poly_gcd)
         assert check_q_oracle(8).passed
         assert c_q_seq(12) == expected
 
@@ -571,7 +567,7 @@ class TestGcdKernelFaults:
 
         expected, oracle = c_q_seq(6), rows(check_q_oracle(6))
         fresh_q_caches()
-        monkeypatch.setattr(rings, "_heu_gcd", lambda a, b: (P_ONE, a, b))
+        monkeypatch.setattr(rings, "poly_gcd", lambda a, b: P_ONE)
         assert rows(check_q_oracle(6)) == oracle
         assert c_q_seq(6) == expected
         assert RatFunc(expected[5], qfact(6)) != e_q_seq(6)[5]
@@ -580,17 +576,18 @@ class TestGcdKernelFaults:
 class TestNoGcdOnTheSequencePath:
     @pytest.fixture
     def gcd_calls(self, monkeypatch, fresh_q_caches):
-        """One entry per call of poly_gcd or of the kernel behind RatFunc
-        normalisation, under every name a ppx module binds them to."""
-        calls = []
-        for name in ("_gcd_cofactors", "poly_gcd"):
-            original = getattr(rings, name)
-            counted = functools.partial(
-                lambda f, label, *args: calls.append(label) or f(*args), original, name)
-            for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "ppx"]:
-                for key, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, key, counted)
+        """One entry per call of poly_gcd, the gcd behind RatFunc
+        normalisation, under every name a ppx module binds it to."""
+        calls, original = [], rings.poly_gcd
+
+        def counted(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "ppx"]:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
         return calls
 
     def test_r_q_and_c_q_make_no_gcd(self, gcd_calls):
@@ -605,9 +602,9 @@ class TestNoGcdOnTheSequencePath:
 
 @pytest.fixture
 def normalisations(monkeypatch, fresh_q_caches):
-    """One entry per call of the kernel behind RatFunc normalisation."""
-    calls, original = [], rings._gcd_cofactors
-    monkeypatch.setattr(rings, "_gcd_cofactors", lambda a, b: calls.append(1) or original(a, b))
+    """One entry per call of poly_gcd, the gcd behind RatFunc normalisation."""
+    calls, original = [], rings.poly_gcd
+    monkeypatch.setattr(rings, "poly_gcd", lambda a, b: calls.append(1) or original(a, b))
     return calls
 
 
@@ -625,8 +622,8 @@ def test_import_normalises_no_fraction():
     lists are unreduced pairs), and ``seq eq 8`` then reduces each e_n(q) once."""
     probe = ("import contextlib, io\n"
              "from ppx import rings\n"
-             "calls, original = [], rings._gcd_cofactors\n"
-             "rings._gcd_cofactors = lambda a, b: calls.append(1) or original(a, b)\n"
+             "calls, original = [], rings.poly_gcd\n"
+             "rings.poly_gcd = lambda a, b: calls.append(1) or original(a, b)\n"
              "import ppx.qsequences\n"
              "imported = len(calls)\n"
              "from ppx import cli\n"

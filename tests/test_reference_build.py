@@ -20,7 +20,7 @@ import pytest
 from ppx.cli import main
 from ppx.qsequences import qint
 from ppx.rings import IntPoly, P_ONE, _fold, _unpack  # the planted faults wrap the last two
-from schoolbook import prs_gcd
+from schoolbook import prs_poly_gcd
 from test_rings import clear_caches, long_division_remainder
 
 COMMANDS = [
@@ -52,18 +52,12 @@ def run_commands() -> dict:
     return results
 
 
-def prs_gcd_cofactors(a, b) -> tuple:
-    # What _heu_gcd returns, (g, a/g, b/g), from the reference gcd.
-    g = prs_gcd(a, b)
-    return g, a.divexact(g), b.divexact(g)
-
-
 @pytest.fixture(scope="module")
 def reference_build():
     """The outputs of COMMANDS with the ring references swapped in: no
     word-slot kernel pays (``_pack_pays`` is false), so every IntPoly product
     takes the schoolbook loop (exact quotients are always long division);
-    GCDHEU is the primitive PRS gcd with long-division cofactors; the fold
+    ``poly_gcd``, which reduces every RatFunc, is the primitive PRS gcd; the fold
     mod q^m - 1 is dense long division by q^m - 1; a pass of [j]/[g] over a
     coefficient list is the product by [j] and the exact quotient by [g],
     and a difference at lag j the product by 1 - q^j."""
@@ -73,7 +67,7 @@ def reference_build():
         patch.setattr("ppx.qsequences._times_one_minus", lambda coeffs, j: (
             (IntPoly(coeffs) * (P_ONE - IntPoly.monomial(1, j))).coeffs))
         patch.setattr("ppx.rings._pack_pays", lambda m, n: False)
-        patch.setattr("ppx.rings._heu_gcd", prs_gcd_cofactors)
+        patch.setattr("ppx.rings.poly_gcd", prs_poly_gcd)
         patch.setattr("ppx.rings._fold", lambda coeffs, m: list(
             long_division_remainder(coeffs, (-1,) + (0,) * (m - 1) + (1,))))
         return run_commands()

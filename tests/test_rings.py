@@ -22,12 +22,9 @@ from ppx.rings import (
     QuotientRing,
     RatFunc,
     _bits,
-    _heu_gcd,
-    _join,
     _pack,
     _pack_pays,
     _slot_bytes,
-    _split,
     _unpack,
     cyclotomic,
     poly_gcd,
@@ -280,10 +277,9 @@ class TestKroneckerKernels:
     @given(kron_polys, kron_polys, kron_polys, kron_polys,
            st.integers(-6, 6).filter(bool))
     def test_cofactors_give_plain_normalisation(self, x, y, g, h, c):
-        # Planted common factors g (and an integer c) exercise the cofactors
-        # that the gcd kernel hands to RatFunc; the reference divides by the
-        # full gcd, found by the pseudo-remainder sequence, with the
-        # schoolbook loop.
+        # Planted common factors g (and an integer c) exercise the division
+        # by poly_gcd in RatFunc; the reference divides by the full gcd,
+        # found by the pseudo-remainder sequence, with the schoolbook loop.
         def plain(num, den):
             full = (prs_gcd(num.primitive_positive(), den.primitive_positive())
                     * math.gcd(num.content, den.content))
@@ -416,9 +412,10 @@ class TestWordSlots:
         # evaluation point is 2^64 or a wider power of two.
         a = schoolbook_mul(x, c).primitive_positive()
         b = schoolbook_mul(y, c).primitive_positive()
-        g, fa, fb = _heu_gcd(a, b)
+        g = poly_gcd(a, b)
         assert g == prs_gcd(a, b)
-        assert (schoolbook_mul(g, fa), schoolbook_mul(g, fb)) == (a, b)
+        schoolbook_divexact(a, g)  # each raises unless g divides exactly
+        schoolbook_divexact(b, g)
 
     def test_heu_gcd_retries_after_a_spurious_factor(self, monkeypatch):
         # a = 1 + q + q^2 and b = q + 2^32 + 1 are coprime, but at xi = 2^64
@@ -435,7 +432,7 @@ class TestWordSlots:
 
         monkeypatch.setattr(rings, "_unpack", counting)
         a, b = IntPoly((1, 1, 1)), IntPoly((2 ** 32 + 1, 1))
-        assert _heu_gcd(a, b) == (P_ONE, a, b)
+        assert poly_gcd(a, b) == P_ONE
         assert calls == [8, 11]
         assert prs_gcd(a, b) == P_ONE
 
@@ -599,12 +596,35 @@ class TestPolyGcd:
         assert poly_gcd(a, b) == prs_gcd(a, b)
 
     def test_heuristic_answers_qint_oracle(self):
-        # The kernel's own cofactors, not only its gcd, are right.
+        # The quotients RatFunc takes by the gcd, not only the gcd, are right:
+        # [j]/[n] reduces to ([j]/[d], [n]/[d]) with d = gcd(j, n).
         for j in range(2, 31):
             for n in range(2, 31):
-                g, cof_j, cof_n = _heu_gcd(qint(j), qint(n))
-                assert g == qint(math.gcd(j, n))
-                assert (g * cof_j, g * cof_n) == (qint(j), qint(n))
+                g = qint(math.gcd(j, n))
+                assert poly_gcd(qint(j), qint(n)) == g
+                f = RatFunc(qint(j), qint(n))
+                assert (g * f.num, g * f.den) == (qint(j), qint(n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(*[kron_polys.filter(lambda p: p.coeffs[0])] * 2,
+           nonzero_polys.filter(lambda p: p.coeffs[0]),
+           *[st.integers(-60, 60).filter(bool)] * 2, *[st.integers(0, 6)] * 2)
+    def test_scaled_shifted_operands_match_prs(self, x, y, g, c1, c2, i, j):
+        # c1 q^i x g and c2 q^j y g, with x(0), y(0), g(0) != 0: poly_gcd
+        # takes off the powers of q and the contents itself.  Expected:
+        # q^min(i, j) times prs_gcd of the primitive parts, and a RatFunc
+        # that divides by that gcd and by the common content.
+        a = schoolbook_mul(schoolbook_mul(x, g), IntPoly.monomial(c1, i))
+        b = schoolbook_mul(schoolbook_mul(y, g), IntPoly.monomial(c2, j))
+        pa = schoolbook_mul(x, g).primitive_positive()
+        pb = schoolbook_mul(y, g).primitive_positive()
+        gcd = prs_gcd(pa, pb).shifted(min(i, j))
+        assert poly_gcd(a, b) == gcd
+        num, den = schoolbook_divexact(a, gcd), schoolbook_divexact(b, gcd)
+        c = math.gcd(num.content, den.content) * (1 if den.lead > 0 else -1)
+        f = RatFunc(a, b)
+        assert (f.num, f.den) == (IntPoly(k // c for k in num.coeffs),
+                                  IntPoly(k // c for k in den.coeffs))
 
 
 class TestCyclotomic:
@@ -660,11 +680,6 @@ class TestRatFunc:
                 st.integers(0, 6))))
 
         num, den = scaled_shifted(x), scaled_shifted(y)
-        for p in (num, den):
-            c, v, part = _split(p)
-            assert (c > 0) == (p.lead > 0)
-            assert part.lead > 0 and part.content == 1 and part.coeffs[0] != 0
-            assert _join(c, v, part) == p
         f = RatFunc(num, den)
         assert f.den.lead > 0
         assert math.gcd(f.num.content, f.den.content) == 1
@@ -672,8 +687,9 @@ class TestRatFunc:
         assert schoolbook_mul(f.num, den) == schoolbook_mul(num, f.den)
 
     def test_monomial_over_q_factorial_never_packs(self, monkeypatch):
-        # q^k/[n]! and its q-inverse, the fractions of eq18: after the split
-        # the side q^k is 1, so GCDHEU returns before its loop.
+        # q^k/[n]! and its q-inverse, the fractions of eq18: with its power
+        # of q and content taken off, the side q^k is 1, so poly_gcd returns
+        # before the GCDHEU loop.
         facts = [qsequences.qfact(n) for n in range(25)]
         packed, pack = [], rings._pack
         monkeypatch.setattr(rings, "_pack", lambda *args: packed.append(args) or pack(*args))
@@ -683,6 +699,16 @@ class TestRatFunc:
                 assert RatFunc(IntPoly.monomial(-6, k), fact * 4).den == fact * 2
             assert RatFunc(*qsequences._at_inverse_q(P_ONE, fact)).den == fact
         assert packed == []
+
+    def test_str_brackets_a_scaled_monomial_denominator(self):
+        # 3/2q would read as (3/2)q.
+        assert str(RatFunc(3, IntPoly.monomial(2, 1))) == "3/(2q)"
+        assert str(RatFunc(5, IntPoly.monomial(7, 3))) == "5/(7q^3)"
+        assert str(RatFunc(-5, IntPoly.monomial(-7, 3))) == "5/(7q^3)"
+        assert str(RatFunc(1, IntPoly.monomial(1, 2))) == "1/q^2"
+        assert str(RatFunc(IntPoly.monomial(3, 2), IntPoly((1, 1)))) == "3q^2/(1+q)"
+        assert str(RatFunc(IntPoly((0, 2)), 3)) == "2q/3"
+        assert str(RatFunc(IntPoly((1, -1)), IntPoly.monomial(2, 1))) == "(1-q)/(2q)"
 
     def test_rational_reduction_structural_equality(self):
         assert Fraction(2, 4) == Fraction(1, 2)
