@@ -17,13 +17,15 @@ is a sum in Z[q] for r_n(q) = u_n(q) e_n(q), each [a]/[g] in it a polynomial:
     n r_n(q) = sum_{d|n, d>1} (-1)^d m r_m(q)^d prod_{j<=n} [gcd(j, n)]/[gcd(j, m)]
                + prod_{j<n} (1 - q^gcd(j, n)),
 
-as j <= n runs d times through the residues mod m and (1-q)[a] = 1 - q^a.  Each
-[a]/[g] is one pass over the coefficients, each 1 - q^a one difference, and no
-u_n(q) is formed.  Dividing by n is the integrality theorem as a postcondition;
-(-1)^n r_n(q) is asserted monic.  With q-1 the tail gains (-1)^(n-1) and the sum
-gives u_n(q) E_n(q); e_n(q), E_n(q) are each one reduced fraction over u_n(q).
-c_n(q) = [n]! e_n(q) is r_n(q) through the passes [j]/[gcd(j, n)], j <= n,
-checked at q = 1 and, against integer products, at q = 2 and q = -2.
+as j <= n runs d times through the residues mod m and (1-q)[a] = 1 - q^a.  The sum is
+one integer at q = 2^k: r_m(2^k)^d an integer power, each [a]/[g] = [a/g](q^g) a
+geometric sum in 2^(gk) by doubling, each 1 - q^a a shift; k is the narrowest whole-byte
+width with 2^(k-1) above the sum's L1 bound, so its balanced base-2^k digits, read once
+per n, are the coefficients.  u_n(q) is the same sum from 1 with m = 1.  Dividing by n is
+the integrality theorem as a postcondition; (-1)^n r_n(q) is asserted monic.  With q-1 the
+tail gains (-1)^(n-1) and the sum gives u_n(q) E_n(q); e_n(q), E_n(q) are each one reduced
+fraction over u_n(q).  c_n(q) = [n]! e_n(q) is r_n(q) through the passes [j]/[gcd(j, n)],
+j <= n, checked at q = 1 and, against integer products, at q = 2 and q = -2.
 Setting q = 1 recovers the classical sequences, q = 0 the dyadic
 pattern of 1/(1-x) = prod (1 + x^(2^k)), and reduction mod q^2 a closed-form
 expansion checked over the ring Z[q]/(q^2) with no division at all.
@@ -45,7 +47,7 @@ import itertools
 import math
 import operator
 
-from . import products, sequences
+from . import products, rings, sequences
 from .report import Report
 from .rings import (
     ConsistencyError,
@@ -76,15 +78,10 @@ def qint(n: int) -> IntPoly:
     return IntPoly((1,) * n)
 
 
-def _times_one_minus(coeffs, j: int) -> list:
-    """coeffs times 1 - q^j: the list less itself shifted by j."""
-    return list(map(operator.sub, [*coeffs, *[0] * j], [*[0] * j, *coeffs]))
-
-
 def _times_ratio(coeffs, j: int, g: int) -> list:
-    """coeffs times [j]/[g] = (1 - q^j)/(1 - q^g): times 1 - q^j, then running sums
-    of stride g; the last g sums are the remainder, and must be 0."""
-    out = _times_one_minus(coeffs, j)
+    """coeffs times [j]/[g] = (1 - q^j)/(1 - q^g): the list less itself shifted by j,
+    then running sums of stride g; the last g sums are the remainder, and must be 0."""
+    out = list(map(operator.sub, [*coeffs, *[0] * j], [*[0] * j, *coeffs]))
     for r in range(g):
         out[r::g] = itertools.accumulate(out[r::g])
     if any(out[-g:]):
@@ -144,7 +141,7 @@ def qbinom(n: int, k: int) -> IntPoly:
 def _u_q(n: int) -> IntPoly:
     if n < 1:
         raise ValueError("index must be >= 1")
-    via_gcd = IntPoly(_times_u_ratio((1,), n, 1))
+    via_gcd = _u_ratio_sum(n, [(1, P_ONE, 1)])
     via_phi = math.prod((qint(d) ** euler_phi(n // d) for d in divisors(n)), start=P_ONE)
     if via_gcd != via_phi:
         raise ConsistencyError(f"u_{n}(q): gcd product != totient product")
@@ -153,21 +150,39 @@ def _u_q(n: int) -> IntPoly:
     return via_gcd
 
 
-def _times_u_ratio(coeffs, n: int, m: int) -> list:
-    # coeffs times u_n(q)/u_m(q)^(n/m), m | n: the passes [gcd(j, n)]/[gcd(j, m)], j <= n.
-    pairs = [(a, g) for j in range(1, n + 1) if (a := math.gcd(j, n)) != (g := math.gcd(j, m))]
-    return functools.reduce(lambda cs, ag: _times_ratio(cs, *ag), pairs, coeffs)
+def _times_ratio_at(value: int, a: int, g: int, k: int) -> int:
+    # value times [a]/[g] = S_r(x) = 1 + x + ... + x^(r-1), r = a/g, x = 2^(gk), by doubling.
+    r, rest = divmod(a, g)
+    if rest:
+        raise ConsistencyError(f"[{a}]/[{g}] is not a polynomial: {g} does not divide {a}")
+    out = value
+    for i in reversed(range(r.bit_length() - 1)):
+        out += out << (r >> i + 1) * g * k  # S_2t = S_t + x^t S_t
+        if r >> i & 1:
+            out = value + (out << g * k)  # S_(2t+1) = 1 + x S_2t
+    return out
+
+
+def _u_ratio_sum(n: int, terms, tail: int = 0) -> IntPoly:
+    # tail prod_{j<n} (1 - q^gcd(j, n)) + sum c p^d u_n/u_m^d, d = n/m, over the terms (c, p, m),
+    # at q = 2^k = 2^(8w).  As u_n/u_m^d = prod_{j<=n} [gcd(j, n)]/[gcd(j, m)] has coefficients
+    # >= 0, 2^(k-1) > L1 bound makes the balanced digits exact; a spare slot reads back any sum.
+    gcds = [math.gcd(j, n) for j in range(1, n + 1)]  # and gcd(j, m) = gcd(gcd(j, n), m)
+    pairs = [[(a, g) for a in gcds if a != (g := math.gcd(a, m))] for _, _, m in terms]
+    bound = sum(abs(c) * sum(map(abs, p.coeffs)) ** (n // m) * math.prod(a // g for a, g in ags)
+                for (c, p, m), ags in zip(terms, pairs)) + (abs(tail) << n - 1)
+    w = bound.bit_length() // 8 + 1
+    total = functools.reduce(lambda v, a: v - (v << a * 8 * w), gcds[:-1], tail)
+    for (c, p, m), ags in zip(terms, pairs):
+        total += functools.reduce(lambda v, ag: _times_ratio_at(v, *ag, 8 * w), ags,
+                                  c * rings._pack(p.coeffs, w) ** (n // m))
+    return IntPoly(rings._unpack(total, abs(total).bit_length() // (8 * w) + 2, w))
 
 
 def _divisor_sum(base: IntPoly, n: int) -> IntPoly:
-    # n R_n: the recursion for the n-th factor times n u_n(q), by passes; base = +-(1 - q).
-    lags = (math.gcd(j, n) for j in range(1, n))
-    total = IntPoly(functools.reduce(_times_one_minus, lags, [base(0) ** (n - 1)]))
-    for d in divisors(n)[1:]:
-        m = n // d
-        term = IntPoly(_times_u_ratio((_r_q_family(base, m) ** d).coeffs, n, m)) * m
-        total = total + term if d % 2 == 0 else total - term
-    return total
+    # n R_n; as base = +-(1 - q), base^(n-1) u_n/[n] = base(0)^(n-1) prod_{j<n} (1 - q^gcd(j, n)).
+    return _u_ratio_sum(n, [((-1) ** d * (n // d), _r_q_family(base, n // d), n // d)
+                            for d in divisors(n)[1:]], base(0) ** (n - 1))
 
 
 @functools.cache

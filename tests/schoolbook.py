@@ -1,7 +1,8 @@
 """Schoolbook references: for the weighted series kernel of ``ppx.series``
 and ``ppx.products``, sharing no code with either, the primitive
-pseudo-remainder sequence, for the polynomial gcd of ``ppx.rings``, and the
-degree-by-degree sum, for ``IntPoly`` + and -.
+pseudo-remainder sequence, for the polynomial gcd of ``ppx.rings``, the
+degree-by-degree sum, for ``IntPoly`` + and -, and IntPoly products and exact
+quotients, for the sums of ``ppx.qsequences`` evaluated at q = 2^k.
 
 A coefficient F_k of a series in the basis of ``binom`` is turned into the
 field element F_k/d_k (a ``Fraction``, or a ``QFrac`` of Q(q)), with
@@ -15,7 +16,7 @@ import math
 import operator
 from fractions import Fraction
 
-from ppx.qsequences import qfact
+from ppx.qsequences import qfact, qint
 from ppx.rings import IntPoly, P_ONE
 from qfunc_series import QFrac
 
@@ -102,3 +103,20 @@ def coefficient_sum(a: tuple, b: tuple, sign: int = 1) -> tuple:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+@functools.cache
+def product_u_q(n: int) -> IntPoly:
+    """Reference u_n(q) = prod_{j<=n} [gcd(j, n)] by IntPoly products."""
+    return math.prod((qint(math.gcd(j, n)) for j in range(1, n + 1)), start=P_ONE)
+
+
+def product_u_ratio_sum(n: int, terms, tail: int = 0) -> IntPoly:
+    """What ``qsequences._u_ratio_sum`` computes at q = 2^k, by the product
+    route: tail (1 - q)^(n-1) u_n(q)/[n] plus c p^d u_n(q)/u_m(q)^d, d = n/m,
+    for each term (c, p, m), with IntPoly products and exact quotients."""
+    u = product_u_q(n)
+    total = tail * IntPoly((1, -1)) ** (n - 1) * u.divexact(qint(n))
+    for c, p, m in terms:
+        total = total + c * p ** (n // m) * u.divexact(product_u_q(m) ** (n // m))
+    return total

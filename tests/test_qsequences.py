@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppx import cli, products, qsequences, rings
@@ -38,7 +38,7 @@ from ppx.rings import ConsistencyError, IntPoly, P_ONE, P_ZERO, Q, RatFunc
 from ppx.sequences import c_seq, divisors, e_seq, exp_series, is_prime, r_seq, u_seq
 from ppx.series import TruncatedSeries
 from qfunc_series import QFrac, cap_expq_series, expq_series
-from schoolbook import prs_gcd, prs_poly_gcd
+from schoolbook import product_u_q, product_u_ratio_sum, prs_gcd, prs_poly_gcd
 
 small_polys = st.builds(IntPoly, st.lists(st.integers(-9, 9), max_size=6))
 nonzero_polys = small_polys.filter(bool)
@@ -352,13 +352,8 @@ class TestRq:
             assert RatFunc(qsequences._r_q_family(base, n)) == expected
 
 
-def product_u_q(n: int) -> IntPoly:
-    """Reference u_n(q) = prod_{j<=n} [gcd(j, n)] by IntPoly products."""
-    return math.prod((qint(math.gcd(j, n)) for j in range(1, n + 1)), start=P_ONE)
-
-
 class TestRqPasses:
-    """r_n(q) by window passes, against the product-and-divexact route."""
+    """r_n(q) and u_n(q) by one sum at q = 2^k, against the product-and-divexact route."""
 
     def test_cold_r_q_forms_no_u_q_and_no_quotient(self, monkeypatch, fresh_q_caches):
         calls, right = [], IntPoly.divexact
@@ -370,24 +365,50 @@ class TestRqPasses:
         assert r(1) == r_seq(40)[39]
 
     @pytest.mark.parametrize("fault", [
-        lambda right, cs: list(cs),  # the pass dropped
-        lambda right, cs: right(cs, 12, 1),  # [12]/[1] in place of [12]/[6]
+        lambda right, value, k: value,  # the pair dropped
+        lambda right, value, k: right(value, 12, 1, k),  # [12]/[1] in place of [12]/[6]
     ], ids=["dropped", "as-12-over-1"])
     def test_planted_fault_in_the_12_6_pass(self, monkeypatch, capsys, fresh_q_caches, fault):
-        # [12]/[6] is the pass of j = 12 in u_12/u_6^2, the d = 2 term of r_12(q).
-        right = qsequences._times_ratio
-        monkeypatch.setattr(qsequences, "_times_ratio", lambda cs, j, g: (
-            fault(right, cs) if (j, g) == (12, 6) else right(cs, j, g)))
+        # [12]/[6] is the pair of j = 12 in u_12/u_6^2, the d = 2 term of r_12(q).
+        right = qsequences._times_ratio_at
+        monkeypatch.setattr(qsequences, "_times_ratio_at", lambda value, a, g, k: (
+            fault(right, value, k) if (a, g) == (12, 6) else right(value, a, g, k)))
         assert cli.main(["seq", "rq", "12"]) == 1
         assert capsys.readouterr().err.startswith(
             "consistency violation: r_12(q) did not reduce to a polynomial")
 
+    def test_planted_pair_that_is_no_polynomial(self, monkeypatch, capsys, fresh_q_caches):
+        # [12]/[5] in place of [12]/[6]: 5 does not divide 12, and the error names the pair.
+        right = qsequences._times_ratio_at
+        monkeypatch.setattr(qsequences, "_times_ratio_at", lambda value, a, g, k: (
+            right(value, 12, 5, k) if (a, g) == (12, 6) else right(value, a, g, k)))
+        assert cli.main(["seq", "rq", "12"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "consistency violation: [12]/[5] is not a polynomial: 5 does not divide 12")
+        with pytest.raises(ConsistencyError, match=r"\[3\]/\[2\] is not a polynomial"):
+            right(1, 3, 2, 8)
+
+    def test_a_sum_beyond_its_bound_still_reads_back(self, monkeypatch):
+        # u_2(q) = [2] has the bound 2 and k = 8.  A planted 2^15 - 1, whose top base-2^8
+        # digit carries past its bit length, still reads back as a polynomial with that
+        # value at 2^8, so a fault reaches the checks after the sum, not an OverflowError.
+        monkeypatch.setattr(qsequences, "_times_ratio_at", lambda value, a, g, k: 2 ** 15 - 1)
+        assert qsequences._u_ratio_sum(2, [(1, P_ONE, 1)])(2 ** 8) == 2 ** 15 - 1
+
     def test_ratio_passes_match_the_product_route(self):
-        u = [None, *map(product_u_q, range(1, 65))]
         for n in range(1, 65):
             for d in divisors(n):
-                expected = u[n].divexact(u[n // d] ** d)
-                assert IntPoly(qsequences._times_u_ratio((1,), n, n // d)) == expected
+                expected = product_u_q(n).divexact(product_u_q(n // d) ** d)
+                assert qsequences._u_ratio_sum(n, [(1, P_ONE, n // d)]) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_polys, st.integers(1, 40), st.integers(-9, 9))
+    @example(IntPoly((128,)), 1, 1)  # a one-term sum reaches its bound: no byte to spare
+    @example(IntPoly((256,)), 2, -1)
+    def test_d_term_matches_the_product_route(self, p, n, c):
+        for d in divisors(n):
+            expected = c * p ** d * product_u_q(n).divexact(product_u_q(n // d) ** d)
+            assert qsequences._u_ratio_sum(n, [(c, p, n // d)]) == expected
 
     @pytest.mark.parametrize("base", [IntPoly((1, -1)), IntPoly((-1, 1))])
     def test_tail_matches_the_product_route(self, monkeypatch, base):
@@ -395,6 +416,17 @@ class TestRqPasses:
         monkeypatch.setattr(qsequences, "_r_q_family", lambda b, m: P_ZERO)
         for n in range(1, 65):
             expected = base ** (n - 1) * product_u_q(n).divexact(qint(n))
+            assert qsequences._divisor_sum(base, n) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(small_polys, min_size=24, max_size=24), st.integers(1, 24),
+           st.sampled_from([IntPoly((1, -1)), IntPoly((-1, 1))]))
+    def test_planted_terms_match_the_product_route(self, planted, n, base):
+        # Any R_1..R_(n-1), not only the true ones, give the product route's sum.
+        terms = [((-1) ** d * (n // d), planted[n // d - 1], n // d) for d in divisors(n)[1:]]
+        expected = product_u_ratio_sum(n, terms, base(0) ** (n - 1))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qsequences, "_r_q_family", lambda b, m: planted[m - 1])
             assert qsequences._divisor_sum(base, n) == expected
 
 

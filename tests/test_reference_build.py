@@ -6,7 +6,8 @@ references: the schoolbook products for the word-slot (Kronecker) product
 kernel, the primitive pseudo-remainder sequence for GCDHEU, dense long
 division by q^m - 1 for the fold of ``QuotientRing.reduce``, and the
 product route for the q-integer passes of ``qsequences._times_ratio`` and
-the differences of ``qsequences._times_one_minus``.
+for the sums at q = 2^k of ``qsequences._u_ratio_sum``, from which r_n(q)
+and u_n(q) are read.
 Each command runs from empty caches, as in a fresh process, so the
 references compute every value it prints.  A planted fault in a word-slot
 product or in the fold stride must make the comparison fail."""
@@ -19,8 +20,8 @@ import pytest
 
 from ppx.cli import main
 from ppx.qsequences import qint
-from ppx.rings import IntPoly, P_ONE, _fold, _unpack  # the planted faults wrap the last two
-from schoolbook import prs_poly_gcd
+from ppx.rings import IntPoly, _fold, _unpack  # the planted faults wrap the last two
+from schoolbook import product_u_ratio_sum, prs_poly_gcd
 from test_rings import clear_caches, long_division_remainder
 
 COMMANDS = [
@@ -59,13 +60,13 @@ def reference_build():
     takes the schoolbook loop (exact quotients are always long division);
     ``poly_gcd``, which reduces every RatFunc, is the primitive PRS gcd; the fold
     mod q^m - 1 is dense long division by q^m - 1; a pass of [j]/[g] over a
-    coefficient list is the product by [j] and the exact quotient by [g],
-    and a difference at lag j the product by 1 - q^j."""
+    coefficient list is the product by [j] and the exact quotient by [g];
+    and the sums of r_n(q) and u_n(q), which are never evaluated at 2^k, are
+    IntPoly products and exact quotients of the u_n(q) products."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("ppx.qsequences._times_ratio", lambda coeffs, j, g: (
             (IntPoly(coeffs) * qint(j)).divexact(qint(g)).coeffs))
-        patch.setattr("ppx.qsequences._times_one_minus", lambda coeffs, j: (
-            (IntPoly(coeffs) * (P_ONE - IntPoly.monomial(1, j))).coeffs))
+        patch.setattr("ppx.qsequences._u_ratio_sum", product_u_ratio_sum)
         patch.setattr("ppx.rings._pack_pays", lambda m, n: False)
         patch.setattr("ppx.rings.poly_gcd", prs_poly_gcd)
         patch.setattr("ppx.rings._fold", lambda coeffs, m: list(

@@ -450,26 +450,53 @@ def clear_caches():
                     cached.cache_clear()
 
 
-@pytest.fixture
-def flipped_word_digit(monkeypatch):
-    """One wrong result of the word-slot kernels: the first word-slot
-    _unpack result with at least 16 digits comes back with the sign of its
-    lowest nonzero digit flipped.  Yields the list of flipped digit indices.
-    The caches are empty before and after."""
-    original, flips = rings._unpack, []
+def flip_first_digit(monkeypatch, flips) -> list:
+    """Plant one wrong result of rings._unpack: the first call for which
+    flips(w, caller) holds and that returns at least 16 digits, not all 0,
+    comes back with the sign of its lowest nonzero digit flipped.  Returns
+    the list of flipped digit indices.  The caches are emptied first."""
+    original, flipped = rings._unpack, []
 
     def unpack(value, n, w):
         digits = original(value, n, w)
-        if not flips and w in rings._WORD_CODES and n >= 16 and any(digits):
-            flips.append(next(i for i, d in enumerate(digits) if d))
-            digits[flips[0]] = -digits[flips[0]]
+        if (not flipped and n >= 16 and any(digits)
+                and flips(w, sys._getframe(1).f_code.co_name)):
+            flipped.append(next(i for i, d in enumerate(digits) if d))
+            digits[flipped[0]] = -digits[flipped[0]]
         return digits
 
     clear_caches()
     monkeypatch.setattr(rings, "_unpack", unpack)
-    yield flips
+    return flipped
+
+
+@pytest.fixture
+def flipped_word_digit(monkeypatch):
+    """One wrong result of the word-slot kernels: the first word-slot
+    _unpack result with at least 16 digits has one digit flipped.  Yields
+    the list of flipped digit indices.  The caches are empty before and after."""
+    yield flip_first_digit(monkeypatch, lambda w, caller: w in rings._WORD_CODES)
     monkeypatch.undo()
     clear_caches()
+
+
+@pytest.fixture
+def flipped_sum_digit(monkeypatch):
+    """One wrong digit of a sum of qsequences at q = 2^k: the first result of
+    _u_ratio_sum with at least 16 digits, at any slot width, has one digit
+    flipped.  The caches are empty before and after."""
+    yield flip_first_digit(monkeypatch, lambda w, caller: caller == "_u_ratio_sum")
+    monkeypatch.undo()
+    clear_caches()
+
+
+@pytest.mark.parametrize("command", ["seq rq 12", "verify thm42", "verify thm45"])
+def test_a_flipped_digit_of_the_divisor_sum_is_noticed(flipped_sum_digit, capsys, command):
+    # The flipped coefficient of n R_n is still divisible by n; the check of
+    # r_n(1), or the division of a later n R_n that reads it, notices it.
+    assert cli.main(command.split()) == 1
+    assert flipped_sum_digit
+    assert "consistency violation" in capsys.readouterr().err
 
 
 class TestSuitesNoticeAWordSlotFault:
@@ -477,6 +504,8 @@ class TestSuitesNoticeAWordSlotFault:
     # it.  Others pass under the fault because they meet no such result or do
     # not read the flipped digit: cor44, thm41, eq26 below --m 14 and eq28
     # below --m 11.  eq26 and eq28 run at the smallest --m that exits 1.
+    # thm42, thm43, thm45 and eq26 --m 14 meet it first in the divisor sum of
+    # r_n(q) at q = 2^k, which reads its digits back through the same _unpack.
     @pytest.mark.parametrize("command, notice", [
         ("verify roundtrip --max-n 18", "FAIL e-q-oracle"),
         ("verify roundtrip", "FAIL e-q-oracle"),
