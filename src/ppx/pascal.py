@@ -23,7 +23,8 @@ and the factors can be recovered greedily from the matrix alone: after k-1
 factors the (k,0) entry of the partial product forces c_k = 1 - g_{k-1}(k,0).
 That recovery is deliberately independent of the sequence recursion, so the
 agreement of the two is a genuine cross-check.  Each factor is the identity
-plus one band, so it is applied by a unit-band step, not a matrix product.
+plus one band, so it is applied by a unit-band step, not a matrix product, at
+the offset of its generator's one band: no other input names it.
 The q-basis puts [k]! where k! was, and the m-fold matrices (m = 2 is the
 "doubled" Pascal triangle, OEIS A178112) factor the same way, row mk playing
 the role of row k.  No matrix code divides or inverts: a power is compared
@@ -195,44 +196,50 @@ def _add_band_product(acc: list, xs: tuple, b: int, ys: tuple) -> None:
             acc[t] = acc[t] + x * y
 
 
-def _unit_band_step(matrix: SquareMatrix, generator: SquareMatrix, shift: int, c) -> SquareMatrix:
-    """matrix * (I + c G) for a generator G that is zero off the band i - j = shift
-    (ConsistencyError otherwise): the matrix plus matrix * (c G), where band d of the
-    matrix times the one band of c G adds into band d + shift, so each band of the
-    result takes one pass.  The dense product's other terms all have a zero factor,
-    and here every ring product has two nonzero ones.  The sums read the matrix as
-    it was, never an updated entry."""
+def _unit_band_step(matrix: SquareMatrix, generator: SquareMatrix, c) -> SquareMatrix:
+    """matrix * (I + c G) for a generator G with at most one band, whose offset d
+    it takes (ConsistencyError for a second band): the matrix plus matrix * (c G),
+    where band e of the matrix times the one band of c G adds into band e + d, so
+    each band of the result takes one pass.  A zero G, or c = 0, leaves the matrix
+    as it is.  The dense product's other terms all have a zero factor, and here
+    every ring product has two nonzero ones.  The sums read the matrix as it was,
+    never an updated entry."""
     matrix._require_compatible(generator)
-    if generator.bands.keys() - {shift}:
-        raise ConsistencyError(f"generator is nonzero off the band i - j = {shift}")
-    if not c or shift not in generator.bands:
+    if len(generator.bands) > 1:
+        raise ConsistencyError(f"generator has bands i - j in {sorted(generator.bands)}, not one")
+    if not c or not generator:
         return matrix
+    ((shift, band),) = generator.bands.items()
     n, zero, bands = matrix.n, matrix.ring.zero, dict(matrix.bands)
-    cg = tuple(c * g if g else g for g in generator.bands[shift])
-    for d, band in matrix.bands.items():
+    cg = tuple(c * g if g else g for g in band)
+    for d, entries in matrix.bands.items():
         if d + shift < n:
             acc = list(matrix.bands.get(d + shift) or [zero] * (n - d - shift))
-            _add_band_product(acc, band, shift, cg)
+            _add_band_product(acc, entries, shift, cg)
             bands[d + shift] = acc
     return SquareMatrix(matrix.ring, n, bands)
 
 
 def _factored(ring, n: int, steps) -> SquareMatrix:
     """The product (I + c_1 G_1)(I + c_2 G_2)... of n x n matrices over ring, one
-    unit-band step per (G, shift, c) of steps, in order."""
+    unit-band step per (G, c) of steps, in order; each G brings its own band."""
     product = SquareMatrix.identity(ring, n)
-    for generator, shift, c in steps:
-        product = _unit_band_step(product, generator, shift, c)
+    for generator, c in steps:
+        product = _unit_band_step(product, generator, c)
     return product
 
 
-def _factor_greedily(ring, n: int, k_max: int, generator, step: int) -> tuple:
-    """Greedy recovery: c_k = 1 - (step * k, 0) entry of the partial product,
-    which then gets the factor I + c_k generator(k); k = 1..k_max."""
+def _factor_greedily(ring, n: int, k_max: int, generator) -> tuple:
+    """Greedy recovery, k = 1..k_max: c_k = 1 - (d, 0) entry of the partial
+    product, d the band of generator(k), which then gets the factor I + c_k
+    generator(k).  A zero generator(k) has no band to read: ConsistencyError."""
     partial, cs = SquareMatrix.identity(ring, n), []
     for k in range(1, k_max + 1):
-        cs.append(ring.one - partial.entry(step * k, 0))
-        partial = _unit_band_step(partial, generator(k), step * k, cs[-1])
+        g = generator(k)
+        if not g:
+            raise ConsistencyError(f"generator {k} is zero: no band to read c_{k} from")
+        cs.append(ring.one - partial.entry(next(iter(g.bands)), 0))
+        partial = _unit_band_step(partial, g, cs[-1])
     return partial, cs
 
 
@@ -251,7 +258,7 @@ def _factor(ring, binom, n: int, m: int, target: SquareMatrix, sequence) -> list
     checking.
     """
     k_max, q = (n - 1) // m, "(q)" if ring is ZX else ""
-    partial, cs = _factor_greedily(ring, n, k_max, lambda k: _divided(ring, binom, n, k, m), m)
+    partial, cs = _factor_greedily(ring, n, k_max, lambda k: _divided(ring, binom, n, k, m))
     if partial != target:
         raise _unfactored(ring, n, m)
     if k_max >= 1 and cs != sequence(k_max):
@@ -299,26 +306,22 @@ def pascal_m(n: int, m: int) -> SquareMatrix:
     """The m-fold Pascal matrix, with its three constructions asserted equal.
 
     Sum of the generalized divided powers, exponential of the generator, and
-    the factored product with the expansion coefficients c_k must agree; the
-    divided powers must satisfy H_{k-1} H_1 = k H_k.  exp(H) is the sum of the
-    H^k / k! = H_k of the power chain, with one more product for H^(k_max+1) = 0.
+    the factored product with the expansion coefficients c_k must agree.  One
+    power chain, one product per power, decides exp(H) = sum H_k: H^k == k! H_k
+    for k = 2..K+1, K = floor((n-1)/m); H_(K+1) has its band at or past n and
+    is zero, so the last step is nilpotency.
     """
     if n < 1 or m < 1:
         raise UsageError("need n >= 1 and m >= 1")
     k_max = (n - 1) // m
-    powers = [h_m_nk(n, m, k) for k in range(k_max + 1)]
-    generator = generator_power = h_m_nk(n, m, 1)
-    for k in range(2, k_max + 1):
-        if powers[k - 1] * generator != powers[k].scale(k):
-            raise ConsistencyError(f"H^({m})_({n},{k - 1}) H_1 != {k} H_({n},{k})")
+    powers = [h_m_nk(n, m, k) for k in range(k_max + 2)]
+    generator = generator_power = powers[1]
+    for k in range(2, k_max + 2):
         generator_power = generator_power * generator
         if generator_power != powers[k].scale(math.factorial(k)):
             raise ConsistencyError(f"H^k != k! H_k for m={m}, n={n}, k={k}")
-    if (generator_power * generator if k_max else generator):
-        raise ConsistencyError(f"sum of divided powers != exp(H) for m={m}, n={n}")
     total = functools.reduce(SquareMatrix.__add__, powers)
-    if k_max >= 1 and _factored(ZZ, n, zip(powers[1:], range(m, n, m),
-                                           sequences.c_seq(k_max))) != total:
+    if k_max >= 1 and _factored(ZZ, n, zip(powers[1:], sequences.c_seq(k_max))) != total:
         raise ConsistencyError(f"factored product != P^({m})_{n}")
     return total
 
@@ -366,7 +369,7 @@ def _block_rows(ring, binom, factorial, sequence, n_max: int) -> tuple:
     must multiply back to P (ConsistencyError at the first n where not)."""
     p = _pascal(ring, binom, n_max)
     divided = [_divided(ring, binom, n_max, k) for k in range(n_max)]
-    partial, cs = _factor_greedily(ring, n_max, n_max - 1, divided.__getitem__, 1)
+    partial, cs = _factor_greedily(ring, n_max, n_max - 1, divided.__getitem__)
     factored = _blockwise(partial, p)
     if not all(factored):
         raise _unfactored(ring, max(2, factored.index(False)))
@@ -408,7 +411,7 @@ def check_pascal(n_max: int) -> Report:
         rep.add("matrix-exponential", {"n": n}, expd[n], "P_n", _SAME[not expd[n]])
         rep.add("factor-recovery", {"n": n}, *recovered[n])
     prefix_ok = n_max == 2 or _factor_greedily(
-        ZZ, n_max - 1, n_max - 2, lambda k: h_nk(n_max - 1, k), 1)[1] == cs[:-1]
+        ZZ, n_max - 1, n_max - 2, lambda k: h_nk(n_max - 1, k))[1] == cs[:-1]
     rep.add("factor-prefix-stability", {"n_max": n_max}, prefix_ok,
             "factors independent of matrix size", _SAME[not prefix_ok])
     return rep
@@ -496,10 +499,6 @@ def check_carlitz(p: int, n_max: int) -> Report:
     return rep
 
 
-def _embed(matrix: SquareMatrix, ring: QuotientRing) -> SquareMatrix:
-    return matrix.map_entries(ring.reduce, ring)
-
-
 def _gaussian_basis(n: int, ring: QuotientRing):
     """binom(i, k) = [i, k] in ring (at zeta_m in Z[q]/Phi_m), k <= i < n: qbinom's
     q-Pascal step run in the ring from (1,), each q^k times an entry reduced as formed."""
@@ -514,7 +513,7 @@ def _truncated_exp_product(binom, n: int, m: int, ring: QuotientRing) -> tuple:
     (ring, binom) of the Gaussian binomials at zeta_m."""
     # The bands share no entry: (i, i - j) holds [i, j] when j < m, so the sum is one pass.
     total = _pascal(ring, lambda i, j: binom(i, i - j) if i - j < m else ring.zero, n)
-    product = _factored(ring, n, ((_divided(ring, binom, n, j), j, ring.reduce(qsequences._c_q(j)))
+    product = _factored(ring, n, ((_divided(ring, binom, n, j), ring.reduce(qsequences._c_q(j)))
                                   for j in range(1, m)))
     rep = Report("eq28")
     rep.add("sum-equals-product", {"n": n, "m": m}, total == product,
@@ -554,18 +553,18 @@ def check_root_of_unity_factorization(n: int, m: int) -> Report:
 
     k_max = (n - 1) // m
     generators = [_divided(ring, binom, n, k * m) for k in range(1, k_max + 1)]
-    ok = all(g == _embed(h_m_nk(n, m, k), ring) for k, g in enumerate(generators, 1))
+    ok = all(g == h_m_nk(n, m, k).map_entries(ring.reduce, ring)
+             for k, g in enumerate(generators, 1))
     rep.add("gaussian-specialization", {"n": n, "m": m}, ok,
             "H_(n,km)(zeta_m) == m-fold divided power", _SAME[not ok])
 
-    p, m_fold = _pascal(ring, binom, n), _embed(pascal_m(n, m), ring)
+    p, m_fold = _pascal(ring, binom, n), pascal_m(n, m).map_entries(ring.reduce, ring)
     quotient_ok = truncated * m_fold == p
     rep.add("quotient-is-m-fold-pascal", {"n": n, "m": m}, quotient_ok,
             "P^(m)_n", _SAME[not quotient_ok])
 
     cs = sequences.c_seq(k_max) if k_max >= 1 else []
-    product = _factored(ring, n, ((g, k * m, ring.reduce(c))
-                                  for k, (g, c) in enumerate(zip(generators, cs), 1)))
+    product = _factored(ring, n, zip(generators, map(ring.reduce, cs)))
     # T is unit lower triangular, so T X = P has one solution, and T M == P makes it M.
     ok = product == m_fold if quotient_ok else truncated * product == p
     rep.add("quotient-factorization", {"n": n, "m": m}, ok,

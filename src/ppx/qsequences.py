@@ -125,9 +125,8 @@ def _q_pascal_row(n: int, above: tuple) -> tuple:
     return _q_pascal_step(above) if n else (P_ONE,)
 
 
-@functools.cache
 def qbinom(n: int, k: int) -> IntPoly:
-    """Gaussian binomial [n, k] = [n]!/([k]![n-k]!), from the q-Pascal triangle."""
+    """Gaussian binomial [n, k] = [n]!/([k]![n-k]!), read from the cached q-Pascal row n."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
     return _q_pascal_row(n)[k]

@@ -56,12 +56,13 @@ def dense_product(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
     return from_rows(ring, rows)
 
 
-def dense_band_step(matrix: SquareMatrix, generator: SquareMatrix, shift: int, c) -> SquareMatrix:
-    """matrix * (I + c G) by the schoolbook product, for G zero off the band
-    i - j = shift (ConsistencyError otherwise)."""
+def dense_band_step(matrix: SquareMatrix, generator: SquareMatrix, c) -> SquareMatrix:
+    """matrix * (I + c G) by the schoolbook product, for G nonzero on at most one
+    diagonal i - j (ConsistencyError otherwise)."""
     ring, n, g = matrix.ring, matrix.n, generator.rows
-    if any(g[i][j] and i - j != shift for i in range(n) for j in range(n)):
-        raise ConsistencyError(f"generator is nonzero off the band i - j = {shift}")
+    offsets = sorted({i - j for i in range(n) for j in range(n) if g[i][j]})
+    if len(offsets) > 1:
+        raise ConsistencyError(f"generator has bands i - j in {offsets}, not one")
     factor = from_rows(ring, [[(ring.one if i == j else ring.zero) + c * g[i][j]
                                for j in range(n)] for i in range(n)])
     return dense_product(matrix, factor)
@@ -73,7 +74,7 @@ def factor_greedily(ring, n: int, generator) -> tuple:
     partial, cs = SquareMatrix.identity(ring, n), []
     for k in range(1, n):
         cs.append(ring.one - partial.rows[k][0])
-        partial = dense_band_step(partial, generator(k), k, cs[-1])
+        partial = dense_band_step(partial, generator(k), cs[-1])
     return partial, cs
 
 

@@ -147,12 +147,27 @@ class TestMFold:
         assert check_pascal_m(10).passed
 
     def test_pascal_m_takes_one_product_per_power(self, product_calls):
-        # k = 2..k_max: H_(k-1) H_1 and H^k = H^(k-1) H_1; exp(H) then takes
-        # one more product, H^(k_max + 1) = 0.
+        # H^k = H^(k-1) H_1 for k = 2..k_max + 1, the last one H^(k_max + 1) = 0;
+        # 2 (k_max - 1) + 1 when H_(k-1) H_1 = k H_k was checked beside it.
         n, m = 13, 2
         k_max = (n - 1) // m
         pascal_m(n, m)
-        assert len(product_calls) == 2 * (k_max - 1) + 1
+        assert len(product_calls) == k_max == 6
+
+    @pytest.mark.parametrize("n, m", [(7, 2), (12, 3), (5, 1)])
+    def test_nonzero_last_power_fails_nilpotency(self, monkeypatch, n, m):
+        # Every product that should vanish gets a 1 at its bottom-left entry:
+        # only H^(k_max + 1) does, so only the last step of the chain notices.
+        original = SquareMatrix.__mul__
+
+        def mul(a, b):
+            product = original(a, b)
+            return product or SquareMatrix(a.ring, a.n, {a.n - 1: [a.ring.one]})
+
+        monkeypatch.setattr(SquareMatrix, "__mul__", mul)
+        with pytest.raises(ConsistencyError, match=rf"H\^k != k! H_k for m={m}, n={n}, "
+                                                   rf"k={(n - 1) // m + 1}$"):
+            pascal_m(n, m)
 
 
 class TestQPascal:
@@ -591,8 +606,8 @@ class TestStoredForm:
 
 @st.composite
 def band_steps(draw):
-    """A left factor (any shape of square_matrices), a generator on the band i - j = shift (zeros allowed)
-    and a scalar c (zero sometimes)."""
+    """A left factor (any shape of square_matrices), a generator on the band i - j = shift (zeros
+    allowed, so sometimes the zero matrix) and a scalar c (zero sometimes)."""
     ring = draw(st.sampled_from(PRODUCT_RINGS))
     n = draw(st.integers(1, 12))
     shift = draw(st.integers(0, n - 1))
@@ -611,7 +626,7 @@ class TestUnitBandStep:
         matrix, generator, shift, c = step
         identity = SquareMatrix.identity(matrix.ring, matrix.n)
         expected = reference.dense_product(matrix, identity + generator.scale(c))
-        assert pascal._unit_band_step(matrix, generator, shift, c) == expected
+        assert pascal._unit_band_step(matrix, generator, c) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(band_steps())
@@ -623,7 +638,7 @@ class TestUnitBandStep:
         band = [i for i in range(shift, n) if generator.entry(i, i - shift) != zero]
         pairs = sum(1 for r in range(n) for i in band if matrix.entry(r, i) != zero)
         ring = CountingRing(matrix.ring)
-        product = pascal._unit_band_step(ring.wrap(matrix), ring.wrap(generator), shift,
+        product = pascal._unit_band_step(ring.wrap(matrix), ring.wrap(generator),
                                          Counted(c, ring.log))
         if c == zero:
             assert ring.log == collections.Counter()
@@ -635,16 +650,27 @@ class TestUnitBandStep:
     @settings(max_examples=60, deadline=None)
     @given(band_steps(), st.data())
     def test_rejects_entry_off_the_band(self, step, data):
+        # a nonzero entry on the generator's band and one off it, a second band,
+        # whatever c is
         matrix, generator, shift, c = step
         n, ring = matrix.n, matrix.ring
         cells = [(i, j) for i in range(n) for j in range(i + 1) if i - j != shift]
         if not cells:
             return
+        nonzero = ring_elements(ring).filter(lambda e: e != ring.zero)
         i, j = data.draw(st.sampled_from(cells))
+        t = data.draw(st.integers(shift, n - 1))
         rows = [list(row) for row in generator.rows]
-        rows[i][j] = data.draw(ring_elements(ring).filter(lambda e: e != ring.zero))
-        with pytest.raises(ConsistencyError, match="off the band"):
-            pascal._unit_band_step(matrix, from_rows(ring, rows), shift, c)
+        rows[i][j], rows[t][t - shift] = data.draw(nonzero), data.draw(nonzero)
+        with pytest.raises(ConsistencyError) as raised:
+            pascal._unit_band_step(matrix, from_rows(ring, rows), c)
+        bands = sorted({shift, i - j})
+        assert str(raised.value) == f"generator has bands i - j in {bands}, not one"
+
+    def test_two_band_generator_raises(self):
+        generator = h_nk(5, 1) + h_nk(5, 3)
+        with pytest.raises(ConsistencyError, match=r"bands i - j in \[1, 3\], not one"):
+            pascal._unit_band_step(pascal_matrix(5), generator, 0)
 
     def test_scale_skips_zero_entries(self):
         ring = CountingRing(ZX)
@@ -652,6 +678,39 @@ class TestUnitBandStep:
         assert ring.log == collections.Counter({"mul": 4})
         assert scaled.map_entries(lambda e: e.value, ZX) == q_h_nk(6, 2).map_entries(
             lambda e: e * qint(3), ZX)
+
+
+# ---------------------------------------------------------------------------
+# The greedy recovery against the factored product
+
+
+class TestGreedyRoundTrip:
+    """Each generator brings its own band: the greedy reads c_k at the (d, 0)
+    entry for the band d of generator(k), and the factored product steps at it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(PRODUCT_RINGS), st.integers(1, 12), st.integers(1, 4), st.data())
+    def test_recovers_the_factors_it_multiplies(self, ring, n, m, data):
+        binom = {ZZ: math.comb, ZX: qbinom}.get(ring) or pascal._gaussian_basis(n, ring)
+        k_max = (n - 1) // m
+        gens = [pascal._divided(ring, binom, n, k, m) for k in range(1, k_max + 1)]
+        partial, recovered = pascal._factor_greedily(ring, n, k_max, lambda k: gens[k - 1])
+        assert [partial.entry(m * k, 0) for k in range(1, k_max + 1)] == [ring.one] * k_max
+        coefficient = st.one_of(st.just(ring.zero), ring_elements(ring))
+        cs = data.draw(st.one_of(st.just(recovered),
+                                 st.lists(coefficient, min_size=k_max, max_size=k_max)))
+        # The band d = mk of H_(n,k) holds 1 at (d, 0) and no later factor
+        # reaches it, so a product fixes its coefficients: the greedy returns
+        # the same c_k and the same product exactly when they made the target.
+        target = pascal._factored(ring, n, zip(gens, cs))
+        assert (target == partial) == (cs == recovered)
+        assert pascal._factored(ring, n, zip(gens, recovered)) == partial
+
+    def test_zero_generator_raises_naming_k(self):
+        generators = {1: h_nk(6, 1), 2: SquareMatrix(ZZ, 6, {}), 3: h_nk(6, 3)}
+        with pytest.raises(ConsistencyError,
+                           match=r"^generator 2 is zero: no band to read c_2 from$"):
+            pascal._factor_greedily(ZZ, 6, 3, generators.get)
 
 
 # ---------------------------------------------------------------------------
@@ -843,9 +902,9 @@ def dropped_term(monkeypatch):
     def mul(self, other):
         return drop_last_term(original_mul(self, other), self, other)
 
-    def band_step(matrix, generator, shift, c):
+    def band_step(matrix, generator, c):
         factor = SquareMatrix.identity(matrix.ring, matrix.n) + generator.scale(c)
-        return drop_last_term(original_step(matrix, generator, shift, c), matrix, factor)
+        return drop_last_term(original_step(matrix, generator, c), matrix, factor)
 
     _clear_sequence_caches()
     monkeypatch.setattr(SquareMatrix, "__mul__", mul)
@@ -862,12 +921,14 @@ def short_bottom_row(monkeypatch):
     bottom-left entry gets no nonzero term at all."""
     original = pascal._unit_band_step
 
-    def band_step(matrix, generator, shift, c):
-        product = original(matrix, generator, shift, c)
-        last, zero = matrix.n - 1, matrix.ring.zero
+    def band_step(matrix, generator, c):
+        product = original(matrix, generator, c)
+        if c == matrix.ring.zero or not generator:
+            return product
+        (shift,), last, zero = generator.bands, matrix.n - 1, matrix.ring.zero
         band = [i for i in range(shift, matrix.n)
                 if matrix.entry(last, i) != zero and generator.entry(i, i - shift) != zero]
-        if c == zero or not band:
+        if not band:
             return product
         i = band[-1]
         rows = [list(row) for row in product.rows]

@@ -726,9 +726,9 @@ class TestDividedPowerFaults:
 
     @pytest.fixture
     def wrong_q_binomial_6_3(self, monkeypatch, fresh_q_caches):
-        # [6, 3] + q in the q-Pascal row 6; the rows above it are built
-        # from it by the q-Pascal rule.  fresh_q_caches empties the qbinom
-        # cache of the wrong values afterwards.
+        # [6, 3] + q in the q-Pascal row 6 alone: the rows past it are built
+        # from the true row 6, which the bottom-up filler reads from its own
+        # cache.  fresh_q_caches empties the caches afterwards.
         row_rule = qsequences._q_pascal_row.__wrapped__
 
         @functools.cache
