@@ -53,7 +53,7 @@ import itertools
 import math
 
 from . import qsequences, sequences
-from .qsequences import qbinom, qfact
+from .qsequences import _gaussian_basis, qbinom, qfact
 from .report import Report
 from .rings import ConsistencyError, QuotientRing, UsageError, ZX, ZZ, power, serialize
 from .sequences import is_prime
@@ -497,15 +497,6 @@ def check_carlitz(p: int, n_max: int) -> Report:
             rep.add("coprime-congruence", {"n": n, "p": p}, c_mod == 0,
                     f"c_{n} == 0 (mod {p})", str(c_mod))
     return rep
-
-
-def _gaussian_basis(n: int, ring: QuotientRing):
-    """binom(i, k) = [i, k] in ring (at zeta_m in Z[q]/Phi_m), k <= i < n: qbinom's
-    q-Pascal step run in the ring from (1,), each q^k times an entry reduced as formed."""
-    rows = [(ring.one,)]
-    while len(rows) < n:
-        rows.append(qsequences._q_pascal_step(rows[-1]))
-    return lambda i, k: rows[i][k]
 
 
 def _truncated_exp_product(binom, n: int, m: int, ring: QuotientRing) -> tuple:

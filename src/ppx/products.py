@@ -36,11 +36,11 @@ def expand(f: TruncatedSeries) -> tuple:
         for k in range(len(partial) - 1, n - 1, -1):
             b = partial[k - n]
             if b:
-                partial[k] = partial[k] + (g * b if binom is None else binom(k, n) * g * b)
+                partial[k] = partial[k] + binom(k, n) * g * b
     return tuple(factors)
 
 
-def contract(factors, ring, binom=None) -> TruncatedSeries:
+def contract(factors, ring, binom) -> TruncatedSeries:
     """prod (1 + G_n x^n/d_n) truncated at N = len(factors), over ``ring`` in
     the basis of ``binom``.  Each factor multiplies into a new list, k ascending:
     a loop of its own, so that a fault in expand's cannot cancel in a round trip."""
@@ -48,6 +48,6 @@ def contract(factors, ring, binom=None) -> TruncatedSeries:
     for n, g in enumerate(factors, start=1):
         if g:
             partial = partial[:n] + [
-                b + (g * a if binom is None else binom(k, n) * g * a) if a else b
+                b + binom(k, n) * g * a if a else b
                 for k, b, a in zip(range(n, len(partial)), partial[n:], partial)]
     return TruncatedSeries(ring, partial, binom)

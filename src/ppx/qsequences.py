@@ -28,7 +28,8 @@ fraction over u_n(q).  c_n(q) = [n]! e_n(q) is r_n(q) through the passes [j]/[gc
 j <= n, checked at q = 1 and, against integer products, at q = 2 and q = -2.
 Setting q = 1 recovers the classical sequences, q = 0 the dyadic
 pattern of 1/(1-x) = prod (1 + x^(2^k)), and reduction mod q^2 a closed-form
-expansion checked over the ring Z[q]/(q^2) with no division at all.
+expansion, checked by expanding exp_q in the Gaussian basis over the ring Z[q]/(q^2),
+where [n]! is a unit, with no division at all.
 
 The suites check e_n(q), E_n(q) and the log with ``TruncatedSeries`` over
 Z[q] in the divided-power basis of ``qbinom``, sum F_k x^k/[k]! (Keigher,
@@ -114,7 +115,7 @@ def qfact(n: int, below: IntPoly) -> IntPoly:
 def _q_pascal_step(above: tuple) -> tuple:
     """[n, 0..n] from the row [n-1, 0..n-1] above it by the q-Pascal rule [n, k] =
     [n-1, k-1] + q^k [n-1, k] (Andrews, The Theory of Partitions, 1976, ch. 3):
-    additions and shifts only, in the ring of the entries, Z[q] or Z[q]/Phi_m."""
+    additions and shifts only, in the ring of the entries: Z[q], Z[q]/Phi_m or Z[q]/(q^2)."""
     return (above[0], *(above[k - 1] + above[k].shifted(k) for k in range(1, len(above))),
             above[0])
 
@@ -123,6 +124,15 @@ def _q_pascal_step(above: tuple) -> tuple:
 def _q_pascal_row(n: int, above: tuple) -> tuple:
     """[n, 0], ..., [n, n]: the q-Pascal step run n times from (1,)."""
     return _q_pascal_step(above) if n else (P_ONE,)
+
+
+def _gaussian_basis(n: int, ring: QuotientRing):
+    """binom(i, k) = [i, k] in ring (Z[q]/Phi_m, at zeta_m, or Z[q]/(q^2)), k <= i < n:
+    qbinom's q-Pascal step run in the ring from (1,), each q^k times an entry reduced as formed."""
+    rows = [(ring.one,)]
+    while len(rows) < n:
+        rows.append(_q_pascal_step(rows[-1]))
+    return lambda i, k: rows[i][k]
 
 
 def qbinom(n: int, k: int) -> IntPoly:
@@ -331,29 +341,22 @@ def mod_q2_closed_form(n: int) -> IntPoly:
     return IntPoly((0, -1))
 
 
-def expq_series_mod_q2(order: int) -> TruncatedSeries:
-    """exp_q(x) with coefficients reduced into Z[q]/(q^2).
-
-    1/[n]! reduces to 1 - (n-1) q there, which is asserted against the
-    inverse of the reduced [n]!.
-    """
+def mod_q2_expansion(n_max: int) -> list:
+    """Expansion factors e_n = G_n/[n]! of exp_q(x) over Z[q]/(q^2), by pure ring ops,
+    the G_n those of sum x^k/[k]! in the Gaussian basis.  1/[n]! reduces to
+    1 - (n-1) q there, which is asserted against the inverse of the reduced [n]!."""
+    if n_max < 1:
+        raise ValueError("need N >= 1")
     ring = mod_q2_ring()
-    coeffs = [ring.one]
-    fact = ring.one
-    for n in range(1, order + 1):
+    exp_q = TruncatedSeries(ring, [ring.one] * (n_max + 1), _gaussian_basis(n_max + 1, ring))
+    factors, fact = [], ring.one
+    for n, g in enumerate(products.expand(exp_q), start=1):
         fact = fact * ring.reduce(qint(n))
         inv = mod_q2_inverse(fact)
         if inv != ring.reduce(IntPoly((1, -(n - 1)))):
             raise ConsistencyError(f"1/[{n}]! mod q^2 != 1 - {n - 1} q")
-        coeffs.append(inv)
-    return TruncatedSeries(ring, coeffs)
-
-
-def mod_q2_expansion(n_max: int) -> list:
-    """Expansion factors of exp_q(x) over Z[q]/(q^2), by pure ring ops."""
-    if n_max < 1:
-        raise ValueError("need N >= 1")
-    return list(products.expand(expq_series_mod_q2(n_max)))
+        factors.append(g * inv)
+    return factors
 
 
 def _expq_series(order: int) -> TruncatedSeries:

@@ -555,9 +555,9 @@ class QuotientRing:
     A ring made by :meth:`cyclotomic` knows its period m: Phi_m divides
     q^m - 1, so :meth:`reduce` first folds f mod q^m - 1, adding the
     coefficients whose degrees agree mod m, which leaves degree < m.  What is
-    left, or f itself for any other modulus (such as q^2), is long-divided,
-    subtracting only the nonzero terms of the modulus (5 of the 17 of
-    Phi_40); that stays in Z because the leading coefficient is a unit.
+    left, or f itself for any other modulus, is long-divided, subtracting only
+    the nonzero terms of the modulus (5 of the 17 of Phi_40; none, a truncation,
+    for +-q^d); that stays in Z because the leading coefficient is a unit.
     """
 
     __slots__ = ("modulus", "period", "zero", "one", "_terms")
@@ -591,6 +591,8 @@ class QuotientRing:
         dm, p = self.modulus.degree, self.period
         if f.degree < dm:
             return QuotientElem(self, f)
+        if not self._terms:
+            return QuotientElem(self, IntPoly(f.coeffs[:dm]))
         rem = _fold(f.coeffs, p) if p and f.degree >= p else list(f.coeffs)
         for k in range(len(rem) - 1 - dm, -1, -1):
             t = rem[dm + k]

@@ -1,9 +1,9 @@
 """Truncated formal power series over an exact coefficient ring, in a basis.
 
 (F_0, ..., F_N) stands for sum F_k x^k/d_k, and the basis enters only through
-the weights binom(n, k) = d_n/(d_k d_(n-k)): ``None`` for d_k = 1,
-``math.comb`` for k! and ``ppx.qsequences.qbinom`` for [k]!, the last two the
-divided-power (Hurwitz series) basis of Keigher (Comm. Algebra 25, 1997).
+the weights binom(n, k) = d_n/(d_k d_(n-k)): all 1 for d_k = 1, ``math.comb``
+for k! and ``ppx.qsequences.qbinom`` for [k]!, the last two the divided-power
+(Hurwitz series) basis of Keigher (Comm. Algebra 25, 1997).
 Every binary operation requires equal orders, rings and bases, so that silent
 precision loss cannot happen.  The ring (``ZZ``, ``ZX`` or a ``QuotientRing``
 from :mod:`ppx.rings`) gives ``zero`` and ``one``; coefficients do their own
@@ -27,7 +27,7 @@ class TruncatedSeries:
 
     __slots__ = ("ring", "coeffs", "binom")
 
-    def __init__(self, ring, coeffs, binom=None):
+    def __init__(self, ring, coeffs, binom):
         self.ring = ring
         self.coeffs = tuple(coeffs)
         self.binom = binom
@@ -59,7 +59,7 @@ class TruncatedSeries:
             for k in range(n + 1):
                 a, b = f[k], g[n - k]
                 if a and b:
-                    acc = acc + (a * b if binom is None else binom(n, k) * a * b)
+                    acc = acc + binom(n, k) * a * b
             out.append(acc)
         return TruncatedSeries(self.ring, out, binom)
 
@@ -81,7 +81,7 @@ class TruncatedSeries:
             for k in range(1, n):
                 a, b = m[k], f[n - k]
                 if a and b:
-                    acc = acc - (a * b if binom is None else binom(n, k) * a * b)
+                    acc = acc - binom(n, k) * a * b
             m.append(acc)
         return TruncatedSeries(ring, m, binom)
 

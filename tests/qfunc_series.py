@@ -10,6 +10,8 @@ from ppx.qsequences import qfact
 from ppx.rings import IntPoly, RatFunc
 from ppx.series import TruncatedSeries
 
+import schoolbook  # which imports this module: each reads the other's names at call time
+
 
 class QFrac(RatFunc):
     """An element of Q(q): a ``RatFunc`` with the field operations, each
@@ -66,7 +68,8 @@ QFUNC = _QFracField()
 
 def expq_series(order: int, sign: int = 1) -> TruncatedSeries:
     """exp_q(sign x) = sum sign^n x^n/[n]! truncated, over rational functions in q."""
-    return TruncatedSeries(QFUNC, [QFrac(sign ** n, qfact(n)) for n in range(order + 1)])
+    return TruncatedSeries(QFUNC, [QFrac(sign ** n, qfact(n)) for n in range(order + 1)],
+                           schoolbook.unit_weight)
 
 
 def cap_expq_series(order: int) -> TruncatedSeries:
@@ -74,4 +77,5 @@ def cap_expq_series(order: int) -> TruncatedSeries:
     return TruncatedSeries(
         QFUNC,
         [QFrac(IntPoly.monomial(1, math.comb(n, 2)), qfact(n)) for n in range(order + 1)],
+        schoolbook.unit_weight,
     )

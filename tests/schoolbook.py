@@ -6,7 +6,7 @@ quotients, for the sums of ``ppx.qsequences`` evaluated at q = 2^k.
 
 A coefficient F_k of a series in the basis of ``binom`` is turned into the
 field element F_k/d_k (a ``Fraction``, or a ``QFrac`` of Q(q)), with
-d_k = 1, k! or [k]! for ``binom`` = None, ``math.comb`` or ``qbinom``.
+d_k = 1, k! or [k]! for ``binom`` = ``unit_weight``, ``math.comb`` or ``qbinom``.
 There series are plain lists multiplied by the Cauchy product, the log is
 the O(N^3) power sum, and a product expansion is checked by multiplying its
 factors out."""
@@ -18,12 +18,17 @@ from fractions import Fraction
 
 from ppx.qsequences import qfact, qint
 from ppx.rings import IntPoly, P_ONE
-from qfunc_series import QFrac
+import qfunc_series  # which imports this module: each reads the other's names at call time
+
+
+def unit_weight(n: int, k: int) -> int:
+    """binom(n, k) = 1, the weights of the power basis sum F_k x^k, d_k = 1."""
+    return 1
 
 
 def denominator(binom, k: int):
     """d_k of the basis whose weights are binom(n, k) = d_n/(d_k d_(n-k))."""
-    if binom is None:
+    if binom is unit_weight:
         return 1
     return math.factorial(k) if binom is math.comb else qfact(k)
 
@@ -34,9 +39,9 @@ def field_values(coeffs, binom, start: int = 0) -> list:
     for k, c in enumerate(coeffs, start=start):
         d = denominator(binom, k)
         if isinstance(c, int):
-            out.append(Fraction(c, d) if isinstance(d, int) else QFrac(c, d))
+            out.append(Fraction(c, d) if isinstance(d, int) else qfunc_series.QFrac(c, d))
         else:
-            out.append(QFrac(c, d) if isinstance(c, IntPoly) else c / d)
+            out.append(qfunc_series.QFrac(c, d) if isinstance(c, IntPoly) else c / d)
     return out
 
 

@@ -5,7 +5,8 @@ registry (``cli.SUITES``); they pin how --max-n, --m and --p reach each
 check, including the sweeps and the (n, m) pairs used when they are absent.
 The eq26/eq28 ``--m 12`` digests were recorded while those suites still
 reduced matrices of Gaussian binomials built in Z[q], before they were built
-in Z[q]/Phi_m itself.
+in Z[q]/Phi_m itself.  The thm45 digests were recorded while thm45 still
+expanded exp_q over Z[q]/(q^2) in the power basis, before the Gaussian one.
 """
 
 import hashlib
@@ -35,6 +36,10 @@ DIGESTS = {
         "bf126c8afc8542aeac9ccfeeb88106328fc01647a13cc74c37ddde571217fe2c",
     "verify roundtrip --max-n 6 --format json":
         "6b24d07c5c2a3d56e2a6506020bd8438e2d7452a489a35d55b6efce64ffb7f7a",
+    "verify thm45 --max-n 40":
+        "84b3c019e924774486142d62458e5c3743f3cb267a4d1721c4d7ac6bd9b327fc",
+    "verify thm45 --max-n 12 --format json":
+        "574961298bf50b2cd9751c23aeeb62905a6d01ee3a57a3dd899aeebd5c2af2cf",
 }
 
 

@@ -144,6 +144,19 @@ def zeta_binomial_5_2_plus_one(monkeypatch):
     monkeypatch.setattr(pascal, "_gaussian_basis", wrong)
 
 
+def dual_binomial_5_4_plus_q(monkeypatch):
+    # [5, 4] + q in Z[q]/(q^2) in the Gaussian basis of thm45.  As q^2 = 0, a weight
+    # off by q shows only against the factors G_n with a unit constant term, n a power
+    # of two: [5, 4] weighs G_4 B_1.  [4, 2] + q meets only B_2 = 0 and changes nothing.
+    original = qsequences._gaussian_basis
+
+    def wrong(n, ring):
+        binom = original(n, ring)
+        return lambda i, k: binom(i, k) + IntPoly((0, 1)) if (i, k) == (5, 4) else binom(i, k)
+
+    monkeypatch.setattr(qsequences, "_gaussian_basis", wrong)
+
+
 def c1_q_plus_q(monkeypatch):
     # c_1(q) + q = 1 + q in the truncated q-exponential's product.
     replace_at(monkeypatch, qsequences, "_c_q", 1, lambda c: c + IntPoly((0, 1)))
@@ -203,6 +216,10 @@ FAULTS = {
                                    ["FAIL gaussian-specialization [n=6 m=2]",
                                     "FAIL quotient-is-m-fold-pascal [n=6 m=2]",
                                     "FAIL quotient-factorization [n=6 m=2]"]),
+    "dual-binomial-5-4-plus-q": (dual_binomial_5_4_plus_q, "verify thm45 --max-n 6",
+                                 ["FAIL closed-form [n=5]", "FAIL closed-form [n=6]",
+                                  "FAIL rational-reduction [n=5]",
+                                  "FAIL rational-reduction [n=6]"]),
     "c1-q-plus-q": (c1_q_plus_q, "verify eq26 --m 2", ["FAIL sum-equals-product [n=6 m=2]"]),
     "sum-drops-band-n-minus-1-pascal": (sum_drops_band_n_minus_1, "verify pascal --max-n 4",
                                         ["FAIL sum-of-divided-powers [n=4]",

@@ -319,7 +319,7 @@ class TestGaussianRowsInTheRing:
         assert_basis_is_reduced_qbinom(40, QuotientRing.cyclotomic(m))
 
     def test_rows_in_the_dual_numbers(self):
-        # Z[q]/(q^2): each q^k times an entry is reduced by long division alone
+        # Z[q]/(q^2): each q^k times an entry is reduced by truncation alone
         assert_basis_is_reduced_qbinom(40, qsequences.mod_q2_ring())
 
     @settings(max_examples=40, deadline=None)

@@ -15,9 +15,10 @@ from ppx.rings import P_ONE, ZZ, RatFunc
 from ppx.sequences import exp_series
 from ppx.series import TruncatedSeries
 from qfunc_series import QFUNC, expq_series
+from schoolbook import unit_weight
 
 
-def zz_series(coeffs, binom=None):
+def zz_series(coeffs, binom=unit_weight):
     return TruncatedSeries(ZZ, coeffs, binom)
 
 
@@ -45,14 +46,14 @@ class TestExpand:
 class TestContract:
     def test_dyadic_gives_all_ones(self):
         factors = tuple(1 if n & (n - 1) == 0 else 0 for n in range(1, 9))
-        assert contract(factors, ZZ) == zz_series([1] * 9)
+        assert contract(factors, ZZ, unit_weight) == zz_series([1] * 9)
 
     def test_all_zero_gives_one(self):
-        assert contract((0,) * 5, ZZ) == zz_series([1, 0, 0, 0, 0, 0])
+        assert contract((0,) * 5, ZZ, unit_weight) == zz_series([1, 0, 0, 0, 0, 0])
 
     def test_expq_roundtrip_recovers_coefficients(self):
         f = expq_series(7)
-        assert contract(expand(f), QFUNC) == f
+        assert contract(expand(f), QFUNC, unit_weight) == f
         assert f.coeffs == tuple(RatFunc(P_ONE, qfact(n)) for n in range(8))
 
 
@@ -66,7 +67,7 @@ class TestRoundTrip:
 
     def test_ratfunc_roundtrip(self):
         for f in (expq_series(9), expq_series(9, -1)):
-            assert contract(expand(f), QFUNC) == f
+            assert contract(expand(f), QFUNC, unit_weight) == f
 
     def test_perturbing_a_factor_changes_its_coefficient(self):
         factors = list(expand(exp_series(8)))
@@ -88,7 +89,7 @@ LOOP_MUTANTS = {
     "ascending": ("range(len(partial) - 1, n - 1, -1)", "range(n, len(partial))"),
     "last-skipped": ("range(len(partial) - 1, n - 1, -1)", "range(len(partial) - 2, n - 1, -1)"),
     "weight-dropped": ("binom(k, n) * g * b", "g * b"),
-    "term-doubled": ("binom(k, n) * g * b)", "binom(k, n) * g * b) * 2"),
+    "term-doubled": ("+ binom(k, n) * g * b", "+ binom(k, n) * g * b * 2"),
 }
 ROUND_TRIPS = ("exp-roundtrip", "exp-neg-roundtrip", "expq-roundtrip", "cap-expq-roundtrip")
 

@@ -38,7 +38,7 @@ from ppx.rings import ConsistencyError, IntPoly, P_ONE, P_ZERO, Q, RatFunc
 from ppx.sequences import c_seq, divisors, e_seq, exp_series, is_prime, r_seq, u_seq
 from ppx.series import TruncatedSeries
 from qfunc_series import QFrac, cap_expq_series, expq_series
-from schoolbook import product_u_q, product_u_ratio_sum, prs_gcd, prs_poly_gcd
+from schoolbook import multiply_out, product_u_q, product_u_ratio_sum, prs_gcd, prs_poly_gcd
 
 small_polys = st.builds(IntPoly, st.lists(st.integers(-9, 9), max_size=6))
 nonzero_polys = small_polys.filter(bool)
@@ -519,6 +519,17 @@ class TestModQ2:
 
     def test_report_to_32(self):
         assert check_mod_q2(32).passed
+
+    def test_factors_multiply_out_to_the_inverse_q_factorials(self):
+        # prod (1 + e_n x^n) = exp_q(x) = sum x^k/[k]!, with 1/[k]! = 1 - (k-1) q mod q^2
+        # for k >= 1, multiplied out by the schoolbook Cauchy product: no ppx.products code.
+        # Coefficients k <= n of the product need only e_1..e_n, so the product of the 64
+        # factors checks every n <= 64 once each n's factors are the first n of them.
+        ring = mod_q2_ring()
+        factors = mod_q2_expansion(64)
+        assert all(mod_q2_expansion(n) == factors[:n] for n in range(1, 64))
+        assert multiply_out(factors, ring.one) == [
+            ring.one, *(ring.reduce(IntPoly((1, 1 - k))) for k in range(1, 65))]
 
 
 class TestLogCoefficients:

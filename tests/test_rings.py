@@ -826,7 +826,8 @@ monic_moduli = st.builds(
 
 
 class TestQuotientReduce:
-    """Fold mod q^m - 1, then sparse division, against dense long division."""
+    """Fold mod q^m - 1, then sparse division (a truncation for +-q^d), against
+    dense long division."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 60), signed_polys(3000))
@@ -838,7 +839,9 @@ class TestQuotientReduce:
         assert QuotientRing(cyclotomic(m)).reduce(f).rep == reduced.rep
 
     @settings(max_examples=150, deadline=None)
-    @given(st.one_of(st.just(IntPoly((0, 0, 1))), monic_moduli.filter(lambda p: p.degree >= 1)),
+    @given(st.one_of(st.just(IntPoly((0, 0, 1))),
+                     st.builds(IntPoly.monomial, st.sampled_from((1, -1)), st.integers(1, 12)),
+                     monic_moduli.filter(lambda p: p.degree >= 1)),
            signed_polys(400))
     def test_general_modulus_matches_long_division(self, modulus, f):
         assert QuotientRing(modulus).reduce(f).rep.coeffs == long_division_remainder(

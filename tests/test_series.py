@@ -11,10 +11,10 @@ from ppx.rings import P_ONE, ZX, ZZ, IntPoly, RatFunc
 from ppx.sequences import exp_series
 from ppx.series import TruncatedSeries
 from qfunc_series import cap_expq_series, expq_series
-from schoolbook import field_values, power_sum_log
+from schoolbook import field_values, power_sum_log, unit_weight
 
 
-def zz_series(coeffs, binom=None):
+def zz_series(coeffs, binom=unit_weight):
     return TruncatedSeries(ZZ, coeffs, binom)
 
 
@@ -22,7 +22,7 @@ def zz_series(coeffs, binom=None):
 unit_series = st.builds(
     lambda tail, binom: zz_series([1] + tail, binom),
     st.lists(st.integers(-6, 6), min_size=3, max_size=7),
-    st.sampled_from([None, math.comb]),
+    st.sampled_from([unit_weight, math.comb]),
 )
 
 
@@ -56,7 +56,7 @@ class TestMul:
 
     def test_ring_mismatch_raises(self):
         with pytest.raises(ValueError):
-            zz_series([1, 1]) * TruncatedSeries(ZX, [P_ONE, P_ONE])
+            zz_series([1, 1]) * TruncatedSeries(ZX, [P_ONE, P_ONE], unit_weight)
 
     def test_basis_mismatch_raises(self):
         with pytest.raises(ValueError, match="mixing bases"):

@@ -13,10 +13,10 @@ from ppx.products import contract, expand
 from ppx.qsequences import qbinom
 from ppx.rings import ZX, ZZ, IntPoly
 from ppx.series import TruncatedSeries
-from schoolbook import cauchy, field_values, multiply_out, power_sum_log
+from schoolbook import cauchy, field_values, multiply_out, power_sum_log, unit_weight
 
 BASES = [
-    pytest.param(ZZ, None, id="weight-1"),
+    pytest.param(ZZ, unit_weight, id="weight-1"),
     pytest.param(ZZ, math.comb, id="factorial"),
     pytest.param(ZX, qbinom, id="q-factorial"),
 ]
