@@ -96,31 +96,35 @@ def cmd_seq(args) -> int:
 # ``flag`` the option the suite sweeps (``m`` or ``p``) and ``sweep`` its
 # default values; ``together`` passes the whole sweep to one call.  ``pairs``
 # are the default (n, m) pairs of eq26/eq28; ``--m`` replaces them with one
-# pair whose n defaults to max(3m, 6).
-Suite = collections.namedtuple("Suite", "checks max_n flag sweep together pairs",
-                               defaults=(None, None, (), False, ()))
+# pair whose n defaults to max(3m, 6).  ``least`` is the smallest ``--max-n``
+# the suite takes: below it ``run_suite`` raises a usage error before any
+# check runs.  It is None for a suite that takes no size or whose checks
+# relate the size to ``--m`` or ``--p``.
+Suite = collections.namedtuple("Suite", "checks max_n flag sweep together pairs least",
+                               defaults=(None, None, (), False, (), None))
 _PAIRS = ((6, 2), (8, 2), (9, 3))
 
 
 SUITES = {
     "roundtrip": Suite((_late("sequences", "check_oracle_roundtrip"),
-                        _late("qsequences", "check_q_oracle")), 14),
-    "kolberg": Suite((_late("sequences", "check_kolberg"),), 64),
-    "borwein-lou": Suite((_late("sequences", "check_borwein_lou"),), 64),
-    "divisibility": Suite((_late("sequences", "check_divisibility"),), 64),
-    "closed-forms": Suite((_late("sequences", "check_closed_forms"),), 64),
+                        _late("qsequences", "check_q_oracle")), 14, least=1),
+    "kolberg": Suite((_late("sequences", "check_kolberg"),), 64, least=2),
+    "borwein-lou": Suite((_late("sequences", "check_borwein_lou"),), 64, least=2),
+    "divisibility": Suite((_late("sequences", "check_divisibility"),), 64, least=2),
+    "closed-forms": Suite((_late("sequences", "check_closed_forms"),), 64, least=3),
     "thm41": Suite((lambda n: _late("qsequences", "check_golden_q_lists")(),)),
-    "thm42": Suite((_late("qsequences", "check_integrality"),), 14),
+    "thm42": Suite((_late("qsequences", "check_integrality"),), 14, least=2),
     "thm43": Suite((_late("pascal", "check_cyclotomic_specialization"),), 12, "m", (2, 3)),
     "cor44": Suite((lambda n, p: _late("pascal", "check_carlitz")(p, n),), 20, "p", (2, 3, 5)),
-    "thm45": Suite((_late("qsequences", "check_mod_q2"),), 32),
-    "eq18": Suite((_late("qsequences", "check_reciprocal_identity"),), 10),
-    "eq21": Suite((_late("qsequences", "check_log_coeffs"),), 12),
+    "thm45": Suite((_late("qsequences", "check_mod_q2"),), 32, least=1),
+    "eq18": Suite((_late("qsequences", "check_reciprocal_identity"),), 10, least=1),
+    "eq21": Suite((_late("qsequences", "check_log_coeffs"),), 12, least=1),
     "eq26": Suite((_late("pascal", "check_root_of_unity_factorization"),), pairs=_PAIRS),
     "eq28": Suite((_late("pascal", "check_truncated_exp_product"),), pairs=_PAIRS),
-    "pascal": Suite((_late("pascal", "check_pascal"),), 12),
-    "qpascal": Suite((_late("pascal", "check_q_pascal"),), 12),
-    "pascal-m": Suite((_late("pascal", "check_pascal_m"),), 12, "m", (2, 3), together=True),
+    "pascal": Suite((_late("pascal", "check_pascal"),), 12, least=2),
+    "qpascal": Suite((_late("pascal", "check_q_pascal"),), 12, least=2),
+    "pascal-m": Suite((_late("pascal", "check_pascal_m"),), 12, "m", (2, 3), together=True,
+                      least=2),
 }
 
 
@@ -142,7 +146,8 @@ def _plan(suite: Suite, args) -> tuple:
 
 def run_suite(name: str, args) -> Report:
     """Run the suite with the parameters in args (None means its default);
-    an option the suite would not read is a usage error."""
+    an option the suite would not read, and then a size below its least, is a
+    usage error raised before any check runs."""
     suite = SUITES[name]
     read, parameter_sets = _plan(suite, args)
     unread = [opt for opt in ("max_n", "m", "p") if getattr(args, opt) is not None
@@ -151,6 +156,8 @@ def run_suite(name: str, args) -> Report:
         flags = " and ".join("--" + opt.replace("_", "-") for opt in unread)
         hint = " (it takes --max-n only with --m)" if suite.pairs and "max_n" in unread else ""
         raise UsageError(f"suite {name!r} does not take {flags}{hint}")
+    if suite.least is not None and parameter_sets[0][0] < suite.least:
+        raise UsageError(f"need N >= {suite.least}")
     merged = Report(name)
     for params in parameter_sets:
         for check in suite.checks:

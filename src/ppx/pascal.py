@@ -392,8 +392,6 @@ def _block_rows(ring, binom, factorial, sequence, n_max: int) -> tuple:
 def check_pascal(n_max: int) -> Report:
     """Divided powers, nilpotency, exp identity, and factor recovery for P_n,
     each n read from leading blocks at n_max; prefix stability factors n_max - 1."""
-    if n_max < 2:
-        raise UsageError("need n >= 2")
     rep = Report("pascal")
     p, powers, cs, divided_ok, vanishes, summed, recovered = _block_rows(
         ZZ, math.comb, math.factorial, sequences.c_seq, n_max)
@@ -419,8 +417,6 @@ def check_pascal(n_max: int) -> Report:
 
 def check_pascal_m(n_max: int, m_values=(2, 3)) -> Report:
     """The m-fold Pascal identities; m = 1 must reduce to the classical case."""
-    if n_max < 2:
-        raise UsageError("need n >= 2")
     rep = Report("pascal-m")
     try:
         reduced = pascal_m(n_max, 1) == pascal_matrix(n_max)
@@ -443,8 +439,6 @@ def check_pascal_m(n_max: int, m_values=(2, 3)) -> Report:
 def check_q_pascal(n_max: int) -> Report:
     """q-divided powers, the q-exponential identity, factor recovery, q = 1,
     each n read from leading blocks as in check_pascal."""
-    if n_max < 2:
-        raise UsageError("need n >= 2")
     rep = Report("qpascal")
     p, _, _, divided_ok, vanishes, summed, recovered = _block_rows(
         ZX, qbinom, qfact, qsequences.c_q_seq, n_max)

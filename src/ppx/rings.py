@@ -12,9 +12,11 @@ Value types:
 Everything is immutable and exact; no floating point anywhere.
 
 A parameter out of range is a :class:`UsageError`, raised only by ``cli``
-and by the functions that take a number from it, such as the matrix builders,
-which check the sizes that ``pascal`` passes them; any other error that a
-command meets is a bug.
+and by the functions that take a number from it: ``cli`` checks each verify
+suite's size against the least in ``cli.SUITES``, the suites that relate the
+size to ``--m`` or ``--p`` check that pair, and the matrix builders check the
+sizes that ``pascal`` passes them; any other error that a command meets is a
+bug.
 
 A :class:`RatFunc` is a value that commands print; no suite computes with one.
 ``__init__`` normalises it once: it divides both sides by :func:`poly_gcd`,

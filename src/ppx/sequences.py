@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from . import products
 from .report import Report
-from .rings import ZZ, ConsistencyError, UsageError
+from .rings import ZZ, ConsistencyError
 from .series import TruncatedSeries
 
 
@@ -204,8 +204,6 @@ def r_seq(n_max: int) -> list:
 
 def check_kolberg(n_max: int) -> Report:
     """0 < a_n < 2/n and (-1)^n e_n > 0, exactly, for 2 <= n <= N."""
-    if n_max < 2:
-        raise UsageError("need N >= 2")
     rep = Report("kolberg")
     for n in range(2, n_max + 1):
         a = _a(n)
@@ -216,8 +214,6 @@ def check_kolberg(n_max: int) -> Report:
 
 def check_borwein_lou(n_max: int) -> Report:
     """|c_n| <= (n-1)! for odd n and c_n >= (n-1)! for even n."""
-    if n_max < 2:
-        raise UsageError("need N >= 2")
     rep = Report("borwein-lou")
     for n in range(2, n_max + 1):
         c = _c(n)
@@ -233,8 +229,6 @@ def check_borwein_lou(n_max: int) -> Report:
 
 def check_divisibility(n_max: int) -> Report:
     """d * u_{n/d}^d divides u_n for every divisor d > 1 of every n <= N."""
-    if n_max < 2:
-        raise UsageError("need N >= 2")
     rep = Report("divisibility")
     for n in range(2, n_max + 1):
         u_n = _u(n)
@@ -254,8 +248,6 @@ def check_closed_forms(n_max: int) -> Report:
     r_{p^2} = 1 - p^(p-1) for odd primes; and for distinct odd primes p < q,
     r_{pq} = p^(q-1) + q^(p-1) - p^(q-1) q^(p-1).
     """
-    if n_max < 3:
-        raise UsageError("need N >= 3")
     rep = Report("closed-forms")
     odd_primes = [p for p in primes_up_to(n_max) if p >= 3]
     for p in odd_primes:
@@ -302,8 +294,6 @@ def check_oracle_roundtrip(n_max: int) -> Report:
     Covers exp(x) and exp(-x) here (factor n is G_n/n!); the q-analog halves
     of the same suite live in :mod:`ppx.qsequences` and are merged by the CLI.
     """
-    if n_max < 1:
-        raise UsageError("need N >= 1")
     return roundtrip_rows(
         Report("roundtrip"),
         lambda g, n, e: ((found := Fraction(g, math.factorial(n))) == e, str(e), str(found)), (

@@ -380,10 +380,49 @@ def test_grammar_runs_or_is_a_usage_error(head, data):
     (("verify", "all", "--m"), "--m needs a value"),
     (("pascal", "5", "--zz", "1"), "unrecognized option '--zz'"),
     (("pascal", "5", "--help=1"), "--help takes no value"),
+    # The checks that relate two options stay in the suite bodies.
+    (("verify", "thm43", "--max-n", "1"), "need n_max >= m"),
+    (("verify", "eq26", "--m", "1"), "need n >= m >= 2"),
+    (("verify", "eq28", "--m", "3", "--max-n", "2"), "need n >= m >= 2"),
+    (("verify", "cor44", "--p", "7", "--max-n", "7"), "need n_max > p"),
+    (("verify", "cor44", "--p", "4"), "p must be prime"),
+    # An option the suite would not read is named before a size below its least.
+    (("verify", "kolberg", "--max-n", "1", "--m", "3"), "suite 'kolberg' does not take --m"),
 ])
 def test_usage_error_line(capsys, argv, line):
-    # One line per way parse_args rejects an argv.
+    # One line per way parse_args rejects an argv, and per guard of a suite.
     assert run(capsys, *argv) == (2, "", f"error: {line}\n")
+
+
+# Each suite's least --max-n, the one place the size policy lives; None where
+# the suite's checks relate the size to another option, or it takes no size.
+LEAST = {"roundtrip": 1, "kolberg": 2, "borwein-lou": 2, "divisibility": 2, "closed-forms": 3,
+         "thm41": None, "thm42": 2, "thm43": None, "cor44": None, "thm45": 1, "eq18": 1,
+         "eq21": 1, "eq26": None, "eq28": None, "pascal": 2, "qpascal": 2, "pascal-m": 2}
+
+
+def test_least_table():
+    assert {name: suite.least for name, suite in cli.SUITES.items()} == LEAST
+
+
+@pytest.mark.parametrize("suite_argv", [name for name, least in LEAST.items() if least is not None]
+                         + ["pascal-m --m 3"])
+def test_least_size(monkeypatch, capsys, suite_argv):
+    # Below the least the usage error comes from cli, before any check runs;
+    # at the least the suite runs and passes.
+    name, *extra = suite_argv.split()
+    least = LEAST[name]
+
+    def unreachable(*params):
+        raise AssertionError(f"{name} ran a check at {params}")
+
+    suite = cli.SUITES[name]
+    with monkeypatch.context() as patch:
+        patch.setitem(cli.SUITES, name, suite._replace(checks=(unreachable,) * len(suite.checks)))
+        assert run(capsys, "verify", name, "--max-n", str(least - 1), *extra) == (
+            2, "", f"error: need N >= {least}\n")
+    code, out, err = run(capsys, "verify", name, "--max-n", str(least), *extra)
+    assert (code, err) == (0, "") and "status: pass" in out
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["seq", "--he", "zz"],
